@@ -10,12 +10,12 @@ from .ideals import (Ideal, InfiniteColengthError, TrialSpec,
                      random_ideals)
 from .koszul import kernel_length, koszul_cells, koszul_vector, len_identity_sides
 from .rings import (MonomialOrder, Polynomial, PolynomialParseError, Ring,
-                    RingMismatchError, frobenius_power, parse_polynomial)
+                    RingMismatchError, parse_polynomial)
 from .sessions import Session, load_session, parse_session
 
 __all__ = [
     "Ring", "Polynomial", "MonomialOrder", "parse_polynomial",
-    "frobenius_power", "RingMismatchError", "PolynomialParseError",
+    "RingMismatchError", "PolynomialParseError",
     "buchberger", "normal_form", "syzygies", "is_groebner",
     "Ideal", "TrialSpec", "random_ideals", "krull_dim", "maximal_ideal",
     "is_parameter_ideal", "InfiniteColengthError",

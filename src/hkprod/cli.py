@@ -2,8 +2,9 @@
 
 Subcommands: colength, hk, verify, probe.  Exit codes: 0 all checks
 pass, 1 a verified claim was violated, 2 usage/parse/configuration
-errors.  All randomness flows from --seed; identical invocations give
-byte-identical output.
+errors, 3 a resource limit was hit (the staircase box of a colength is
+too large to count).  All randomness flows from --seed; identical
+invocations give byte-identical output.
 """
 
 from __future__ import annotations
@@ -13,10 +14,14 @@ import csv
 import sys
 
 from . import verify as V
+from .groebner import ColengthOverflowError
 from .hk import hk_estimate, hk_table, tc_probe
 from .ideals import InfiniteColengthError
 from .rings import PolynomialParseError
 from .sessions import SessionError, load_session
+
+
+EXIT_RESOURCE_LIMIT = 3
 
 
 class ConfigError(ValueError):
@@ -220,6 +225,9 @@ def main(argv=None) -> int:
             InfiniteColengthError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ColengthOverflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

@@ -9,8 +9,9 @@ so identical inputs give identical bases.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from operator import add, le, sub
 
 import numpy as np
 
@@ -27,46 +28,102 @@ class ColengthOverflowError(RuntimeError):
 
 
 def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(a <= b for a, b in zip(m1, m2))
+    return all(map(le, m1, m2))
 
 
 def _lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(max(a, b) for a, b in zip(m1, m2))
+    return tuple(map(max, m1, m2))
 
 
 def _quot(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(a - b for a, b in zip(m1, m2))
+    return tuple(map(sub, m1, m2))
 
 
-def normal_form(f: Polynomial, basis: list[Polynomial]) -> Polynomial:
+def _update_pairs(t: int, leads: list[Monomial], earlier, pending: dict,
+                  coprime_criterion: bool) -> list:
+    """Gebauer-Moeller update of the pair set for a new basis element t.
+
+    leads are the leading monomials of the basis, earlier the indices of
+    the elements that t pairs with, pending maps each queued pair (i, j)
+    to its lcm.  First the pending pairs that t makes redundant are
+    dropped (criterion B: lead(t) divides lcm(i, j), and lcm(i, t) and
+    lcm(j, t) both differ from it).  Then a new pair whose lcm is a
+    multiple of another surviving new pair's lcm is dropped (criteria M
+    and F).  Each of these drops is the chain criterion: S(i, j) is
+    covered by the S-polynomials of a chain i - k - j whose leads divide
+    lcm(i, j).  With coprime_criterion, pairs with coprime leading
+    monomials are dropped last (Buchberger's first criterion, valid for
+    polynomials but not for module vectors).  Returns the new pairs to
+    queue, as (i, lcm).
+    """
+    lt = leads[t]
+    for (i, j), lcm in list(pending.items()):
+        if (_divides(lt, lcm) and _lcm(leads[i], lt) != lcm
+                and _lcm(leads[j], lt) != lcm):
+            del pending[i, j]
+    new = [(i, _lcm(leads[i], lt)) for i in earlier]
+    kept = []  # (i, lcm, coprime)
+    for n, (i, lcm) in enumerate(new):
+        coprime = coprime_criterion and lcm == tuple(map(add, leads[i], lt))
+        if coprime or not (any(_divides(other, lcm) for _, other, _ in kept)
+                           or any(_divides(other, lcm) for _, other in new[n + 1:])):
+            kept.append((i, lcm, coprime))
+    return [(i, lcm) for i, lcm, coprime in kept if not coprime]
+
+
+# A reducer is a basis element prepared for division:
+# (lead, heap key of lead, inverse lead coefficient, tail), where tail
+# lists (term, heap key, coefficient) for every other term.  Heap keys
+# are linear, so the key of a multiple's term is a sum of two keys.
+
+def _reducer(g: Polynomial):
+    heap_key = g.ring.order.heap_key
+    lm = g.leading_monomial()
+    tail = [(m, heap_key(m), c) for m, c in g.terms.items() if m != lm]
+    return lm, heap_key(lm), pow(g.terms[lm], -1, g.ring.p), tail
+
+
+def normal_form(f: Polynomial, basis: list[Polynomial], reducers=None) -> Polynomial:
     """Remainder of multivariate division of f by basis (first-match reducer).
 
     Zero iff f lies in the ideal generated by a *Groebner* basis; always
-    idempotent and F_p-linear for a fixed basis.
+    idempotent and F_p-linear for a fixed basis.  The largest remaining
+    term comes off a heap keyed once per inserted term; entries whose
+    term has cancelled are skipped when popped.  Each term is reduced by
+    the first basis element whose leading monomial divides it.
+    reducers, when given, is [_reducer(g) for the nonzero g in basis].
     """
     ring = f.ring
     p = ring.p
-    key = ring.order.key
-    lead = [(g.leading_monomial(), pow(g.leading_coefficient(), -1, p), g)
-            for g in basis if not g.is_zero()]
-    remainder: dict = {}
+    if reducers is None:
+        reducers = [_reducer(g) for g in basis if not g.is_zero()]
+    heap_key = ring.order.heap_key
     work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, lcinv, g in lead:
-            if _divides(lm, m):
+    heap = [(heap_key(m), m) for m in work]
+    heapify(heap)
+    remainder: dict = {}
+    while heap:
+        hm, m = heappop(heap)
+        c = work.pop(m, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        for lm, hlm, lcinv, tail in reducers:
+            if all(map(le, lm, m)):
                 factor = (c * lcinv) % p
-                q = _quot(m, lm)
-                for gm, gc in g.terms.items():
-                    mm = tuple(a + b for a, b in zip(gm, q))
-                    if mm == m:
-                        continue
-                    v = (work.get(mm, 0) - factor * gc) % p
-                    if v:
-                        work[mm] = v
+                q = tuple(map(sub, m, lm))
+                hq = tuple(map(sub, hm, hlm))
+                for gm, hg, gc in tail:
+                    mm = tuple(map(add, gm, q))
+                    old = work.get(mm)
+                    if old is None:
+                        work[mm] = (-factor * gc) % p
+                        heappush(heap, (tuple(map(add, hg, hq)), mm))
                     else:
-                        work.pop(mm, None)
+                        v = (old - factor * gc) % p
+                        if v:
+                            work[mm] = v
+                        else:
+                            del work[mm]
                 break
         else:
             remainder[m] = c
@@ -86,35 +143,41 @@ def buchberger(gens, ring: Ring) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
     Normal selection strategy: S-pairs ordered by lcm degree, then by
-    the monomial order on the lcm, then by index; pairs with coprime
-    leading monomials are skipped (Buchberger's first criterion).
+    the monomial order on the lcm, then by index.  Pairs are pruned by
+    Buchberger's two criteria, coprime leading monomials and the chain
+    criterion, in Gebauer-Moeller's form (see _update_pairs).  Leading
+    monomials and reducers are kept in lists parallel to the basis.
     """
     G: list[Polynomial] = []
     for f in list(gens) + list(ring.relations):
         f = f if isinstance(f, Polynomial) else ring.poly(f)
         if not f.is_zero():
             G.append(f.monic())
-    G.sort(key=lambda g: ring.order.key(g.leading_monomial()))
     key = ring.order.key
+    G.sort(key=lambda g: key(g.leading_monomial()))
+    reducers = [_reducer(g) for g in G]
+    leads = [r[0] for r in reducers]
     queue: list = []
+    pending: dict = {}  # queued pair -> lcm of its leading monomials
 
-    def push_pairs(j):
-        lj = G[j].leading_monomial()
-        for i in range(j):
-            li = G[i].leading_monomial()
-            lcm = _lcm(li, lj)
-            if lcm == tuple(a + b for a, b in zip(li, lj)):
-                continue  # coprime leading monomials
-            heapq.heappush(queue, (sum(lcm), key(lcm), i, j))
+    def add_pairs(t):
+        for i, lcm in _update_pairs(t, leads, range(t), pending, True):
+            pending[i, t] = lcm
+            heappush(queue, (sum(lcm), key(lcm), i, t))
 
-    for j in range(len(G)):
-        push_pairs(j)
+    for t in range(len(G)):
+        add_pairs(t)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        s = normal_form(s_polynomial(G[i], G[j]), G)
+        _, _, i, j = heappop(queue)
+        if pending.pop((i, j), None) is None:
+            continue  # dropped by a later update
+        s = normal_form(s_polynomial(G[i], G[j]), G, reducers)
         if not s.is_zero():
-            G.append(s.monic())
-            push_pairs(len(G) - 1)
+            s = s.monic()
+            G.append(s)
+            reducers.append(_reducer(s))
+            leads.append(reducers[-1][0])
+            add_pairs(len(G) - 1)
     return interreduce(G)
 
 
@@ -129,9 +192,11 @@ def interreduce(G: list[Polynomial]) -> list[Polynomial]:
         if not any(_divides(h.leading_monomial(), g.leading_monomial())
                    for h in minimal):
             minimal.append(g)
+    reducers = [_reducer(g) for g in minimal]
     reduced = []
     for i, g in enumerate(minimal):
-        r = normal_form(g, minimal[:i] + minimal[i + 1:])
+        r = normal_form(g, minimal[:i] + minimal[i + 1:],
+                        reducers[:i] + reducers[i + 1:])
         if not r.is_zero():
             reduced.append(r.monic())
     reduced.sort(key=lambda h: key(h.leading_monomial()))
@@ -139,7 +204,11 @@ def interreduce(G: list[Polynomial]) -> list[Polynomial]:
 
 
 def is_groebner(G: list[Polynomial]) -> bool:
-    """Buchberger criterion: every S-pair reduces to zero."""
+    """Buchberger criterion: every S-pair reduces to zero.
+
+    Deliberately unpruned (no coprime or chain criterion), so it is an
+    independent reference check on buchberger's output.
+    """
     for f, g in combinations(G, 2):
         if not normal_form(s_polynomial(f, g), G).is_zero():
             return False
@@ -200,14 +269,37 @@ VecTerm = tuple[int, Monomial]
 Vector = dict
 
 
-def top_key(ring: Ring):
-    mkey = ring.order.key
-    return lambda t: (mkey(t[1]), -t[0])
+class ModuleOrder:
+    """A term order on module terms (component, monomial), TOP or ELIM.
+
+    Called on a term it returns an ascending sort key, so max(v, key=order)
+    is the leading term.  heap_key() is the descending key for heapq and,
+    like MonomialOrder.heap_key, linear in the exponents.
+    """
+
+    def __init__(self, ring: Ring, elim: bool):
+        self.elim = elim
+        self._key = ring.order.key
+        self._heap_key = ring.order.heap_key
+
+    def __call__(self, t: VecTerm):
+        pos, m = t
+        if self.elim:
+            return (1 if pos == 0 else 0, self._key(m), -pos)
+        return (self._key(m), -pos)
+
+    def heap_key(self, t: VecTerm) -> tuple[int, ...]:
+        pos, m = t
+        k = self._heap_key(m) + (pos,)
+        return ((0 if pos == 0 else 1),) + k if self.elim else k
 
 
-def elim_key(ring: Ring):
-    mkey = ring.order.key
-    return lambda t: (1 if t[0] == 0 else 0, mkey(t[1]), -t[0])
+def top_key(ring: Ring) -> ModuleOrder:
+    return ModuleOrder(ring, elim=False)
+
+
+def elim_key(ring: Ring) -> ModuleOrder:
+    return ModuleOrder(ring, elim=True)
 
 
 def vector_from_polys(polys) -> Vector:
@@ -229,33 +321,70 @@ def _vec_leading(v: Vector, key) -> VecTerm:
     return max(v, key=key)
 
 
-def _vec_axpy(v: Vector, coeff: int, mono: Monomial, w: Vector, p: int) -> Vector:
-    """v - coeff * x^mono * w, in place on a copy."""
-    out = dict(v)
+def _vec_axpy(v: Vector, coeff: int, mono: Monomial, w: Vector, p: int) -> None:
+    """v -= coeff * x^mono * w, in place."""
     for (i, m), c in w.items():
-        t = (i, tuple(a + b for a, b in zip(m, mono)))
-        val = (out.get(t, 0) - coeff * c) % p
+        t = (i, tuple(map(add, m, mono)))
+        val = (v.get(t, 0) - coeff * c) % p
         if val:
-            out[t] = val
+            v[t] = val
         else:
-            out.pop(t, None)
-    return out
+            v.pop(t, None)
 
 
-def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, key) -> Vector:
+def _vec_reducer(w: Vector, key: ModuleOrder, p: int):
+    """(lead, heap key of lead, inverse lead coefficient, tail) of w."""
+    lead = _vec_leading(w, key)
+    tail = [(t, key.heap_key(t), c) for t, c in w.items() if t != lead]
+    return lead, key.heap_key(lead), pow(w[lead], -1, p), tail
+
+
+def _by_component(reducers) -> dict[int, list]:
+    groups: dict[int, list] = {}
+    for r in reducers:
+        groups.setdefault(r[0][0], []).append(r)
+    return groups
+
+
+def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, key,
+                       reducers=None) -> Vector:
+    """Remainder of v under first-match division by basis in order key.
+
+    The heap division of normal_form, on one work dict updated in place.
+    reducers, when given, maps each component to the _vec_reducer of the
+    nonzero basis vectors whose leading term lies in it, in basis order.
+    """
     p = ring.p
-    lead = [(_vec_leading(w, key), w) for w in basis if w]
-    lead = [((t[0], t[1]), pow(w[t], -1, p), w) for t, w in lead]
-    remainder: Vector = {}
+    if reducers is None:
+        reducers = _by_component(_vec_reducer(w, key, p) for w in basis if w)
+    heap_key = key.heap_key
     work = dict(v)
-    while work:
-        t = max(work, key=key)
-        c = work.pop(t)
-        pos, mono = t
-        for (lpos, lmono), lcinv, w in lead:
-            if lpos == pos and _divides(lmono, mono):
-                work[t] = c
-                work = _vec_axpy(work, (c * lcinv) % p, _quot(mono, lmono), w, p)
+    heap = [(heap_key(t), t) for t in work]
+    heapify(heap)
+    remainder: Vector = {}
+    while heap:
+        ht, t = heappop(heap)
+        c = work.pop(t, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        mono = t[1]
+        for (_, lmono), hl, lcinv, tail in reducers.get(t[0], ()):
+            if all(map(le, lmono, mono)):
+                factor = (c * lcinv) % p
+                q = tuple(map(sub, mono, lmono))
+                hq = tuple(map(sub, ht, hl))
+                for (i, m), hw, wc in tail:
+                    tt = (i, tuple(map(add, m, q)))
+                    old = work.get(tt)
+                    if old is None:
+                        work[tt] = (-factor * wc) % p
+                        heappush(heap, (tuple(map(add, hw, hq)), tt))
+                    else:
+                        val = (old - factor * wc) % p
+                        if val:
+                            work[tt] = val
+                        else:
+                            del work[tt]
                 break
         else:
             remainder[t] = c
@@ -272,48 +401,75 @@ def _vec_monic(v: Vector, ring: Ring, key) -> Vector:
 
 
 def module_buchberger(vectors: list[Vector], ring: Ring, key) -> list[Vector]:
-    """Reduced module Groebner basis; S-pairs only within a component."""
+    """Reduced module Groebner basis; S-pairs only within a component.
+
+    Normal selection strategy as in buchberger: pairs ordered by lcm
+    degree, then by key, then by index.  Only vectors whose leading
+    terms share a component form pairs, and those are pruned by the
+    chain criterion in Gebauer-Moeller's form, per component.  The
+    coprime criterion does not hold for module vectors and is not used.
+    Leading terms and reducers are kept per basis vector, the reducers
+    also grouped by component.
+    """
     p = ring.p
     G = [_vec_monic(dict(v), ring, key) for v in vectors if v]
     G.sort(key=lambda v: key(_vec_leading(v, key)))
+    reducers = [_vec_reducer(w, key, p) for w in G]
+    leads = [r[0] for r in reducers]
+    by_component = _by_component(reducers)
+    monos = [m for _, m in leads]
+    # per component: the indices of the basis vectors whose leading term
+    # lies in it, and its queued pairs with their lcms
+    members: dict[int, list[int]] = {}
+    pending: dict[int, dict] = {}
     queue: list = []
 
-    def push_pairs(j):
-        (pj, mj) = _vec_leading(G[j], key)
-        for i in range(j):
-            (pi, mi) = _vec_leading(G[i], key)
-            if pi != pj:
-                continue
-            lcm = _lcm(mi, mj)
-            heapq.heappush(queue, (sum(lcm), key((pi, lcm)), i, j))
+    def add_pairs(t):
+        pos = leads[t][0]
+        earlier = members.setdefault(pos, [])
+        in_pos = pending.setdefault(pos, {})
+        for i, lcm in _update_pairs(t, monos, earlier, in_pos, False):
+            in_pos[i, t] = lcm
+            heappush(queue, (sum(lcm), key((pos, lcm)), i, t))
+        earlier.append(t)
 
-    for j in range(len(G)):
-        push_pairs(j)
+    for t in range(len(G)):
+        add_pairs(t)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
-        (pi, mi), (pj, mj) = _vec_leading(G[i], key), _vec_leading(G[j], key)
-        lcm = _lcm(mi, mj)
-        ci = pow(G[i][(pi, mi)], -1, p)
-        cj = pow(G[j][(pj, mj)], -1, p)
-        s = _vec_axpy({}, p - ci, _quot(lcm, mi), G[i], p)
-        s = _vec_axpy(s, cj, _quot(lcm, mj), G[j], p)
-        s = module_normal_form(s, G, ring, key)
+        _, _, i, j = heappop(queue)
+        lcm = pending[leads[i][0]].pop((i, j), None)
+        if lcm is None:
+            continue  # dropped by a later update
+        s: Vector = {}
+        _vec_axpy(s, p - reducers[i][2], _quot(lcm, monos[i]), G[i], p)
+        _vec_axpy(s, reducers[j][2], _quot(lcm, monos[j]), G[j], p)
+        s = module_normal_form(s, G, ring, key, by_component)
         if s:
-            G.append(_vec_monic(s, ring, key))
-            push_pairs(len(G) - 1)
+            s = _vec_monic(s, ring, key)
+            r = _vec_reducer(s, key, p)
+            G.append(s)
+            reducers.append(r)
+            leads.append(r[0])
+            monos.append(r[0][1])
+            by_component.setdefault(r[0][0], []).append(r)
+            add_pairs(len(G) - 1)
     return module_interreduce(G, ring, key)
 
 
 def module_interreduce(G: list[Vector], ring: Ring, key) -> list[Vector]:
-    minimal: list[Vector] = []
-    for v in sorted((v for v in G if v), key=lambda v: key(_vec_leading(v, key))):
-        pv, mv = _vec_leading(v, key)
-        if not any(pw == pv and _divides(mw, mv)
-                   for (pw, mw) in (_vec_leading(w, key) for w in minimal)):
-            minimal.append(v)
+    p = ring.p
+    prepared = sorted(((_vec_reducer(v, key, p), v) for v in G if v),
+                      key=lambda rv: key(rv[0][0]))
+    minimal: list = []  # (reducer, vector) pairs
+    for r, v in prepared:
+        pv, mv = r[0]
+        if not any(rw[0][0] == pv and _divides(rw[0][1], mv) for rw, _ in minimal):
+            minimal.append((r, v))
     reduced = []
-    for i, v in enumerate(minimal):
-        r = module_normal_form(v, minimal[:i] + minimal[i + 1:], ring, key)
+    for i, (_, v) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1:]
+        r = module_normal_form(v, [w for _, w in others], ring, key,
+                               _by_component(rw for rw, _ in others))
         if r:
             reduced.append(_vec_monic(r, ring, key))
     reduced.sort(key=lambda v: key(_vec_leading(v, key)))

@@ -42,6 +42,7 @@ class Ideal:
         self.gens = tuple(polys)
         self._gb = None
         self._colength = None
+        self._brackets: dict[int, Ideal] = {}
 
     @property
     def groebner_basis(self) -> list[Polynomial]:
@@ -91,12 +92,16 @@ class Ideal:
         return result
 
     def bracket_power(self, q: int) -> "Ideal":
-        """I^[q]: generated by the q-th Frobenius powers of the generators."""
+        """I^[q]: generated by the q-th Frobenius powers of the generators.
+
+        Memoized per q, so each bracket power keeps its cached basis."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
             return self
-        return Ideal(self.ring, [g.frobenius(q) for g in self.gens])
+        if q not in self._brackets:
+            self._brackets[q] = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
+        return self._brackets[q]
 
     def colon(self, f: Polynomial) -> "Ideal":
         """(I : f) = {g : g*f in I}, computed by module elimination."""
@@ -199,26 +204,6 @@ def is_parameter_ideal(J: Ideal) -> bool:
     if not J.is_m_primary():
         return False
     return J.min_gens() == krull_dim(J.ring)
-
-
-def relation_squarefree_heuristic(ring: Ring):
-    """Reducedness probe for a single-relation presentation.
-
-    True: the relation has an isolated singularity at the origin (finite
-    colength of (f, partials)), which forces squarefreeness for the
-    homogeneous hypersurfaces handled here.  False: all partials vanish,
-    so f is a p-th power.  None: inconclusive.
-    """
-    if len(ring.relations) != 1:
-        raise ValueError("heuristic applies to exactly one relation")
-    f = ring.relations[0]
-    partials = [f.partial(i) for i in range(ring.nvars)]
-    nonzero = [g for g in partials if not g.is_zero()]
-    if not nonzero:
-        return False
-    if f.is_homogeneous() and Ideal(ring, [f] + nonzero).is_m_primary():
-        return True
-    return None
 
 
 # --- seeded random families --------------------------------------------------

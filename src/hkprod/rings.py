@@ -54,6 +54,7 @@ class MonomialOrder:
     kind is "grevlex" or "lex"; precedence lists variable indices from
     most to least significant.  key() returns a tuple that sorts small
     monomials first, so max(..., key=order.key) is the leading monomial.
+    heap_key() sorts large monomials first, for heapq's min-heap.
     """
 
     kind: str
@@ -71,6 +72,17 @@ class MonomialOrder:
         # grevlex: total degree first, then the reversed exponent vector
         # with sign flipped (smaller last exponent wins ties).
         return (sum(mono), tuple(-mono[i] for i in reversed(self.precedence)))
+
+    def heap_key(self, mono: Monomial) -> tuple[int, ...]:
+        """Descending key: the flat negation of key().
+
+        It is linear in the exponents, so the key of a product of
+        monomials is the elementwise sum of their keys; division uses
+        this to key new terms without recomputing from the exponents.
+        """
+        if self.kind == "lex":
+            return tuple(-mono[i] for i in self.precedence)
+        return (-sum(mono),) + tuple(mono[i] for i in reversed(self.precedence))
 
     def compare(self, m1: Monomial, m2: Monomial) -> int:
         """-1, 0 or 1 as m1 <, =, > m2."""
@@ -321,10 +333,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"<{self} over {self.ring!r}>"
-
-
-def frobenius_power(f: Polynomial, q: int) -> Polynomial:
-    return f.frobenius(q)
 
 
 # --- parsing ---------------------------------------------------------------

@@ -137,3 +137,108 @@ def brute_membership(f, gens, ring, deg):
     """
     span, _ = truncated_span(gens, ring, max(deg, f.degree()))
     return span.contains_poly(f)
+
+
+# --- reference division --------------------------------------------------
+
+def _divides(m1, m2):
+    return all(a <= b for a, b in zip(m1, m2))
+
+
+def rescan_normal_form(f, basis):
+    """First-match division that rescans the work dict with max per step.
+
+    The plain textbook loop: pick the largest remaining term, reduce it by
+    the first basis element whose leading monomial divides it, else move
+    it to the remainder.  The engine's normal_form must return exactly
+    this remainder, also for bases that are not Groebner bases.
+    """
+    ring = f.ring
+    p = ring.p
+    key = ring.order.key
+    lead = [(g.leading_monomial(), pow(g.leading_coefficient(), -1, p), g)
+            for g in basis if not g.is_zero()]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        m = max(work, key=key)
+        c = work.pop(m)
+        for lm, lcinv, g in lead:
+            if _divides(lm, m):
+                factor = (c * lcinv) % p
+                q = tuple(a - b for a, b in zip(m, lm))
+                for gm, gc in g.terms.items():
+                    mm = tuple(a + b for a, b in zip(gm, q))
+                    if mm == m:
+                        continue
+                    v = (work.get(mm, 0) - factor * gc) % p
+                    if v:
+                        work[mm] = v
+                    else:
+                        work.pop(mm, None)
+                break
+        else:
+            remainder[m] = c
+    return type(f)(ring, remainder)
+
+
+def rescan_module_normal_form(v, basis, ring, key):
+    """The module analogue of rescan_normal_form, for vectors
+    {(component, monomial): coeff} under the term order `key`."""
+    p = ring.p
+    lead = []
+    for w in basis:
+        if w:
+            t = max(w, key=key)
+            lead.append((t, pow(w[t], -1, p), w))
+    remainder = {}
+    work = dict(v)
+    while work:
+        t = max(work, key=key)
+        c = work.pop(t)
+        pos, mono = t
+        for (lpos, lmono), lcinv, w in lead:
+            if lpos == pos and _divides(lmono, mono):
+                factor = (c * lcinv) % p
+                q = tuple(a - b for a, b in zip(mono, lmono))
+                for (i, m), wc in w.items():
+                    tt = (i, tuple(a + b for a, b in zip(m, q)))
+                    if tt == t:
+                        continue
+                    val = (work.get(tt, 0) - factor * wc) % p
+                    if val:
+                        work[tt] = val
+                    else:
+                        work.pop(tt, None)
+                break
+        else:
+            remainder[t] = c
+    return remainder
+
+
+def module_is_groebner(basis, ring, key):
+    """Unpruned module Buchberger criterion: the S-vector of every pair of
+    basis vectors whose leading terms share a component reduces to zero
+    under rescan_module_normal_form."""
+    p = ring.p
+    leads = [max(v, key=key) for v in basis]
+    for a in range(len(basis)):
+        for b in range(a + 1, len(basis)):
+            (pa, ma), (pb, mb) = leads[a], leads[b]
+            if pa != pb:
+                continue
+            lcm = tuple(max(x, y) for x, y in zip(ma, mb))
+            s = {}
+            for v, lead, sign in ((basis[a], leads[a], 1), (basis[b], leads[b], -1)):
+                factor = sign * pow(v[lead], -1, p)
+                shift = tuple(x - y for x, y in zip(lcm, lead[1]))
+                for (i, m), c in v.items():
+                    t = (i, tuple(x + y for x, y in zip(m, shift)))
+                    val = (s.get(t, 0) + factor * c) % p
+                    if val:
+                        s[t] = val
+                    else:
+                        s.pop(t, None)
+            if rescan_module_normal_form(s, basis, ring, key):
+                return False
+    return True

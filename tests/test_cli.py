@@ -80,6 +80,14 @@ def test_hk_infinite_colength_exit_2(regular_file, capsys):
     assert main(["hk", regular_file, "L"]) == 2
 
 
+def test_hk_staircase_overflow_is_resource_limit(tmp_path, capsys):
+    path = tmp_path / "k.hk"
+    path.write_text("ring: p=2 vars=x,y,z\nideal K = [x^2+y, y^2+z, z^2+x]\n")
+    assert main(["hk", str(path), "K", "--qmax", "9"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_verify_named_fixture_exit_0(regular_file, capsys):
     rc = main(["verify", regular_file, "len-identity",
                "--ideal", "sq", "--ideal", "m", "--qmax", "1"])

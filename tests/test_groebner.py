@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ring, buchberger, is_groebner, normal_form, syzygies
-from hkprod.groebner import (colength_of_basis, module_buchberger,
+from hkprod.groebner import (colength_of_basis, elim_key, module_buchberger,
                              module_colength, module_normal_form,
                              staircase_count, top_key, vector_from_polys)
 
-from .oracles import brute_colength
+from .oracles import (brute_colength, brute_membership, module_is_groebner,
+                      rescan_module_normal_form, rescan_normal_form)
 
 
 def test_basis_already_reduced(F5xy):
@@ -178,3 +179,144 @@ def test_buchberger_criterion_on_monomial_ideals(monos):
 def test_empty_input(F2xy):
     assert buchberger([], F2xy) == []
     assert colength_of_basis([], F2xy) is None
+
+
+# --- differential tests against the oracles ---------------------------------
+#
+# Rings: lex or grevlex with a permuted precedence, p in {2, 3, 5, 2^31-1},
+# one to four variables, or the Fermat cubic quotient.  Ideals: a pure
+# power of every variable plus non-homogeneous generators.  The pure
+# powers bound the quotient, which keeps the bases small and makes the
+# truncated-span oracles exact at a degree computed from the input.
+
+PRIMES = (2, 3, 5, 2**31 - 1)
+
+
+@st.composite
+def rings(draw):
+    order = draw(st.sampled_from(["grevlex", "lex"]))
+    if draw(st.integers(0, 4)) == 0:
+        precedence = tuple(draw(st.permutations(range(3))))
+        return Ring(2, ["x", "y", "z"], relations=["x^3+y^3+z^3"],
+                    order=order, precedence=precedence)
+    n = draw(st.integers(1, 4))
+    precedence = tuple(draw(st.permutations(range(n))))
+    return Ring(draw(st.sampled_from(PRIMES)), "wxyz"[:n], order=order,
+                precedence=precedence)
+
+
+@st.composite
+def polys(draw, ring, max_terms=3, max_degree=3, min_degree=0):
+    f = ring.zero()
+    for _ in range(draw(st.integers(1, max_terms))):
+        exps = [0] * ring.nvars
+        for i in draw(st.lists(st.integers(0, ring.nvars - 1),
+                               min_size=min_degree, max_size=max_degree)):
+            exps[i] += 1
+        f = f + ring.monomial(exps, draw(st.integers(1, ring.p - 1)))
+    return f
+
+
+@st.composite
+def bounded_ideals(draw, max_extra=4):
+    """(ring, generators, degree at which the span oracles are exact)."""
+    ring = draw(rings())
+    top = 3 if ring.nvars <= 3 else 2
+    powers = [draw(st.integers(1, top)) for _ in range(ring.nvars)]
+    gens = [ring.monomial([a if j == i else 0 for j in range(ring.nvars)])
+            for i, a in enumerate(powers)]
+    # no constant terms: the ideal stays inside the maximal ideal
+    gens += [g for g in draw(st.lists(polys(ring, min_degree=1), max_size=max_extra))
+             if not g.is_zero()]
+    # every monomial of degree >= d0 is a multiple of a pure power, so the
+    # span of generator multiples of degree <= D holds every ideal member of
+    # degree <= D once D >= d0 - 1 + (largest generator degree); D >= d0 + 1
+    # gives brute_colength three degrees >= d0 - 1, where the count is stable
+    d0 = sum(a - 1 for a in powers) + 1
+    max_gen_deg = max(g.degree() for g in list(gens) + list(ring.relations))
+    exact = max(d0 + 1, d0 - 1 + max_gen_deg)
+    return ring, gens, exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_ideals())
+def test_buchberger_agrees_with_span_oracles(case):
+    ring, gens, exact = case
+    gb = buchberger(gens, ring)
+    assert is_groebner(gb)
+    assert colength_of_basis(gb, ring) == brute_colength(gens, ring, max_deg=exact, slack=0)
+    for g in gb:
+        assert brute_membership(g, gens, ring, exact)
+    for g in gens:
+        assert normal_form(g, gb).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_ideals())
+def test_module_colength_at_rank_one_matches_ideal_path(case):
+    ring, gens, _ = case
+    vectors = [vector_from_polys([g]) for g in gens]
+    assert module_colength(vectors, 1, ring) == colength_of_basis(buchberger(gens, ring), ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounded_ideals(max_extra=1))
+def test_syzygies_of_random_sequences_are_syzygies(case):
+    ring, gens, _ = case
+    rel_gb = buchberger([], ring)
+    for s in syzygies(gens, ring):
+        combo = sum((si * ai for si, ai in zip(s, gens)), ring.zero())
+        assert normal_form(combo, rel_gb).is_zero()
+
+
+@st.composite
+def division_cases(draw):
+    ring = draw(rings())
+    basis = draw(st.lists(polys(ring), max_size=4))
+    if draw(st.booleans()):
+        basis.append(ring.zero())
+    f = draw(polys(ring, max_terms=6, max_degree=5))
+    return ring, basis, f
+
+
+@settings(max_examples=80, deadline=None)
+@given(division_cases())
+def test_normal_form_matches_rescan_division(case):
+    ring, basis, f = case
+    # arbitrary bases, as interreduce passes them, and Groebner bases
+    assert normal_form(f, basis).terms == rescan_normal_form(f, basis).terms
+    gb = buchberger(basis, ring)
+    assert normal_form(f, gb).terms == rescan_normal_form(f, gb).terms
+
+
+def _spread(g, shift, rank):
+    """g in component shift and (shift + 1) * g in the next, cyclically
+    (at rank 1 both land in component 0)."""
+    ring = g.ring
+    comps = [ring.zero()] * rank
+    comps[shift % rank] = g
+    comps[(shift + 1) % rank] = comps[(shift + 1) % rank] + g * (shift + 1)
+    return vector_from_polys(comps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(division_cases(), st.integers(1, 3), st.booleans())
+def test_module_normal_form_matches_rescan_division(case, rank, elim):
+    ring, polys_, f = case
+    key = elim_key(ring) if elim else top_key(ring)
+    basis = [_spread(g, i, rank) for i, g in enumerate(polys_)]
+    v = _spread(f, 0, rank)
+    assert module_normal_form(v, basis, ring, key) == \
+        rescan_module_normal_form(v, basis, ring, key)
+
+
+@settings(max_examples=40, deadline=None)
+@given(division_cases(), st.integers(2, 3), st.booleans())
+def test_module_buchberger_passes_unpruned_criterion(case, rank, elim):
+    ring, polys_, _ = case
+    key = elim_key(ring) if elim else top_key(ring)
+    vectors = [_spread(g, i, rank) for i, g in enumerate(polys_) if not g.is_zero()]
+    basis = module_buchberger(vectors, ring, key)
+    assert module_is_groebner(basis, ring, key)
+    for v in vectors:
+        assert not rescan_module_normal_form(v, basis, ring, key)
