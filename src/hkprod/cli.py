@@ -2,9 +2,8 @@
 
 Subcommands: colength, hk, verify, probe.  Exit codes: 0 all checks
 pass, 1 a verified claim was violated, 2 usage/parse/configuration
-errors, 3 a resource limit was hit (the staircase box of a colength is
-too large to count).  All randomness flows from --seed; identical
-invocations give byte-identical output.
+errors.  All randomness flows from --seed; identical invocations give
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -14,14 +13,10 @@ import csv
 import sys
 
 from . import verify as V
-from .groebner import ColengthOverflowError
 from .hk import hk_estimate, hk_table, tc_probe
 from .ideals import InfiniteColengthError
 from .rings import PolynomialParseError
 from .sessions import SessionError, load_session
-
-
-EXIT_RESOURCE_LIMIT = 3
 
 
 class ConfigError(ValueError):
@@ -225,9 +220,6 @@ def main(argv=None) -> int:
             InfiniteColengthError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ColengthOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_LIMIT
 
 
 if __name__ == "__main__":

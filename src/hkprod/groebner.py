@@ -10,21 +10,11 @@ so identical inputs give identical bases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations
-from operator import add, le, sub
-
-import numpy as np
+from itertools import combinations, groupby
+from math import prod
+from operator import add, itemgetter, le, sub
 
 from .rings import Monomial, Polynomial, Ring
-
-# Hard cap on the staircase sieve, in cells.  Bracket powers multiply
-# exponents by q; blowing past this means the requested length is not
-# desk-scale and silently grinding on would help nobody.
-MAX_BOX_CELLS = 200_000_000
-
-
-class ColengthOverflowError(RuntimeError):
-    """The staircase bounding box is too large to count exactly."""
 
 
 def _divides(m1: Monomial, m2: Monomial) -> bool:
@@ -222,8 +212,11 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
 
     Returns None when infinite.  Finiteness is decided combinatorially:
     the complement is infinite iff some variable has no pure power among
-    the leading monomials.  The finite count is a sieve over the box
-    bounded by those pure powers.
+    the leading monomials.  The finite count is exact recursion on the
+    last variable (Bayer-Stillman): the box bounded by the pure powers
+    is cut only at that variable's distinct exponents, and each slab is
+    counted one variable down.  The cost depends on the generators, not
+    on the size of the box.
     """
     if nvars == 0:
         return 0 if lead_monos else 1
@@ -238,17 +231,34 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
                 bounds[i] = m[i]
     if any(b is None for b in bounds):
         return None
-    cells = 1
-    for b in bounds:
-        cells *= b
-    if cells > MAX_BOX_CELLS:
-        raise ColengthOverflowError(f"staircase box of {cells} cells exceeds cap")
-    box = np.zeros(bounds, dtype=bool)
-    # only generators fitting inside the box can dominate a cell of it
-    for m in lead_monos:
-        if all(e < b for e, b in zip(m, bounds)):
-            box[tuple(slice(e, None) for e in m)] = True
-    return int(box.size - box.sum())
+    return _box_count(lead_monos, bounds)
+
+
+def _box_count(gens: list[Monomial], bounds: list[int]) -> int:
+    """Monomials of the box prod(range(b)) divisible by none of gens.
+
+    Only the first len(bounds) exponents of a generator are read.  Each
+    bound is the exponent of a pure power among gens, so every slab from
+    the one where that pure power enters counts 0: generators outside
+    the box change nothing.
+    """
+    n = len(bounds) - 1
+    if n == 0:
+        return min([bounds[0], *(g[0] for g in gens)])
+    inner = bounds[:n]
+    last = itemgetter(n)
+    # the slab at last exponent a sees exactly the generators with
+    # last exponent <= a; the count changes only where a generator enters
+    total, start, below = 0, 0, prod(inner)
+    active: list[Monomial] = []
+    for a, group in groupby(sorted(gens, key=last), key=last):
+        total += (a - start) * below
+        active.extend(group)
+        below = _box_count(active, inner)
+        start = a
+        if not below:
+            return total
+    return total + (bounds[n] - start) * below
 
 
 def colength_of_basis(gb: list[Polynomial], ring: Ring):

@@ -11,7 +11,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import prod
+from operator import le
 
 from .ideals import Ideal, InfiniteColengthError, is_parameter_ideal, krull_dim
 from .rings import Polynomial, Ring
@@ -116,37 +117,49 @@ def hk_estimate(I: Ideal, e_max: int, method: str = "auto") -> HKEstimate:
 def monomial_hk_volume(I: Ideal) -> Fraction:
     """Exact e_HK of an m-primary monomial ideal in a polynomial ring.
 
-    The Euclidean volume of the staircase complement, by inclusion-
-    exclusion over generator subsets with componentwise-max joins inside
-    the bounding box of pure powers.
+    The Euclidean volume of the staircase complement inside the box
+    bounded by the pure powers, by inclusion-exclusion over the lcm
+    lattice (Miller-Sturmfels, ch. 5): the minimal generators inside the
+    box are joined one at a time, every distinct join (componentwise
+    max) carries one signed coefficient, and joins whose coefficient
+    cancels to 0 are dropped.  The unit ideal has volume 0.
     """
     ring = I.ring
     if not ring.is_regular:
         raise ValueError("monomial volume needs a relation-free presentation")
     if any(len(g.terms) != 1 for g in I.gens):
         raise ValueError("monomial volume needs monomial generators")
-    gens = [g.leading_monomial()
-            for g in Ideal(ring, I.minimal_generators()).gens]
     n = ring.nvars
+    leads = set(g.leading_monomial() for g in I.gens)
+    if (0,) * n in leads:
+        return Fraction(0)
+    gens = sorted(m for m in leads
+                  if not any(o != m and all(map(le, o, m)) for o in leads))
     bounds = [None] * n
     for m in gens:
         support = [i for i, e in enumerate(m) if e]
-        if len(support) == 1 and (bounds[support[0]] is None or m[support[0]] < bounds[support[0]]):
+        if len(support) == 1:
             bounds[support[0]] = m[support[0]]
     if any(b is None for b in bounds):
         raise InfiniteColengthError("monomial ideal is not m-primary")
-    box = 1
-    for b in bounds:
-        box *= b
-    covered = 0
-    for k in range(1, len(gens) + 1):
-        sign = 1 if k % 2 else -1
-        for subset in combinations(gens, k):
-            join = tuple(max(col) for col in zip(*subset))
-            vol = 1
-            for j, b in zip(join, bounds):
-                vol *= max(b - j, 0)
-            covered += sign * vol
+    # the pure powers bound the box and cover no volume inside it; every
+    # other minimal generator, and so every join, lies inside the box
+    inside = [m for m in gens if all(e < b for e, b in zip(m, bounds))]
+    coeffs: dict[tuple[int, ...], int] = {}
+    for g in inside:
+        step = {g: 1}
+        for join, c in coeffs.items():
+            j = tuple(map(max, join, g))
+            step[j] = step.get(j, 0) - c
+        for join, c in step.items():
+            c += coeffs.get(join, 0)
+            if c:
+                coeffs[join] = c
+            else:
+                coeffs.pop(join, None)
+    box = prod(bounds)
+    covered = sum(c * prod(b - e for e, b in zip(join, bounds))
+                  for join, c in coeffs.items())
     return Fraction(box - covered)
 
 

@@ -9,9 +9,16 @@ highest column of each row, so the pivots lying in columns of degree
 <= t span exactly (row space) intersect (degree <= t).  The row space is
 built with a degree slack above t because low-degree ideal members can
 need higher-degree multiples to cancel against.
+
+The staircase and volume references at the end are plain too: one
+enumerates every cell of the box, the other sums inclusion-exclusion
+over all generator subsets.
 """
 
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
+
+from hkprod import Ideal, InfiniteColengthError
 
 
 def monomials_up_to(nvars, deg):
@@ -242,3 +249,52 @@ def module_is_groebner(basis, ring, key):
             if rescan_module_normal_form(s, basis, ring, key):
                 return False
     return True
+
+
+# --- reference staircase and volume ---------------------------------------
+
+def brute_staircase(lead_monos, nvars):
+    """Monomials outside the monomial ideal of lead_monos, by enumerating
+    every cell of the box bounded by the pure powers: 0 when 1 is a
+    generator, None when some variable has no pure power."""
+    if any(not any(m) for m in lead_monos):
+        return 0
+    bounds = []
+    for i in range(nvars):
+        powers = [m[i] for m in lead_monos
+                  if all(e == 0 for j, e in enumerate(m) if j != i)]
+        if not powers:
+            return None
+        bounds.append(min(powers))
+    return sum(1 for cell in product(*(range(b) for b in bounds))
+               if not any(_divides(m, cell) for m in lead_monos))
+
+
+def subset_volume(I):
+    """e_HK of an m-primary monomial ideal in a polynomial ring, by
+    inclusion-exclusion over all 2^k subsets of the minimal generators
+    (greedy trimming), with componentwise-max joins inside the box."""
+    ring = I.ring
+    gens = [g.leading_monomial()
+            for g in Ideal(ring, I.minimal_generators()).gens]
+    n = ring.nvars
+    bounds = [None] * n
+    for m in gens:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) == 1 and (bounds[support[0]] is None or m[support[0]] < bounds[support[0]]):
+            bounds[support[0]] = m[support[0]]
+    if any(b is None for b in bounds):
+        raise InfiniteColengthError("monomial ideal is not m-primary")
+    box = 1
+    for b in bounds:
+        box *= b
+    covered = 0
+    for k in range(1, len(gens) + 1):
+        sign = 1 if k % 2 else -1
+        for subset in combinations(gens, k):
+            join = tuple(max(col) for col in zip(*subset))
+            vol = 1
+            for j, b in zip(join, bounds):
+                vol *= max(b - j, 0)
+            covered += sign * vol
+    return Fraction(box - covered)

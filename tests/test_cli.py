@@ -80,12 +80,25 @@ def test_hk_infinite_colength_exit_2(regular_file, capsys):
     assert main(["hk", regular_file, "L"]) == 2
 
 
-def test_hk_staircase_overflow_is_resource_limit(tmp_path, capsys):
+def test_hk_large_q_is_exact(tmp_path, capsys):
     path = tmp_path / "k.hk"
     path.write_text("ring: p=2 vars=x,y,z\nideal K = [x^2+y, y^2+z, z^2+x]\n")
-    assert main(["hk", str(path), "K", "--qmax", "9"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert main(["hk", str(path), "K", "--qmax", "9"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split() for ln in lines[1:-1]] == [
+        [str(2 ** e), str(8 * 2 ** (3 * e)), "8"] for e in range(10)]
+    assert lines[-2].split()[1] == "1073741824"
+    assert lines[-1] == "estimate: 8 [exact-regular; exact limit]"
+
+
+def test_hk_unit_ideal_has_colength_zero(tmp_path, capsys):
+    path = tmp_path / "u.hk"
+    path.write_text("ring: p=2 vars=x,y\nideal U = [1, x]\n")
+    assert main(["hk", str(path), "U", "--qmax", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [ln.split() for ln in lines[1:-1]] == [["1", "0", "0"], ["2", "0", "0"],
+                                                  ["4", "0", "0"]]
+    assert lines[-1] == "estimate: 0 [exact-monomial-volume; exact limit]"
 
 
 def test_verify_named_fixture_exit_0(regular_file, capsys):
@@ -150,3 +163,10 @@ def test_module_entry_point(regular_file):
                            "colength", regular_file, "I"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "6"
+
+
+def test_cli_import_needs_no_numpy():
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, hkprod.cli; print('numpy' in sys.modules)"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False"

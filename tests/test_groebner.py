@@ -10,8 +10,9 @@ from hkprod.groebner import (colength_of_basis, elim_key, module_buchberger,
                              module_colength, module_normal_form,
                              staircase_count, top_key, vector_from_polys)
 
-from .oracles import (brute_colength, brute_membership, module_is_groebner,
-                      rescan_module_normal_form, rescan_normal_form)
+from .oracles import (brute_colength, brute_membership, brute_staircase,
+                      module_is_groebner, rescan_module_normal_form,
+                      rescan_normal_form)
 
 
 def test_basis_already_reduced(F5xy):
@@ -48,6 +49,38 @@ def test_staircase_counts():
     assert staircase_count([(1, 0)], 2) is None  # no pure power of y
     assert staircase_count([(0, 0)], 2) == 0  # unit ideal
     assert staircase_count([], 0) == 1
+
+
+def test_staircase_count_at_large_q_needs_no_box():
+    q = 1024
+    leads = [(q, 0, 0), (0, q, 0), (0, 0, q), (3, 5, 7)]
+    assert staircase_count(leads, 3) == q ** 3 - (q - 3) * (q - 5) * (q - 7)
+
+
+@st.composite
+def staircase_cases(draw):
+    """(lead monomials, nvars): pure powers that may be missing or
+    repeated, generators inside and outside the box, duplicates and
+    sometimes the unit monomial."""
+    n = draw(st.integers(1, 4))
+    top = {1: 9, 2: 7, 3: 5, 4: 4}[n]
+    leads = []
+    for i in range(n):
+        for a in draw(st.lists(st.integers(1, top), max_size=2)):
+            leads.append(tuple(a if j == i else 0 for j in range(n)))
+    exps = st.tuples(*[st.integers(0, top + 1)] * n)
+    leads += draw(st.lists(exps, max_size=6))
+    leads += draw(st.lists(st.sampled_from(leads), max_size=2)) if leads else []
+    if draw(st.integers(0, 9)) == 0:
+        leads.append((0,) * n)
+    return draw(st.permutations(leads)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(staircase_cases())
+def test_staircase_count_matches_box_enumeration(case):
+    leads, n = case
+    assert staircase_count(leads, n) == brute_staircase(leads, n)
 
 
 def test_colength_spec_value(F5xy):

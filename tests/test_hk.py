@@ -6,11 +6,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
                     hilbert_samuel_parameter, hk_estimate, hk_table,
                     jacobian_candidates, monomial_hk_volume, random_ideals,
                     star_spread, tc_probe)
+
+from .oracles import subset_volume
 
 
 def I_(ring, *gens):
@@ -78,12 +82,38 @@ def test_estimate_validation(F2xy, fermat):
 
 def test_monomial_volume_spec_value(F2xy):
     assert monomial_hk_volume(I_(F2xy, "x^2", "x*y", "y^2")) == 3
+    assert monomial_hk_volume(I_(F2xy, "1", "x")) == 0  # unit ideal
 
 
 def test_monomial_volume_equals_colength_randomized(F3xy):
     spec = TrialSpec(seed=17, family="monomial", degree_bound=4, count=25)
     for I in random_ideals(spec, F3xy):
         assert monomial_hk_volume(I) == I.colength_strict()
+
+
+@st.composite
+def monomial_ideals(draw):
+    """m-primary monomial ideals in 2-3 variables, with scalar
+    coefficients, duplicate and non-minimal generators."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    ring = Ring(p, "xyz"[:n])
+    top = {2: 6, 3: 4}[n]
+    exps = [tuple(a if j == i else 0 for j in range(n))
+            for i in range(n) for a in [top] + draw(st.lists(st.integers(2, top),
+                                                             max_size=1))]
+    exps += draw(st.lists(st.tuples(*[st.integers(1, top - 1)] * n),
+                          min_size=2, max_size=5))
+    exps += draw(st.lists(st.sampled_from(exps), max_size=2))
+    gens = [ring.monomial(e, draw(st.integers(1, p - 1)))
+            for e in draw(st.permutations(exps))]
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_ideals())
+def test_monomial_volume_matches_subset_sum_and_colength(I):
+    assert monomial_hk_volume(I) == subset_volume(I) == I.colength_strict()
 
 
 def test_monomial_volume_validation(F2xy, fermat):
