@@ -14,7 +14,7 @@ import sys
 
 from . import verify as V
 from .hk import hk_estimate, hk_table, tc_probe
-from .ideals import InfiniteColengthError
+from .ideals import InfiniteColengthError, MinimalGeneratorsError
 from .rings import PolynomialParseError
 from .sessions import SessionError, load_session
 
@@ -23,10 +23,9 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_mode(text, ring):
-    if text is None:
-        return "regular" if ring.is_regular else "parameter"
-    if text in ("regular", "parameter"):
+def _parse_mode(text):
+    """None (the ring's default, see star_spread), a named mode or an int."""
+    if text is None or text in ("regular", "parameter"):
         return text
     try:
         return int(text)
@@ -73,59 +72,12 @@ def cmd_hk(args) -> int:
 
 def _named_reports(check, sess, names, args):
     ideals = [sess.ideal(n) for n in names]
-    ring = sess.ring
-    mode = _parse_mode(args.mode, ring)
-    e_max, n = args.qmax, args.n
-    p = ring.p
-
-    def need(k):
-        if len(ideals) != k:
-            raise ConfigError(f"check {check} needs {k} --ideal argument(s), got {len(ideals)}")
-        return ideals
-
-    if check == "len-identity":
-        I, J = need(2)
-        return [V.verify_len_identity(I, J, p ** e) for e in range(e_max + 1)]
-    if check == "prop-ineq":
-        I, J = need(2)
-        return [V.verify_prop_ineq(I, J)]
-    if check == "cor-power":
-        (I,) = need(1)
-        return [V.verify_cor_power(I, n)]
-    if check == "eqconds":
-        I, J = need(2)
-        return [V.verify_eqconds(I, J)]
-    if check == "freeness":
-        J, I = need(2)
-        return [V.verify_freeness(J, I)]
-    if check == "square":
-        (J,) = need(1)
-        return [V.verify_cor_square(J)]
-    if check == "eq7":
-        I, J = need(2)
-        return [V.verify_eq7_per_q(I, J, e_max)]
-    if check == "hk-product":
-        I, J = need(2)
-        return [V.verify_hk_product_bound(I, J, mode, e_max)]
-    if check == "cor-power-hk":
-        (I,) = need(1)
-        return [V.verify_cor_power_hk(I, n, mode, e_max)]
-    if check == "eqthentc":
-        I, J = need(2)
-        return [V.verify_eqthentc(I, J, mode, e_max)]
-    if check == "param-lower":
-        I, J = need(2)
-        return [V.verify_param_lower_bound(I, J, e_max)]
-    if check == "square-hk":
-        (J,) = need(1)
-        return [V.verify_cor_square_hk(J, e_max)]
-    if check == "prop42":
-        I, J = need(2)
-        return [V.verify_prop42(I, J, e_max)]
-    if check == "huneke-yao":
-        (I,) = need(1)
-        return [V.verify_huneke_yao_per_q(I, e_max)]
-    raise ConfigError(f"unknown check {check!r}")
+    mode = _parse_mode(args.mode)
+    spec = V.CHECKS[check]
+    if len(ideals) != spec.arity:
+        raise ConfigError(f"check {check} needs {spec.arity} --ideal argument(s), "
+                          f"got {len(ideals)}")
+    return spec.run(ideals, args.qmax, args.n, mode)
 
 
 def cmd_verify(args) -> int:
@@ -139,7 +91,7 @@ def cmd_verify(args) -> int:
     else:
         reports = V.run_trials(args.check, sess.ring, args.trials, args.seed,
                                e_max=args.qmax, n=args.n,
-                               mode=_parse_mode(args.mode, sess.ring))
+                               mode=_parse_mode(args.mode))
     if args.csv:
         w = csv.writer(sys.stdout)
         w.writerow(V.CSV_HEADER)
@@ -217,7 +169,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (SessionError, PolynomialParseError, ConfigError, ValueError,
-            InfiniteColengthError, FileNotFoundError) as exc:
+            InfiniteColengthError, MinimalGeneratorsError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

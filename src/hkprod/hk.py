@@ -180,15 +180,18 @@ def hilbert_samuel_parameter(J: Ideal) -> tuple[int, list[Fraction]]:
     return e, diag
 
 
-def star_spread(J: Ideal, mode) -> int:
+def star_spread(J: Ideal, mode=None) -> int:
     """The *-spread in the three decidable modes.
 
     mode="regular": tight closure is trivial, so J is its own unique
     minimal *-reduction and the spread is mu(J); requires no relations.
     mode="parameter": J is (asserted) tightly equivalent to a parameter
     ideal, so the spread equals the dimension.  An integer mode is a
-    caller-supplied value, passed through.
+    caller-supplied value, passed through.  mode=None picks "regular"
+    on regular rings and "parameter" otherwise.
     """
+    if mode is None:
+        mode = "regular" if J.ring.is_regular else "parameter"
     if isinstance(mode, int) and not isinstance(mode, bool):
         if mode < 1:
             raise ValueError("star spread must be positive")

@@ -22,11 +22,25 @@ from .ideals import (Ideal, MinimalGeneratorsError, TrialSpec,
 from .koszul import kernel_length, len_identity_sides
 from .rings import Ring
 
-CHECK_NAMES = (
-    "len-identity", "prop-ineq", "cor-power", "eqconds", "freeness",
-    "square", "eq7", "hk-product", "cor-power-hk", "eqthentc",
-    "param-lower", "square-hk", "prop42", "huneke-yao",
-)
+# Check names, each written once: the reports and CHECKS below use these.
+LEN_IDENTITY = "len-identity"
+PROP_INEQ = "prop-ineq"
+COR_POWER = "cor-power"
+EQCONDS = "eqconds"
+FREENESS = "freeness"
+SQUARE = "square"
+EQ7 = "eq7"
+HK_PRODUCT = "hk-product"
+COR_POWER_HK = "cor-power-hk"
+EQTHENTC = "eqthentc"
+PARAM_LOWER = "param-lower"
+SQUARE_HK = "square-hk"
+PROP42 = "prop42"
+HUNEKE_YAO = "huneke-yao"
+
+
+class NotApplicable(ValueError):
+    """The ideals miss the check's hypotheses: trials skip, --ideal exits 2."""
 
 
 def _ser(v):
@@ -81,6 +95,16 @@ def _fixture(*ideals, extra=""):
     return desc + (f" {extra}" if extra else "")
 
 
+def _parameter_dim(J: Ideal) -> int:
+    """The dimension d, once J is checked to be a parameter ideal, d >= 2."""
+    d = krull_dim(J.ring)
+    if d < 2:
+        raise ValueError("needs dimension at least 2")
+    if not is_parameter_ideal(J):
+        raise ValueError("needs a parameter ideal")
+    return d
+
+
 # --- length identities (general case) ---------------------------------------
 
 def verify_len_identity(I: Ideal, J: Ideal, q: int = 1) -> VerifyReport:
@@ -91,7 +115,7 @@ def verify_len_identity(I: Ideal, J: Ideal, q: int = 1) -> VerifyReport:
     a = J.minimal_generators(strict=False)
     sides = len_identity_sides(I, a, q)
     return VerifyReport(
-        check="len-identity", fixture=_fixture(I, J), q=q,
+        check=LEN_IDENTITY, fixture=_fixture(I, J), q=q,
         lhs=sides.lhs, rhs=sides.rhs, relation="=",
         holds=sides.holds(), data=dict(sides.parts, ell=sides.ell),
     )
@@ -113,7 +137,7 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
         ann_in_I = all(I.contains(g) for g in ann.gens)
         holds = lam_mim <= lam_I and ((lam_mim == lam_I) == ann_in_I)
         return VerifyReport(
-            check="prop-ineq", fixture=_fixture(I, J, extra="[principal]"),
+            check=PROP_INEQ, fixture=_fixture(I, J, extra="[principal]"),
             lhs=lam_mim, rhs=lam_I, relation="<=", holds=holds,
             data={"mu": 1, "annihilator_in_I": ann_in_I},
         )
@@ -122,7 +146,7 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
     lam_IJ = (I * J).colength_strict()
     rhs = mu * lam_I + lam_J
     return VerifyReport(
-        check="prop-ineq", fixture=_fixture(I, J),
+        check=PROP_INEQ, fixture=_fixture(I, J),
         lhs=lam_IJ, rhs=rhs, relation="<=", holds=lam_IJ <= rhs,
         data={"mu": mu, "lambda_I": lam_I, "lambda_J": lam_J},
     )
@@ -138,7 +162,7 @@ def verify_cor_power(I: Ideal, n: int) -> VerifyReport:
     lam_In = I.power(n).colength_strict()
     rhs = coeff * lam_I
     return VerifyReport(
-        check="cor-power", fixture=_fixture(I, extra=f"n={n}"),
+        check=COR_POWER, fixture=_fixture(I, extra=f"n={n}"),
         lhs=lam_In, rhs=rhs, relation="<=", holds=lam_In <= rhs,
         data={"mu": ell, "n": n},
     )
@@ -149,7 +173,7 @@ def verify_eqconds(I: Ideal, J: Ideal) -> VerifyReport:
     is generated by a regular sequence (parameter surrogate)."""
     mu = J.min_gens()
     if mu < 2:
-        raise ValueError("theorem needs a non-principal J")
+        raise NotApplicable("theorem needs a non-principal J")
     lam_IJ = (I * J).colength_strict()
     bound = mu * I.colength_strict() + J.colength_strict()
     equality = lam_IJ == bound
@@ -158,7 +182,7 @@ def verify_eqconds(I: Ideal, J: Ideal) -> VerifyReport:
     forward_ok = (not equality) or containment
     converse_ok = (not (parameter and containment)) or equality
     return VerifyReport(
-        check="eqconds", fixture=_fixture(I, J),
+        check=EQCONDS, fixture=_fixture(I, J),
         lhs=lam_IJ, rhs=bound, relation="=",
         holds=forward_ok and converse_ok,
         data={"equality": equality, "containment": containment,
@@ -178,7 +202,7 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
     free_by_length = lam_JIJ == rhs
     kernel = kernel_length(a, I, 1)
     return VerifyReport(
-        check="freeness", fixture=_fixture(J, I),
+        check=FREENESS, fixture=_fixture(J, I),
         lhs=lam_JIJ, rhs=rhs, relation="=",
         holds=free_by_length == (kernel == 0),
         data={"free_by_length": free_by_length, "kernel_length": kernel, "mu": mu},
@@ -187,15 +211,11 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
 
 def verify_cor_square(J: Ideal) -> VerifyReport:
     """lambda(R/J^2) = (d+1)*lambda(R/J) for parameter ideals, d >= 2."""
-    d = krull_dim(J.ring)
-    if d < 2:
-        raise ValueError("needs dimension at least 2")
-    if not is_parameter_ideal(J):
-        raise ValueError("needs a parameter ideal")
+    d = _parameter_dim(J)
     lam_J2 = J.power(2).colength_strict()
     rhs = (d + 1) * J.colength_strict()
     return VerifyReport(
-        check="square", fixture=_fixture(J),
+        check=SQUARE, fixture=_fixture(J),
         lhs=lam_J2, rhs=rhs, relation="=", holds=lam_J2 == rhs,
         data={"d": d},
     )
@@ -217,38 +237,36 @@ def verify_eq7_per_q(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
                          "rhs_product": sides.rhs_product, "holds": sides.holds()}
         all_hold = all_hold and sides.holds()
     return VerifyReport(
-        check="eq7", fixture=_fixture(I, J), q=p ** e_max,
+        check=EQ7, fixture=_fixture(I, J), q=p ** e_max,
         lhs="per-q", rhs="per-q", relation="=", holds=all_hold,
         data={"per_q": per_q, "ell": len(a)},
     )
 
 
-def _normalized(I: Ideal, q: int, d: int) -> Fraction:
-    return Fraction(I.bracket_power(q).colength_strict(), q ** d)
+def _hk_side(ring: Ring, e_max: int):
+    """`(hk, q, caveat)` for the e_HK sides of a bound.  On regular rings
+    hk(I) is the exact lambda(R/I) (Kunz: e_HK(I) = lambda(R/I)) and q and
+    caveat are None; elsewhere hk(I) is the surrogate lambda(R/I^[q])/q^d
+    at q = p^e_max and the caveat says so."""
+    if ring.is_regular:
+        return (lambda I: I.colength_strict()), None, None
+    d = krull_dim(ring)
+    q = ring.p ** e_max
+    return ((lambda I: Fraction(I.bracket_power(q).colength_strict(), q ** d)),
+            q, f"finite-q surrogate at q={q}")
 
 
 def verify_hk_product_bound(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyReport:
     """e_HK(IJ) <= l*(J)*e_HK(I) + e_HK(J); exact via Kunz when the ring
     is regular, a flagged finite-q surrogate otherwise."""
     ls = star_spread(J, mode)
-    ring = I.ring
-    if ring.is_regular:
-        lhs = (I * J).colength_strict()
-        rhs = ls * I.colength_strict() + J.colength_strict()
-        return VerifyReport(
-            check="hk-product", fixture=_fixture(I, J),
-            lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
-            data={"star_spread": ls, "exact": True},
-        )
-    d = krull_dim(ring)
-    q = ring.p ** e_max
-    lhs = _normalized(I * J, q, d)
-    rhs = ls * _normalized(I, q, d) + _normalized(J, q, d)
+    hk, q, caveat = _hk_side(I.ring, e_max)
+    lhs = hk(I * J)
+    rhs = ls * hk(I) + hk(J)
     return VerifyReport(
-        check="hk-product", fixture=_fixture(I, J), q=q,
-        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
-        caveat=f"finite-q surrogate at q={q}",
-        data={"star_spread": ls, "exact": False},
+        check=HK_PRODUCT, fixture=_fixture(I, J), q=q,
+        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs, caveat=caveat,
+        data={"star_spread": ls, "exact": I.ring.is_regular},
     )
 
 
@@ -258,24 +276,13 @@ def verify_cor_power_hk(I: Ideal, n: int, mode, e_max: int = 1) -> VerifyReport:
         raise ValueError("power must be at least 1")
     ls = star_spread(I, mode)
     coeff = sum(ls ** k for k in range(n))
-    ring = I.ring
-    if ring.is_regular:
-        lhs = I.power(n).colength_strict()
-        rhs = coeff * I.colength_strict()
-        return VerifyReport(
-            check="cor-power-hk", fixture=_fixture(I, extra=f"n={n}"),
-            lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
-            data={"star_spread": ls, "n": n, "exact": True},
-        )
-    d = krull_dim(ring)
-    q = ring.p ** e_max
-    lhs = _normalized(I.power(n), q, d)
-    rhs = coeff * _normalized(I, q, d)
+    hk, q, caveat = _hk_side(I.ring, e_max)
+    lhs = hk(I.power(n))
+    rhs = coeff * hk(I)
     return VerifyReport(
-        check="cor-power-hk", fixture=_fixture(I, extra=f"n={n}"), q=q,
-        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
-        caveat=f"finite-q surrogate at q={q}",
-        data={"star_spread": ls, "n": n, "exact": False},
+        check=COR_POWER_HK, fixture=_fixture(I, extra=f"n={n}"), q=q,
+        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs, caveat=caveat,
+        data={"star_spread": ls, "n": n, "exact": I.ring.is_regular},
     )
 
 
@@ -285,74 +292,55 @@ def verify_eqthentc(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyReport:
     rings a zero finite-q gap triggers probe runs, reported unasserted."""
     ls = star_spread(J, mode)
     if ls < 2:
-        raise ValueError("theorem needs star spread at least 2")
+        raise NotApplicable("theorem needs star spread at least 2")
     ring = I.ring
+    hk, q, _ = _hk_side(ring, e_max)
+    lhs = hk(I * J)
+    rhs = ls * hk(I) + hk(J)
     if ring.is_regular:
-        lhs = (I * J).colength_strict()
-        rhs = ls * I.colength_strict() + J.colength_strict()
         equality = lhs == rhs
         containment = I.contains_ideal(J) if equality else None
-        holds = (not equality) or bool(containment)
-        return VerifyReport(
-            check="eqthentc", fixture=_fixture(I, J),
-            lhs=lhs, rhs=rhs, relation="=", holds=holds,
-            data={"equality": equality, "containment": containment,
-                  "star_spread": ls, "exact": True},
-        )
-    d = krull_dim(ring)
-    q = ring.p ** e_max
-    lhs = _normalized(I * J, q, d)
-    rhs = ls * _normalized(I, q, d) + _normalized(J, q, d)
-    gap = rhs - lhs
-    verdicts = {}
-    if gap == 0 and len(ring.relations) == 1:
-        for ci, c in enumerate(jacobian_candidates(ring)):
-            for gi, g in enumerate(J.gens):
-                v = tc_probe(g, I, c, e_max)
-                verdicts[f"c{ci}_gen{gi}"] = str(v)
+        holds, caveat = (not equality) or bool(containment), None
+        data = {"equality": equality, "containment": containment}
+    else:
+        gap = rhs - lhs
+        verdicts = {}
+        if gap == 0 and len(ring.relations) == 1:
+            for ci, c in enumerate(jacobian_candidates(ring)):
+                for gi, g in enumerate(J.gens):
+                    verdicts[f"c{ci}_gen{gi}"] = str(tc_probe(g, I, c, e_max))
+        holds = True
+        caveat = f"finite-q gap report at q={q}; membership in I* is not decided"
+        data = {"gap": gap, "probe_verdicts": verdicts}
     return VerifyReport(
-        check="eqthentc", fixture=_fixture(I, J), q=q,
-        lhs=lhs, rhs=rhs, relation="=", holds=True,
-        caveat=f"finite-q gap report at q={q}; membership in I* is not decided",
-        data={"gap": gap, "probe_verdicts": verdicts, "star_spread": ls,
-              "exact": False},
+        check=EQTHENTC, fixture=_fixture(I, J), q=q,
+        lhs=lhs, rhs=rhs, relation="=", holds=holds, caveat=caveat,
+        data=dict(data, star_spread=ls, exact=ring.is_regular),
     )
 
 
 def verify_param_lower_bound(I: Ideal, J: Ideal, e_max: int = 1) -> VerifyReport:
     """e_HK(IJ) >= d*e_HK(I+J) + e_HK(J) for parameter J, with the
-    equality branch d*e_HK(I) + e_HK(J) when J is contained in I."""
+    equality branch d*e_HK(I) + e_HK(J) when J is contained in I: asserted
+    on regular rings, its gap reported elsewhere."""
     ring = I.ring
-    d = krull_dim(ring)
-    if d < 2:
-        raise ValueError("needs dimension at least 2")
-    if not is_parameter_ideal(J):
-        raise ValueError("needs a parameter ideal J")
+    d = _parameter_dim(J)
     containment = I.contains_ideal(J)
-    if ring.is_regular:
-        lam_IJ = (I * J).colength_strict()
-        rhs = d * (I + J).colength_strict() + J.colength_strict()
-        holds = lam_IJ >= rhs
-        data = {"d": d, "containment": containment, "exact": True}
-        if containment:
-            eq_rhs = d * I.colength_strict() + J.colength_strict()
-            data["equality_branch_rhs"] = eq_rhs
-            holds = holds and lam_IJ == eq_rhs
-        return VerifyReport(
-            check="param-lower", fixture=_fixture(I, J),
-            lhs=lam_IJ, rhs=rhs, relation=">=", holds=holds, data=data,
-        )
-    q = ring.p ** e_max
-    lhs = _normalized(I * J, q, d)
-    rhs = d * _normalized(I + J, q, d) + _normalized(J, q, d)
-    data = {"d": d, "containment": containment, "exact": False}
+    hk, q, caveat = _hk_side(ring, e_max)
+    lhs = hk(I * J)
+    rhs = d * hk(I + J) + hk(J)
+    holds = lhs >= rhs
+    data = {"d": d, "containment": containment, "exact": ring.is_regular}
     if containment:
-        data["equality_branch_gap"] = (d * _normalized(I, q, d)
-                                       + _normalized(J, q, d) - lhs)
+        eq_rhs = d * hk(I) + hk(J)
+        if ring.is_regular:
+            data["equality_branch_rhs"] = eq_rhs
+            holds = holds and lhs == eq_rhs
+        else:
+            data["equality_branch_gap"] = eq_rhs - lhs
     return VerifyReport(
-        check="param-lower", fixture=_fixture(I, J), q=q,
-        lhs=lhs, rhs=rhs, relation=">=", holds=lhs >= rhs,
-        caveat=f"finite-q surrogate at q={q}", data=data,
+        check=PARAM_LOWER, fixture=_fixture(I, J), q=q,
+        lhs=lhs, rhs=rhs, relation=">=", holds=holds, caveat=caveat, data=data,
     )
 
 
@@ -362,38 +350,27 @@ def verify_cor_square_hk(J: Ideal, e_max: int = 1) -> VerifyReport:
     Regular rings reduce to the exact length statement; elsewhere the
     per-q form is checked at every computed q and any gap is reported."""
     ring = J.ring
-    d = krull_dim(ring)
-    if d < 2:
-        raise ValueError("needs dimension at least 2")
-    if not is_parameter_ideal(J):
-        raise ValueError("needs a parameter ideal")
+    d = _parameter_dim(J)
     lam_J = J.colength_strict()  # = e(J) in the Cohen-Macaulay rings handled
-    if ring.is_regular:
-        lhs = J.power(2).colength_strict()
-        rhs = (d + 1) * lam_J
-        return VerifyReport(
-            check="square-hk", fixture=_fixture(J),
-            lhs=lhs, rhs=rhs, relation="=", holds=lhs == rhs,
-            data={"d": d, "e_J": lam_J, "exact": True},
-        )
     J2 = J.power(2)
-    per_q = {}
-    all_equal = True
-    p = ring.p
-    for e in range(e_max + 1):
-        q = p ** e
-        lhs_q = J2.bracket_power(q).colength_strict()
-        rhs_q = (d + 1) * J.bracket_power(q).colength_strict()
-        per_q[str(q)] = {"lhs": lhs_q, "rhs": rhs_q,
-                         "gap_normalized": Fraction(lhs_q - rhs_q, q ** d)}
-        all_equal = all_equal and lhs_q == rhs_q
-    q = p ** e_max
+    hk, q, _ = _hk_side(ring, e_max)
+    lhs, rhs = hk(J2), (d + 1) * hk(J)
+    data = {"d": d, "e_J": lam_J, "exact": ring.is_regular}
+    holds, caveat = lhs == rhs, None
+    if not ring.is_regular:
+        per_q = data["per_q"] = {}
+        holds = True
+        for e in range(e_max + 1):
+            qe = ring.p ** e
+            lhs_q = J2.bracket_power(qe).colength_strict()
+            rhs_q = (d + 1) * J.bracket_power(qe).colength_strict()
+            per_q[str(qe)] = {"lhs": lhs_q, "rhs": rhs_q,
+                              "gap_normalized": Fraction(lhs_q - rhs_q, qe ** d)}
+            holds = holds and lhs_q == rhs_q
+        caveat = f"exact per-q form checked for q <= {q}"
     return VerifyReport(
-        check="square-hk", fixture=_fixture(J), q=q,
-        lhs=_normalized(J2, q, d), rhs=Fraction(d + 1) * _normalized(J, q, d),
-        relation="=", holds=all_equal,
-        caveat=f"exact per-q form checked for q <= {q}",
-        data={"d": d, "e_J": lam_J, "per_q": per_q, "exact": False},
+        check=SQUARE_HK, fixture=_fixture(J), q=q, lhs=lhs, rhs=rhs,
+        relation="=", holds=holds, caveat=caveat, data=data,
     )
 
 
@@ -413,7 +390,7 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
             break
     if q0 is None:
         return VerifyReport(
-            check="prop42", fixture=_fixture(I, J), q=p ** e_max,
+            check=PROP42, fixture=_fixture(I, J), q=p ** e_max,
             lhs="n/a", rhs="n/a", relation="=", holds=True,
             caveat=f"inconclusive: no q0 <= {p ** e_max} with J^[q0] in I",
             data={"d": d},
@@ -433,7 +410,7 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     caveat = None if ring.is_regular else "finite-q report on a non-regular presentation"
     holds = all_equal if ring.is_regular else True
     return VerifyReport(
-        check="prop42", fixture=_fixture(I, J), q=p ** e_max,
+        check=PROP42, fixture=_fixture(I, J), q=p ** e_max,
         lhs="per-q", rhs="per-q", relation="=", holds=holds, caveat=caveat,
         data={"d": d, "q0": q0, "per_q": per_q, "all_equal": all_equal},
     )
@@ -458,100 +435,117 @@ def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
         # Kunz: e_HK(R) = 1, so the limit statement is lam_I <= lam_I
         data["limit_equality"] = True
     return VerifyReport(
-        check="huneke-yao", fixture=_fixture(I), q=p ** e_max,
+        check=HUNEKE_YAO, fixture=_fixture(I), q=p ** e_max,
         lhs="per-q", rhs="per-q", relation="<=", holds=all_hold, data=data,
     )
 
 
-# --- randomized trial driver --------------------------------------------------
+# --- the check table and the randomized trial driver ------------------------
 
-def _trial_pair(ring: Ring, rng: random.Random, bound: int, force_param_sub: bool):
-    """One (I, J) fixture; every so often J is a parameter ideal with
-    J contained in I, to exercise containment/equality branches."""
+def _draw(ring: Ring, rng: random.Random, family: str, bound: int) -> Ideal:
+    return random_ideals(TrialSpec(rng.randrange(2 ** 32), family, bound, 1), ring)[0]
+
+
+def _draw_parameter(ring, rng, t, bound):
+    """(J,), a parameter ideal."""
+    return (_draw(ring, rng, "parameter-powers", 4),)
+
+
+def _draw_single(ring, rng, t, bound):
+    """(I,), binomial and monomial in turn."""
+    return (_draw(ring, rng, "monomial" if t % 2 else "binomial", bound),)
+
+
+def _draw_parameter_pair(ring, rng, t, bound):
+    """(I, J), J a parameter ideal, and inside I every fourth trial."""
+    J = _draw(ring, rng, "parameter-powers", bound)
+    extra = _draw(ring, rng, "monomial", bound)
+    return (J + extra if t % 4 == 3 else extra), J
+
+
+def _draw_pair(ring, rng, t, bound):
+    """(I, J) from random families, but a parameter pair every fourth trial."""
+    if t % 4 == 3:
+        return _draw_parameter_pair(ring, rng, t, bound)
     families = ["monomial", "binomial"] + (["dense"] if ring.is_regular else [])
-    if force_param_sub:
-        J = random_ideals(TrialSpec(rng.randrange(2 ** 32), "parameter-powers",
-                                    bound, 1), ring)[0]
-        extra = random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial",
-                                        bound, 1), ring)[0]
-        I = J + extra
-        return I, J
     fam_i = families[rng.randrange(len(families))]
     fam_j = families[rng.randrange(len(families))]
-    I = random_ideals(TrialSpec(rng.randrange(2 ** 32), fam_i, bound, 1), ring)[0]
-    J = random_ideals(TrialSpec(rng.randrange(2 ** 32), fam_j, bound, 1), ring)[0]
-    return I, J
+    return _draw(ring, rng, fam_i, bound), _draw(ring, rng, fam_j, bound)
+
+
+def _draw_hk_pair(ring, rng, t, bound):
+    """Any pair on regular rings, a parameter pair on the others."""
+    return (_draw_pair if ring.is_regular else _draw_parameter_pair)(ring, rng, t, bound)
+
+
+@dataclass(frozen=True)
+class CheckSpec:
+    """`run(ideals, e_max, n, mode)` returns the reports on `arity` ideals
+    in `--ideal` order; `draw(ring, rng, t, bound)` gives trial t's ideals.
+    A run names its verifier as a module global, looked up per call."""
+    run: object
+    draw: object
+    arity: int
+
+
+CHECKS = {
+    LEN_IDENTITY: CheckSpec(
+        lambda ideals, e_max, n, mode: [
+            verify_len_identity(*ideals, ideals[0].ring.p ** e) for e in range(e_max + 1)],
+        _draw_pair, 2),
+    PROP_INEQ: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_prop_ineq(*ideals)], _draw_pair, 2),
+    COR_POWER: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_cor_power(*ideals, n)], _draw_single, 1),
+    EQCONDS: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_eqconds(*ideals)], _draw_pair, 2),
+    FREENESS: CheckSpec(  # J first, then I
+        lambda ideals, e_max, n, mode: [verify_freeness(*ideals)],
+        lambda *args: _draw_pair(*args)[::-1], 2),
+    SQUARE: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_cor_square(*ideals)], _draw_parameter, 1),
+    EQ7: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_eq7_per_q(*ideals, e_max)], _draw_pair, 2),
+    HK_PRODUCT: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_hk_product_bound(*ideals, mode, e_max)],
+        _draw_hk_pair, 2),
+    COR_POWER_HK: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_cor_power_hk(*ideals, n, mode, e_max)],
+        _draw_single, 1),
+    EQTHENTC: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_eqthentc(*ideals, mode, e_max)],
+        _draw_hk_pair, 2),
+    PARAM_LOWER: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_param_lower_bound(*ideals, e_max)],
+        _draw_parameter_pair, 2),
+    SQUARE_HK: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_cor_square_hk(*ideals, e_max)],
+        _draw_parameter, 1),
+    PROP42: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_prop42(*ideals, e_max)],
+        _draw_parameter_pair, 2),
+    HUNEKE_YAO: CheckSpec(
+        lambda ideals, e_max, n, mode: [verify_huneke_yao_per_q(*ideals, e_max)],
+        _draw_single, 1),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
 def run_trials(check: str, ring: Ring, trials: int, seed: int,
                e_max: int = 1, n: int = 2, mode=None) -> list[VerifyReport]:
-    """Seeded randomized suite for one checker; deterministic output."""
-    if check not in CHECK_NAMES:
+    """Seeded randomized suite for one checker; deterministic output.
+    Trials outside the check's hypotheses, or without a trimmable
+    minimal generating sequence, are skipped."""
+    spec = CHECKS.get(check)
+    if spec is None:
         raise ValueError(f"unknown check {check!r}")
     rng = random.Random(seed)
     bound = 3 if ring.nvars <= 2 else 2
-    if mode is None:
-        mode = "regular" if ring.is_regular else "parameter"
     reports: list[VerifyReport] = []
     for t in range(trials):
-        force_sub = t % 4 == 3
-        if check in ("square", "square-hk"):
-            J = random_ideals(TrialSpec(rng.randrange(2 ** 32), "parameter-powers",
-                                        4, 1), ring)[0]
-            if check == "square":
-                reports.append(verify_cor_square(J))
-            else:
-                reports.append(verify_cor_square_hk(J, e_max))
-            continue
-        if check in ("cor-power", "cor-power-hk", "huneke-yao"):
-            I = random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial" if t % 2
-                                        else "binomial", bound, 1), ring)[0]
-            if check == "cor-power":
-                reports.append(verify_cor_power(I, n))
-            elif check == "cor-power-hk":
-                reports.append(verify_cor_power_hk(I, n, mode, e_max))
-            else:
-                reports.append(verify_huneke_yao_per_q(I, e_max))
-            continue
-        needs_param_j = check in ("hk-product", "eqthentc", "param-lower", "prop42")
-        if needs_param_j and not ring.is_regular:
-            J = random_ideals(TrialSpec(rng.randrange(2 ** 32), "parameter-powers",
-                                        bound, 1), ring)[0]
-            I = (J + random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial",
-                                             bound, 1), ring)[0]) if force_sub else \
-                random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial",
-                                        bound, 1), ring)[0]
-        elif check in ("param-lower", "prop42"):
-            J = random_ideals(TrialSpec(rng.randrange(2 ** 32), "parameter-powers",
-                                        bound, 1), ring)[0]
-            I = (J + random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial",
-                                             bound, 1), ring)[0]) if force_sub else \
-                random_ideals(TrialSpec(rng.randrange(2 ** 32), "monomial",
-                                        bound, 1), ring)[0]
-        else:
-            I, J = _trial_pair(ring, rng, bound, force_sub)
-        if check == "len-identity":
-            for e in range(e_max + 1):
-                reports.append(verify_len_identity(I, J, ring.p ** e))
-        elif check == "prop-ineq":
-            reports.append(verify_prop_ineq(I, J))
-        elif check == "eqconds":
-            if J.min_gens() >= 2:
-                reports.append(verify_eqconds(I, J))
-        elif check == "freeness":
-            try:
-                reports.append(verify_freeness(J, I))
-            except MinimalGeneratorsError:
-                pass  # fixture without a trimmable minimal sequence
-        elif check == "eq7":
-            reports.append(verify_eq7_per_q(I, J, e_max))
-        elif check == "hk-product":
-            reports.append(verify_hk_product_bound(I, J, mode, e_max))
-        elif check == "eqthentc":
-            if star_spread(J, mode) >= 2:
-                reports.append(verify_eqthentc(I, J, mode, e_max))
-        elif check == "param-lower":
-            reports.append(verify_param_lower_bound(I, J, e_max))
-        elif check == "prop42":
-            reports.append(verify_prop42(I, J, e_max))
+        ideals = spec.draw(ring, rng, t, bound)
+        try:
+            reports += spec.run(ideals, e_max, n, mode)
+        except (NotApplicable, MinimalGeneratorsError):
+            pass
     return reports

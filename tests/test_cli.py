@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from hkprod import verify as V
 from hkprod.cli import main
+from hkprod.sessions import load_session
 
 REGULAR = "ring: p=2 vars=x,y\nideal I = [x^2, y^3]\nideal L = [x]\nideal m = [x, y]\nideal sq = [x^2, y^2]\n"
 FERMAT = "ring: p=2 vars=x,y,z mod=[x^3+y^3+z^3]\nideal J = [y, z]\nideal m = [x, y, z]\n"
@@ -131,8 +133,73 @@ def test_verify_unknown_check_exit_2(regular_file, capsys):
     assert main(["verify", regular_file, "no-such-check"]) == 2
 
 
-def test_verify_wrong_ideal_count_exit_2(regular_file, capsys):
-    assert main(["verify", regular_file, "len-identity", "--ideal", "m"]) == 2
+# check -> (--ideal names on REGULAR, the verifier calls on those ideals
+# with the CLI defaults --qmax 1, -n 2 and the regular star-spread mode)
+NAMED = {
+    "len-identity": (("m", "sq"), lambda I, J: [V.verify_len_identity(I, J, 1),
+                                                V.verify_len_identity(I, J, 2)]),
+    "prop-ineq": (("m", "sq"), lambda I, J: [V.verify_prop_ineq(I, J)]),
+    "cor-power": (("sq",), lambda I: [V.verify_cor_power(I, 2)]),
+    "eqconds": (("m", "sq"), lambda I, J: [V.verify_eqconds(I, J)]),
+    "freeness": (("sq", "m"), lambda J, I: [V.verify_freeness(J, I)]),
+    "square": (("sq",), lambda J: [V.verify_cor_square(J)]),
+    "eq7": (("m", "sq"), lambda I, J: [V.verify_eq7_per_q(I, J, 1)]),
+    "hk-product": (("m", "sq"),
+                   lambda I, J: [V.verify_hk_product_bound(I, J, "regular", 1)]),
+    "cor-power-hk": (("sq",), lambda I: [V.verify_cor_power_hk(I, 2, "regular", 1)]),
+    "eqthentc": (("m", "sq"), lambda I, J: [V.verify_eqthentc(I, J, "regular", 1)]),
+    "param-lower": (("m", "sq"), lambda I, J: [V.verify_param_lower_bound(I, J, 1)]),
+    "square-hk": (("sq",), lambda J: [V.verify_cor_square_hk(J, 1)]),
+    "prop42": (("m", "sq"), lambda I, J: [V.verify_prop42(I, J, 1)]),
+    "huneke-yao": (("sq",), lambda I: [V.verify_huneke_yao_per_q(I, 1)]),
+}
+
+
+def test_named_table_covers_every_check():
+    assert sorted(NAMED) == sorted(V.CHECK_NAMES)
+
+
+@pytest.mark.parametrize("check", sorted(NAMED))
+def test_verify_named_matches_direct_verifier(check, regular_file, capsys):
+    names, direct = NAMED[check]
+    argv = ["verify", regular_file, check]
+    for name in names:
+        argv += ["--ideal", name]
+    assert main(argv) == 0
+    sess = load_session(regular_file)
+    expected = "".join(r.to_json_line() + "\n"
+                       for r in direct(*(sess.ideal(n) for n in names)))
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("check", sorted(NAMED))
+def test_verify_wrong_ideal_count_exit_2(check, regular_file, capsys):
+    names = ["m"] if len(NAMED[check][0]) == 2 else ["m", "sq"]
+    argv = ["verify", regular_file, check]
+    for name in names:
+        argv += ["--ideal", name]
+    assert main(argv) == 2
+    assert "--ideal" in capsys.readouterr().err
+
+
+def test_verify_named_outside_hypotheses_exit_2(tmp_path, capsys):
+    # every ideal of F_2[x] is principal, so eqconds does not apply
+    path = tmp_path / "line.hk"
+    path.write_text("ring: p=2 vars=x\nideal I = [x]\nideal J = [x^2]\n")
+    assert main(["verify", str(path), "eqconds", "--ideal", "I", "--ideal", "J"]) == 2
+    assert "non-principal" in capsys.readouterr().err
+
+
+def test_verify_untrimmable_generators_exit_2(tmp_path, capsys):
+    # greedy trimming cannot bring J down to mu(J) = 2 generators
+    path = tmp_path / "untrim.hk"
+    path.write_text("ring: p=2 vars=x,y\n"
+                    "ideal J = [y^3+x*y+x+y, x^2*y+x*y+y^2+y, x^2*y+x*y^2]\n"
+                    "ideal I = [x^2, y^2]\n")
+    assert main(["verify", str(path), "freeness", "--ideal", "J", "--ideal", "I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_deterministic_output(regular_file, capsys):

@@ -147,6 +147,12 @@ def test_star_spread_modes(F2xy, fermat):
         star_spread(I_(F2xy, "x"), 0)
 
 
+def test_star_spread_default_mode(F2xy, fermat):
+    # regular rings default to mu(J), the others to the dimension
+    assert star_spread(I_(F2xy, "x^2", "x*y", "y^2")) == 3
+    assert star_spread(I_(fermat, "y", "z", "x^2")) == 2
+
+
 def test_probe_trivial_member(fermat):
     verdict = tc_probe(fermat.poly("y"), I_(fermat, "y", "z"), fermat.one(), 3)
     assert verdict.consistent and str(verdict) == "ConsistentUpTo(8)"

@@ -1,11 +1,13 @@
 """One test per checker, on hand-verified fixtures, plus the trial driver."""
 
+import hashlib
 import json
 
 import pytest
 
 from hkprod import Ideal, Ring
 from hkprod import verify as V
+from hkprod.cli import main
 
 
 def I_(ring, *gens):
@@ -56,6 +58,9 @@ def test_eqconds_fixtures(F2xy):
     assert forced.lhs == forced.rhs == 10
     with pytest.raises(ValueError):
         V.verify_eqconds(I_(F2xy, "x", "y"), I_(F2xy, "x"))
+    line = Ring(2, ["x"])  # every ideal principal: mu(J) < 2
+    with pytest.raises(V.NotApplicable):
+        V.verify_eqconds(I_(line, "x"), I_(line, "x^2"))
 
 
 def test_freeness_fixtures(F2xy):
@@ -123,6 +128,9 @@ def test_eqthentc_fixtures(F2xy, fermat):
     assert probe.holds and probe.caveat  # reported, never asserted
     with pytest.raises(ValueError):
         V.verify_eqthentc(I_(F2xy, "x", "y"), I_(F2xy, "x"), "regular")
+    line = Ring(2, ["x"])  # every ideal principal: star spread < 2
+    with pytest.raises(V.NotApplicable):
+        V.verify_eqthentc(I_(line, "x"), I_(line, "x^2"), "regular")
 
 
 def test_param_lower_fixtures(F2xy, fermat):
@@ -207,3 +215,108 @@ def test_run_trials_on_quotient(fermat):
 def test_run_trials_unknown_check(F2xy):
     with pytest.raises(ValueError):
         V.run_trials("bogus", F2xy, 1, seed=0)
+
+
+# sha256 prefixes of the joined JSON lines of run_trials(check, ring, 8,
+# seed=21, e_max=1).  Eight trials reach every branch of the draws (t % 2,
+# t % 4 == 3); on F2xy one freeness trial has no trimmable minimal
+# generating sequence and is skipped.
+TRIAL_STREAMS = {
+    "F2xy": {
+        "len-identity": "a9f17c359050a8f2",
+        "prop-ineq": "1dff2cb102a12aa8",
+        "cor-power": "f2befbb50cb69532",
+        "eqconds": "e334bba028871258",
+        "freeness": "d02c90dfada01716",
+        "square": "0756722b7abfd0e3",
+        "eq7": "30be9b8b255036dd",
+        "hk-product": "30d3069d27b09da2",
+        "cor-power-hk": "edda00115e8573d0",
+        "eqthentc": "69f84365a3680db9",
+        "param-lower": "ff543030c4416b02",
+        "square-hk": "4b65412d93ef75b2",
+        "prop42": "893bd340011ebd07",
+        "huneke-yao": "1ea33a358799ce79",
+    },
+    "F3xyz": {
+        "len-identity": "a1134918da2bfc61",
+        "prop-ineq": "e2c650672b2f5b30",
+        "cor-power": "4f1befb415f57536",
+        "eqconds": "9a39339e9dd91139",
+        "freeness": "f4c6690020ad1c56",
+        "square": "32bbf76f63b1877f",
+        "eq7": "01eeddbc676de776",
+        "hk-product": "477323337be59884",
+        "cor-power-hk": "723501b77b7d2de6",
+        "eqthentc": "bb4baf8c5b858a9d",
+        "param-lower": "eb75cf8ac12c0d19",
+        "square-hk": "48728056e3f3302e",
+        "prop42": "e34dbe62846451f7",
+        "huneke-yao": "0f824bea78db6062",
+    },
+    "fermat": {
+        "len-identity": "2ba785f3a9724a8f",
+        "prop-ineq": "33970f185fae1c44",
+        "cor-power": "cd8dd153a52b074d",
+        "eqconds": "f16fb8d5362d293f",
+        "freeness": "34ed2a1ebd6adca6",
+        "square": "05924c0c1d86fd26",
+        "eq7": "3e357291f1631044",
+        "hk-product": "f8ea27b9e9776fda",
+        "cor-power-hk": "b4a6d71b10085b69",
+        "eqthentc": "c6f4e14b19ad08d7",
+        "param-lower": "3cda4e5ce8c8d157",
+        "square-hk": "887b2507183c83d0",
+        "prop42": "8b3772c78e228f5b",
+        "huneke-yao": "fae0699dea2cbd8d",
+    },
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(TRIAL_STREAMS))
+def test_run_trials_golden_stream(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    for check, expected in TRIAL_STREAMS[ring_name].items():
+        reports = V.run_trials(check, ring, 8, seed=21, e_max=1)
+        text = "\n".join(r.to_json_line() for r in reports)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == expected, check
+    if ring_name == "F2xy":
+        assert len(V.run_trials("freeness", ring, 8, seed=21, e_max=1)) == 7
+
+
+def test_run_trials_skips_inapplicable_fixtures():
+    # every ideal of F_2[x] is principal: mu < 2 and star spread < 2
+    line = Ring(2, ["x"])
+    assert V.run_trials("eqconds", line, 8, seed=21, e_max=1) == []
+    assert V.run_trials("eqthentc", line, 8, seed=21, e_max=1) == []
+
+
+def test_table_looks_verifiers_up_at_call_time(F2xy, tmp_path, monkeypatch, capsys):
+    # The benchmark tracer counts reports by rebinding these module
+    # attributes; a table holding the function objects would miss them.
+    names = [n for n in dir(V) if n.startswith("verify_")]
+    assert len(names) == len(V.CHECK_NAMES) == 14
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(V, name, counting(name, getattr(V, name)))
+    for check in V.CHECK_NAMES:
+        V.run_trials(check, F2xy, 1, seed=0)
+    assert all(calls.values()), calls
+
+    path = tmp_path / "r.hk"
+    path.write_text("ring: p=2 vars=x,y\nideal m = [x, y]\nideal sq = [x^2, y^2]\n")
+    calls.update(dict.fromkeys(names, 0))
+    for check, spec in V.CHECKS.items():
+        argv = ["verify", str(path), check]
+        for ideal in ["m", "sq"][-spec.arity:]:
+            argv += ["--ideal", ideal]
+        assert main(argv) == 0, check
+    capsys.readouterr()
+    assert all(calls.values()), calls
