@@ -1,14 +1,13 @@
 """Exact colength and Hilbert-Kunz computations for products of ideals
 in polynomial rings and hypersurface quotients over prime fields."""
 
-from .groebner import buchberger, is_groebner, normal_form, syzygies
-from .hk import (HKEstimate, HKTable, ProbeVerdict, hilbert_samuel_parameter,
-                 hk_estimate, hk_table, jacobian_candidates,
-                 monomial_hk_volume, star_spread, tc_probe)
+from .groebner import buchberger, normal_form, syzygies
+from .hk import (HKEstimate, HKTable, ProbeVerdict, hk_estimate, hk_table,
+                 jacobian_candidates, monomial_hk_volume, star_spread, tc_probe)
 from .ideals import (Ideal, InfiniteColengthError, TrialSpec,
                      is_parameter_ideal, krull_dim, maximal_ideal,
                      random_ideals)
-from .koszul import kernel_length, koszul_cells, koszul_vector, len_identity_sides
+from .koszul import kernel_length, len_identity_sides
 from .rings import (MonomialOrder, Polynomial, PolynomialParseError, Ring,
                     RingMismatchError, parse_polynomial)
 from .sessions import Session, load_session, parse_session
@@ -16,12 +15,12 @@ from .sessions import Session, load_session, parse_session
 __all__ = [
     "Ring", "Polynomial", "MonomialOrder", "parse_polynomial",
     "RingMismatchError", "PolynomialParseError",
-    "buchberger", "normal_form", "syzygies", "is_groebner",
+    "buchberger", "normal_form", "syzygies",
     "Ideal", "TrialSpec", "random_ideals", "krull_dim", "maximal_ideal",
     "is_parameter_ideal", "InfiniteColengthError",
-    "koszul_vector", "koszul_cells", "kernel_length", "len_identity_sides",
+    "kernel_length", "len_identity_sides",
     "HKTable", "HKEstimate", "ProbeVerdict", "hk_table", "hk_estimate",
-    "monomial_hk_volume", "hilbert_samuel_parameter", "star_spread",
+    "monomial_hk_volume", "star_spread",
     "tc_probe", "jacobian_candidates",
     "Session", "parse_session", "load_session",
 ]

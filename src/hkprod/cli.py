@@ -33,6 +33,14 @@ def _parse_mode(text):
         raise ConfigError(f"bad star-spread mode {text!r}") from None
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of --qmax: rows run from q = p^0 to p^E."""
+    e = int(text)
+    if e < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {e}")
+    return e
+
+
 def cmd_colength(args) -> int:
     sess = load_session(args.file)
     lam = sess.ideal(args.ideal).colength()
@@ -129,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hk", help="Hilbert-Kunz table for an ideal")
     p.add_argument("file")
     p.add_argument("ideal")
-    p.add_argument("--qmax", type=int, default=2, metavar="E",
+    p.add_argument("--qmax", type=nonnegative_int, default=2, metavar="E",
                    help="largest exponent e, rows up to q=p^e")
     p.add_argument("--method", default="auto",
                    help="estimate method: auto, exact-regular, "
@@ -144,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", help=", ".join(V.CHECK_NAMES))
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--qmax", type=int, default=1, metavar="E")
+    p.add_argument("--qmax", type=nonnegative_int, default=1, metavar="E")
     p.add_argument("-n", type=int, default=2, help="power for power checks")
     p.add_argument("--mode", default=None,
                    help="star-spread mode: regular, parameter, or an integer")

@@ -10,7 +10,7 @@ so identical inputs give identical bases.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import combinations, groupby
+from itertools import groupby
 from math import prod
 from operator import add, itemgetter, le, sub
 
@@ -191,18 +191,6 @@ def interreduce(G: list[Polynomial]) -> list[Polynomial]:
             reduced.append(r.monic())
     reduced.sort(key=lambda h: key(h.leading_monomial()))
     return reduced
-
-
-def is_groebner(G: list[Polynomial]) -> bool:
-    """Buchberger criterion: every S-pair reduces to zero.
-
-    Deliberately unpruned (no coprime or chain criterion), so it is an
-    independent reference check on buchberger's output.
-    """
-    for f, g in combinations(G, 2):
-        if not normal_form(s_polynomial(f, g), G).is_zero():
-            return False
-    return True
 
 
 # --- staircase counting ----------------------------------------------------
@@ -486,54 +474,41 @@ def module_interreduce(G: list[Vector], ring: Ring, key) -> list[Vector]:
     return reduced
 
 
-def syzygies(polys: list[Polynomial], ring: Ring) -> list[list[Polynomial]]:
-    """Generators of the first syzygy module of polys over Ring (= S/Q).
+def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
+    """Syzygies of polys modulo (modulo) + Q, as vectors of rank len(polys).
 
-    Lifts to the ambient ring: a syzygy over S/Q is a tuple s with
-    sum(s_i * a_i) in Q, read off an elimination-order module basis of
-    the vectors a_i*e_0 + e_i together with f*e_0 for each relation f.
+    A syzygy is a tuple s with sum(s_i * a_i) in (modulo) + Q, read off
+    an elimination-order module basis of the vectors a_i*e_0 + e_i
+    together with g*e_0 for each g in modulo and each relation.
     """
-    if not polys:
-        raise ValueError("syzygies of an empty sequence")
-    ell = len(polys)
-    rank = 1 + ell
     vectors: list[Vector] = []
     for i, a in enumerate(polys):
         v: Vector = {(i + 1, (0,) * ring.nvars): 1}
         for m, c in a.terms.items():
             v[(0, m)] = c
         vectors.append(v)
-    for f in ring.relations:
-        vectors.append({(0, m): c for m, c in f.terms.items()})
+    for g in list(modulo) + list(ring.relations):
+        vectors.append({(0, m): c for m, c in g.terms.items()})
     basis = module_buchberger(vectors, ring, elim_key(ring))
-    result = []
-    for v in basis:
-        if all(t[0] != 0 for t in v):
-            shifted = {(i - 1, m): c for (i, m), c in v.items()}
-            result.append(vector_to_polys(shifted, ell, ring))
-    return result
+    return [{(i - 1, m): c for (i, m), c in v.items()}
+            for v in basis if all(t[0] != 0 for t in v)]
+
+
+def syzygies(polys: list[Polynomial], ring: Ring) -> list[list[Polynomial]]:
+    """Generators of the first syzygy module of polys over Ring (= S/Q),
+    lifted to the ambient ring."""
+    if not polys:
+        raise ValueError("syzygies of an empty sequence")
+    return [vector_to_polys(v, len(polys), ring)
+            for v in _syzygy_basis(polys, (), ring)]
 
 
 def colon_by_element(gens: list[Polynomial], f: Polynomial, ring: Ring) -> list[Polynomial]:
-    """Generators of ((gens) + Q : f) in the ambient ring, via elimination."""
+    """Generators of ((gens) + Q : f) in the ambient ring: the syzygies
+    of [f] modulo gens."""
     if f.is_zero():
         raise ValueError("colon by zero")
-    vectors: list[Vector] = []
-    v: Vector = {(1, (0,) * ring.nvars): 1}
-    for m, c in f.terms.items():
-        v[(0, m)] = c
-    vectors.append(v)
-    for g in list(gens) + list(ring.relations):
-        if not g.is_zero():
-            vectors.append({(0, m): c for m, c in g.terms.items()})
-    basis = module_buchberger(vectors, ring, elim_key(ring))
-    result = []
-    for w in basis:
-        if all(t[0] != 0 for t in w):
-            poly = vector_to_polys({(0, m): c for (i, m), c in w.items()}, 1, ring)[0]
-            if not poly.is_zero():
-                result.append(poly)
-    return result
+    return [vector_to_polys(v, 1, ring)[0] for v in _syzygy_basis([f], gens, ring)]
 
 
 def module_colength(vectors: list[Vector], rank: int, ring: Ring):

@@ -1,6 +1,5 @@
 """Hilbert-Kunz tables and estimates, exact monomial volumes,
-Hilbert-Samuel multiplicity for parameter ideals, star-spread modes, and
-a finite-q tight-closure membership probe.
+star-spread modes, and a finite-q tight-closure membership probe.
 
 Every normalized value is an exact Fraction; nothing here touches
 floating point, so downstream equality checks carry no tolerance."""
@@ -14,7 +13,7 @@ from fractions import Fraction
 from math import prod
 from operator import le
 
-from .ideals import Ideal, InfiniteColengthError, is_parameter_ideal, krull_dim
+from .ideals import Ideal, InfiniteColengthError, krull_dim
 from .rings import Polynomial, Ring
 
 
@@ -79,7 +78,6 @@ class HKEstimate:
     value: Fraction
     method: str
     is_limit: bool
-    table: HKTable
 
 
 def hk_estimate(I: Ideal, e_max: int, method: str = "auto") -> HKEstimate:
@@ -97,21 +95,19 @@ def hk_estimate(I: Ideal, e_max: int, method: str = "auto") -> HKEstimate:
         if not ring.is_regular:
             raise ValueError("exact-regular needs a relation-free presentation")
         # Kunz: Frobenius is flat over regular rings, so e_HK(I) = lambda(R/I)
-        value = Fraction(I.colength_strict())
-        return HKEstimate(value, method, True, hk_table(I, min(e_max, 1)))
+        return HKEstimate(Fraction(I.colength_strict()), method, True)
     if method == "exact-monomial-volume":
-        value = monomial_hk_volume(I)
-        return HKEstimate(value, method, True, hk_table(I, min(e_max, 1)))
+        return HKEstimate(monomial_hk_volume(I), method, True)
     table = hk_table(I, e_max)
     if method == "sequence-last":
-        return HKEstimate(table.rows[-1].normalized, method, False, table)
+        return HKEstimate(table.rows[-1].normalized, method, False)
     if len(table.rows) < 2:
         raise ValueError("extrapolation needs at least two rows")
     # fit v(q) = e + c/q through the last two rows; O(1/q) deviation
     # heuristic, never claimed as the limit
     (q1, v1), (q2, v2) = ((r.q, r.normalized) for r in table.rows[-2:])
     value = Fraction(q2 * v2 - q1 * v1, q2 - q1)
-    return HKEstimate(value, "sequence-extrapolated", False, table)
+    return HKEstimate(value, "sequence-extrapolated", False)
 
 
 def monomial_hk_volume(I: Ideal) -> Fraction:
@@ -161,23 +157,6 @@ def monomial_hk_volume(I: Ideal) -> Fraction:
     covered = sum(c * prod(b - e for e, b in zip(join, bounds))
                   for join, c in coeffs.items())
     return Fraction(box - covered)
-
-
-def hilbert_samuel_parameter(J: Ideal) -> tuple[int, list[Fraction]]:
-    """e(J) = lambda(R/J) for a parameter ideal in a Cohen-Macaulay ring.
-
-    Returns the multiplicity plus a diagnostic list d! * lambda(R/J^n) / n^d
-    for n <= 4 (it approaches e(J) from above as n grows).
-    """
-    if not is_parameter_ideal(J):
-        raise ValueError("not a parameter ideal")
-    d = krull_dim(J.ring)
-    e = J.colength_strict()
-    fact = 1
-    for k in range(2, d + 1):
-        fact *= k
-    diag = [Fraction(fact * J.power(n).colength_strict(), n ** d) for n in range(1, 5)]
-    return e, diag
 
 
 def star_spread(J: Ideal, mode=None) -> int:

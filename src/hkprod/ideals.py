@@ -76,7 +76,7 @@ class Ideal:
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        gens = [f * g for f in self.gens for g in other.gens]
+        gens = dict.fromkeys(f * g for f in self.gens for g in other.gens)
         return Ideal(self.ring, gens)
 
     def __add__(self, other: "Ideal") -> "Ideal":
@@ -118,15 +118,12 @@ class Ideal:
     def _greedy_trim(self, gens) -> list[Polynomial]:
         gens = sorted(gens, key=lambda g: (g.degree(),
                                            self.ring.order.key(g.leading_monomial())))
-        changed = True
-        while changed and len(gens) > 1:
-            changed = False
-            for i in range(len(gens) - 1, -1, -1):
-                rest = gens[:i] + gens[i + 1:]
-                if Ideal(self.ring, rest).contains(gens[i]):
-                    del gens[i]
-                    changed = True
-                    break
+        # one backward pass: a kept generator stays outside the ideal of
+        # the others, because deleting generators only shrinks that ideal
+        for i in range(len(gens) - 1, -1, -1):
+            rest = gens[:i] + gens[i + 1:]
+            if rest and Ideal(self.ring, rest).contains(gens[i]):
+                del gens[i]
         return gens
 
     def minimal_generators(self, strict: bool = True) -> list[Polynomial]:
@@ -290,7 +287,7 @@ _BUILDERS = {
 }
 
 
-def random_ideals(spec: TrialSpec, ring: Ring, require_m_primary: bool = True):
+def random_ideals(spec: TrialSpec, ring: Ring):
     """Deterministic ideal stream for trials.
 
     Families that cannot guarantee finite colength by construction
@@ -306,6 +303,6 @@ def random_ideals(spec: TrialSpec, ring: Ring, require_m_primary: bool = True):
         attempts += 1
         if attempts > 100 * (spec.count + 1):
             raise RuntimeError("random ideal family keeps producing non-m-primary ideals")
-        if ideal.gens and (not require_m_primary or ideal.is_m_primary()):
+        if ideal.gens and ideal.is_m_primary():
             out.append(ideal)
     return out

@@ -1,5 +1,5 @@
-"""Koszul-complex data for a generating sequence and the presentation
-kernel at every Frobenius level.
+"""The presentation kernel of a generating sequence at every Frobenius
+level, and both sides of the length identity.
 
 For a sequence a = a_1,...,a_l generating J and an m-primary ideal I,
 the kernel K_{a,I} sits in the exact length bookkeeping
@@ -18,32 +18,7 @@ from dataclasses import dataclass, field
 
 from . import groebner
 from .ideals import Ideal, InfiniteColengthError
-from .rings import Polynomial, is_p_power
-
-
-def koszul_vector(a: list[Polynomial], i: int, j: int, q: int = 1) -> list[Polynomial]:
-    """The trivial syzygy -a_j^q e_i + a_i^q e_j of the sequence a^q.
-
-    Indices are 0-based with i < j < len(a).
-    """
-    ell = len(a)
-    if not (0 <= i < j < ell):
-        raise IndexError(f"need 0 <= i < j < {ell}")
-    ring = a[0].ring
-    if not is_p_power(q, ring.p):
-        raise ValueError(f"{q} is not a power of the characteristic")
-    vec = [ring.zero()] * ell
-    vec[i] = -(a[j].frobenius(q))
-    vec[j] = a[i].frobenius(q)
-    return vec
-
-
-def koszul_cells(a: list[Polynomial], q: int = 1) -> list[list[Polynomial]]:
-    """All v_ij(a^q), the generators of the image of the second Koszul
-    differential; a proper submodule of the syzygies unless a is a
-    regular sequence.  Exposed for diagnostics only."""
-    ell = len(a)
-    return [koszul_vector(a, i, j, q) for i in range(ell) for j in range(i + 1, ell)]
+from .rings import Polynomial
 
 
 def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:

@@ -84,13 +84,6 @@ class MonomialOrder:
             return tuple(-mono[i] for i in self.precedence)
         return (-sum(mono),) + tuple(mono[i] for i in reversed(self.precedence))
 
-    def compare(self, m1: Monomial, m2: Monomial) -> int:
-        """-1, 0 or 1 as m1 <, =, > m2."""
-        if len(m1) != len(m2):
-            raise ValueError("monomial length mismatch")
-        k1, k2 = self.key(m1), self.key(m2)
-        return (k1 > k2) - (k1 < k2)
-
 
 class Ring:
     """A presentation F_p[variables] / (relations) with a fixed monomial order.
@@ -122,7 +115,6 @@ class Ring:
             if not poly.is_zero():
                 rels.append(poly)
         self.relations = tuple(rels)
-        self.graded = all(r.is_homogeneous() for r in self.relations)
         self._dim = None  # filled lazily by ideals.krull_dim
 
     @property
@@ -178,18 +170,12 @@ class Polynomial:
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
-        self.terms = {m: c for m, c in terms.items() if c % ring.p}
-        for m, c in list(self.terms.items()):
-            if c < 0 or c >= ring.p:
-                self.terms[m] = c % ring.p
+        p = ring.p
+        self.terms = {m: c % p for m, c in terms.items() if c % p}
         self._lm = None
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""

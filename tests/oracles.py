@@ -12,13 +12,16 @@ need higher-degree multiples to cancel against.
 
 The staircase and volume references at the end are plain too: one
 enumerates every cell of the box, the other sums inclusion-exclusion
-over all generator subsets.
+over all generator subsets.  The unpruned Buchberger criteria and the
+trivial Koszul syzygies are references for the two Groebner engines.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from hkprod import Ideal, InfiniteColengthError
+from hkprod.groebner import normal_form, s_polynomial
+from hkprod.rings import is_p_power
 
 
 def monomials_up_to(nvars, deg):
@@ -223,6 +226,18 @@ def rescan_module_normal_form(v, basis, ring, key):
     return remainder
 
 
+def is_groebner(G):
+    """Buchberger criterion: every S-pair reduces to zero.
+
+    Deliberately unpruned (no coprime or chain criterion), so it is an
+    independent reference check on buchberger's output.
+    """
+    for f, g in combinations(G, 2):
+        if not normal_form(s_polynomial(f, g), G).is_zero():
+            return False
+    return True
+
+
 def module_is_groebner(basis, ring, key):
     """Unpruned module Buchberger criterion: the S-vector of every pair of
     basis vectors whose leading terms share a component reduces to zero
@@ -298,3 +313,30 @@ def subset_volume(I):
                 vol *= max(b - j, 0)
             covered += sign * vol
     return Fraction(box - covered)
+
+
+# --- Koszul syzygies --------------------------------------------------------
+
+def koszul_vector(a, i, j, q=1):
+    """The trivial syzygy -a_j^q e_i + a_i^q e_j of the sequence a^q.
+
+    Indices are 0-based with i < j < len(a).
+    """
+    ell = len(a)
+    if not (0 <= i < j < ell):
+        raise IndexError(f"need 0 <= i < j < {ell}")
+    ring = a[0].ring
+    if not is_p_power(q, ring.p):
+        raise ValueError(f"{q} is not a power of the characteristic")
+    vec = [ring.zero()] * ell
+    vec[i] = -(a[j].frobenius(q))
+    vec[j] = a[i].frobenius(q)
+    return vec
+
+
+def koszul_cells(a, q=1):
+    """All v_ij(a^q), the generators of the image of the second Koszul
+    differential; a proper submodule of the syzygies unless a is a
+    regular sequence."""
+    ell = len(a)
+    return [koszul_vector(a, i, j, q) for i in range(ell) for j in range(i + 1, ell)]

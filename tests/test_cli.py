@@ -103,6 +103,20 @@ def test_hk_unit_ideal_has_colength_zero(tmp_path, capsys):
     assert lines[-1] == "estimate: 0 [exact-monomial-volume; exact limit]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["hk", "fermat", "J"],  # raised IndexError in the sequence estimate
+    ["hk", "regular", "m"],  # printed an empty table
+    ["verify", "regular", "len-identity", "--trials", "2"],  # printed no report
+])
+def test_negative_qmax_is_usage_error(argv, regular_file, fermat_file, capsys):
+    files = {"fermat": fermat_file, "regular": regular_file}
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], files[argv[1]], *argv[2:], "--qmax", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--qmax" in err
+
+
 def test_verify_named_fixture_exit_0(regular_file, capsys):
     rc = main(["verify", regular_file, "len-identity",
                "--ideal", "sq", "--ideal", "m", "--qmax", "1"])

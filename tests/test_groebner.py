@@ -5,14 +5,14 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import Ring, buchberger, is_groebner, normal_form, syzygies
+from hkprod import Ring, buchberger, normal_form, syzygies
 from hkprod.groebner import (colength_of_basis, elim_key, module_buchberger,
                              module_colength, module_normal_form,
                              staircase_count, top_key, vector_from_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
-                      module_is_groebner, rescan_module_normal_form,
-                      rescan_normal_form)
+                      is_groebner, module_is_groebner,
+                      rescan_module_normal_form, rescan_normal_form)
 
 
 def test_basis_already_reduced(F5xy):

@@ -1,5 +1,5 @@
-"""Hilbert-Kunz tables, estimates, monomial volumes, multiplicities,
-star spread, and the membership probe."""
+"""Hilbert-Kunz tables, estimates, monomial volumes, star spread, and
+the membership probe."""
 
 import json
 import random
@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
-                    hilbert_samuel_parameter, hk_estimate, hk_table,
-                    jacobian_candidates, monomial_hk_volume, random_ideals,
-                    star_spread, tc_probe)
+                    hk_estimate, hk_table, jacobian_candidates,
+                    monomial_hk_volume, random_ideals, star_spread, tc_probe)
 
 from .oracles import subset_volume
 
@@ -68,7 +67,7 @@ def test_estimate_sequence_methods_on_fermat(fermat):
     assert last.value == Fraction(m.bracket_power(8).colength_strict(), 64)
     extrap = hk_estimate(m, 3, "sequence-extrapolated")
     assert not extrap.is_limit
-    rows = extrap.table.rows
+    rows = hk_table(m, 3).rows
     (q1, v1), (q2, v2) = (rows[-2].q, rows[-2].normalized), (rows[-1].q, rows[-1].normalized)
     assert extrap.value == Fraction(q2 * v2 - q1 * v1, q2 - q1)
 
@@ -123,16 +122,6 @@ def test_monomial_volume_validation(F2xy, fermat):
         monomial_hk_volume(I_(fermat, "y", "z"))
     with pytest.raises(InfiniteColengthError):
         monomial_hk_volume(I_(F2xy, "x^2"))
-
-
-def test_hilbert_samuel_parameter(fermat, F3xy):
-    e, diag = hilbert_samuel_parameter(I_(fermat, "y", "z"))
-    assert e == 3
-    assert diag[0] == 6  # 2! * lambda(R/J) / 1
-    e2, _ = hilbert_samuel_parameter(I_(F3xy, "x", "y^2"))
-    assert e2 == 2
-    with pytest.raises(ValueError):
-        hilbert_samuel_parameter(I_(F3xy, "x^2", "x*y", "y^2"))
 
 
 def test_star_spread_modes(F2xy, fermat):

@@ -2,6 +2,8 @@
 generators, dimension, parameter detection, random families."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
                     is_parameter_ideal, krull_dim, maximal_ideal,
@@ -86,6 +88,36 @@ def test_minimal_generators_nonstrict_on_stubborn_fixture(F2xy):
     # generators do not, so both strictness modes succeed here
     assert len(I.minimal_generators(strict=False)) == 2
     assert len(I.minimal_generators(strict=True)) == 2
+
+
+@st.composite
+def trim_inputs(draw):
+    """Monomial and binomial ideals over F_2[x,y] and the Fermat cubic:
+    some pure powers, then further monomials and binomials in shuffled
+    order, duplicates and redundant generators included.  Without a pure
+    power of every variable the ideal is seldom m-primary, and then the
+    trimmed generators are returned without the reduced-basis fallback."""
+    ring = draw(st.sampled_from([Ring(2, "xy"),
+                                 Ring(2, "xyz", relations=["x^3+y^3+z^3"])]))
+    n = ring.nvars
+    exps = st.tuples(*[st.integers(0, 3)] * n)
+    mono = ring.monomial
+    gens = [mono([draw(st.integers(1, 4)) if j == i else 0 for j in range(n)])
+            for i in range(n) if draw(st.booleans())]
+    gens += [mono(e) for e in draw(st.lists(exps, min_size=1, max_size=3))]
+    gens += [mono(a) + mono(b)
+             for a, b in draw(st.lists(st.tuples(exps, exps), max_size=2))]
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return Ideal(ring, draw(st.permutations(gens)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(trim_inputs())
+def test_minimal_generators_trim_is_irredundant(I):
+    gens = I.minimal_generators(strict=False)
+    assert Ideal(I.ring, gens).equals(I)
+    for i, g in enumerate(gens):
+        assert not Ideal(I.ring, gens[:i] + gens[i + 1:]).contains(g)
 
 
 def test_colength_finiteness(F2xy):

@@ -48,14 +48,14 @@ def test_parse_errors(F2xy):
 
 def test_grevlex_order_on_spec_pair():
     order = MonomialOrder("grevlex", (0, 1))
-    assert order.compare((2, 1), (1, 2)) == 1  # x^2*y beats x*y^2
-    assert order.compare((1, 1), (1, 1)) == 0
-    assert order.compare((0, 3), (2, 1)) == -1
+    assert order.key((2, 1)) > order.key((1, 2))  # x^2*y beats x*y^2
+    assert order.key((1, 1)) == order.key((1, 1))
+    assert order.key((0, 3)) < order.key((2, 1))
 
 
 def test_lex_order():
     order = MonomialOrder("lex", (0, 1))
-    assert order.compare((1, 0), (0, 5)) == 1
+    assert order.key((1, 0)) > order.key((0, 5))
 
 
 def test_leading_monomial_grevlex(F2xy):
