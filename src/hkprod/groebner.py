@@ -140,7 +140,6 @@ def buchberger(gens, ring: Ring) -> list[Polynomial]:
     """
     G: list[Polynomial] = []
     for f in list(gens) + list(ring.relations):
-        f = f if isinstance(f, Polynomial) else ring.poly(f)
         if not f.is_zero():
             G.append(f.monic())
     key = ring.order.key
@@ -390,8 +389,6 @@ def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, key,
 
 
 def _vec_monic(v: Vector, ring: Ring, key) -> Vector:
-    if not v:
-        return v
     inv = pow(v[_vec_leading(v, key)], -1, ring.p)
     if inv == 1:
         return v

@@ -35,7 +35,7 @@ class Ideal:
         polys = []
         for g in gens:
             f = ring.poly(g) if isinstance(g, str) else g
-            if f.ring is not ring and not f.ring.same_as(ring):
+            if not f.ring.same_as(ring):
                 raise RingMismatchError("generator from a different ring")
             if not f.is_zero():
                 polys.append(f)
@@ -154,7 +154,7 @@ class Ideal:
         return self.contains_ideal(other) and other.contains_ideal(self)
 
     def _check(self, other: "Ideal"):
-        if self.ring is not other.ring and not self.ring.same_as(other.ring):
+        if not self.ring.same_as(other.ring):
             raise RingMismatchError("ideals over different rings")
 
     def __str__(self):
@@ -302,7 +302,8 @@ def random_ideals(spec: TrialSpec, ring: Ring):
         ideal = build(rng, ring, spec.degree_bound)
         attempts += 1
         if attempts > 100 * (spec.count + 1):
-            raise RuntimeError("random ideal family keeps producing non-m-primary ideals")
+            raise InfiniteColengthError(
+                "random ideal family keeps producing non-m-primary ideals")
         if ideal.gens and ideal.is_m_primary():
             out.append(ideal)
     return out

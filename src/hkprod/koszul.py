@@ -34,9 +34,7 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     ell = len(a)
     aq = [f.frobenius(q) for f in a]
     Iq = I.bracket_power(q)
-    lam_Iq = Iq.colength()
-    if lam_Iq is None:
-        raise InfiniteColengthError("I must be m-primary")
+    lam_Iq = Iq.colength_strict()
     syz = groebner.syzygies(aq, ring)
     vectors = [groebner.vector_from_polys(v) for v in syz]
     for g in Iq.gens:

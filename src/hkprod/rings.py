@@ -51,27 +51,24 @@ def is_p_power(q: int, p: int) -> bool:
 class MonomialOrder:
     """A degree-compatible-or-lex total order on monomials.
 
-    kind is "grevlex" or "lex"; precedence lists variable indices from
-    most to least significant.  key() returns a tuple that sorts small
+    kind is "grevlex" or "lex"; variables rank in the ring's order, the
+    first most significant.  key() returns a tuple that sorts small
     monomials first, so max(..., key=order.key) is the leading monomial.
     heap_key() sorts large monomials first, for heapq's min-heap.
     """
 
     kind: str
-    precedence: tuple[int, ...]
 
     def __post_init__(self):
         if self.kind not in ("grevlex", "lex"):
             raise ValueError(f"unknown monomial order {self.kind!r}")
-        if sorted(self.precedence) != list(range(len(self.precedence))):
-            raise ValueError("precedence must be a permutation of the variables")
 
     def key(self, mono: Monomial):
         if self.kind == "lex":
-            return tuple(mono[i] for i in self.precedence)
+            return mono
         # grevlex: total degree first, then the reversed exponent vector
         # with sign flipped (smaller last exponent wins ties).
-        return (sum(mono), tuple(-mono[i] for i in reversed(self.precedence)))
+        return (sum(mono), tuple(-e for e in reversed(mono)))
 
     def heap_key(self, mono: Monomial) -> tuple[int, ...]:
         """Descending key: the flat negation of key().
@@ -81,8 +78,8 @@ class MonomialOrder:
         this to key new terms without recomputing from the exponents.
         """
         if self.kind == "lex":
-            return tuple(-mono[i] for i in self.precedence)
-        return (-sum(mono),) + tuple(mono[i] for i in reversed(self.precedence))
+            return tuple(-e for e in mono)
+        return (-sum(mono),) + mono[::-1]
 
 
 class Ring:
@@ -94,7 +91,7 @@ class Ring:
     """
 
     def __init__(self, p: int, variables: Iterable[str], relations=(),
-                 order: str = "grevlex", precedence=None):
+                 order: str = "grevlex"):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if p >= MAX_CHARACTERISTIC:
@@ -103,9 +100,7 @@ class Ring:
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
-        if precedence is None:
-            precedence = tuple(range(len(self.variables)))
-        self.order = MonomialOrder(order, tuple(precedence))
+        self.order = MonomialOrder(order)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         rels = []
         for r in relations:
@@ -152,9 +147,10 @@ class Ring:
         return parse_polynomial(text, self)
 
     def same_as(self, other: "Ring") -> bool:
-        return (self.p == other.p and self.variables == other.variables
-                and self.order == other.order
-                and [r.terms for r in self.relations] == [r.terms for r in other.relations])
+        return self is other or (
+            self.p == other.p and self.variables == other.variables
+            and self.order == other.order
+            and [r.terms for r in self.relations] == [r.terms for r in other.relations])
 
     def __repr__(self):
         quot = ""
@@ -205,12 +201,10 @@ class Polynomial:
                                       for m, c in self.terms.items()})
 
     def _check(self, other: "Polynomial"):
-        if self.ring is not other.ring and not self.ring.same_as(other.ring):
+        if not self.ring.same_as(other.ring):
             raise RingMismatchError("polynomials from different rings")
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = self.ring.monomial((0,) * self.ring.nvars, other)
         self._check(other)
         p = self.ring.p
         terms = dict(self.terms)
@@ -223,8 +217,6 @@ class Polynomial:
         return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.ring.monomial((0,) * self.ring.nvars, other)
         return self + (-other)
 
     def __mul__(self, other):

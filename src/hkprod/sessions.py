@@ -29,38 +29,16 @@ class Session:
                                f"(have: {', '.join(self.ideals) or 'none'})")
         return self.ideals[name]
 
-    def serialize(self) -> str:
-        ring = self.ring
-        parts = [f"p={ring.p}", "vars=" + ",".join(ring.variables)]
-        if ring.relations:
-            parts.append("mod=[" + ", ".join(str(r) for r in ring.relations) + "]")
-        parts.append(f"order={ring.order.kind}")
-        lines = ["ring: " + " ".join(parts)]
-        for name, ideal in self.ideals.items():
-            lines.append(f"ideal {name} = [" + ", ".join(str(g) for g in ideal.gens) + "]")
-        return "\n".join(lines) + "\n"
-
 
 def _split_bracket_list(text: str) -> list[str]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
         raise SessionError(f"expected a [...] list, got {text!r}")
-    inner = text[1:-1].strip()
-    if not inner:
-        return []
-    parts, depth, cur = [], 0, []
-    for ch in inner:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    # polynomial text has no commas, so every comma separates two items
+    return [p.strip() for p in text[1:-1].split(",") if p.strip()]
+
+
+RING_FIELDS = ("p", "vars", "mod", "order")
 
 
 def _parse_ring_line(body: str) -> Ring:
@@ -83,8 +61,13 @@ def _parse_ring_line(body: str) -> Ring:
     for f in fields:
         if "=" not in f:
             raise SessionError(f"bad ring field {f!r}")
-        k, v = f.split("=", 1)
-        kv[k.strip()] = v.strip()
+        k, v = map(str.strip, f.split("=", 1))
+        if k not in RING_FIELDS:
+            raise SessionError(f"unknown ring field {k!r} "
+                               f"(known: {', '.join(RING_FIELDS)})")
+        if k in kv:
+            raise SessionError(f"repeated ring field {k!r}")
+        kv[k] = v
     if "p" not in kv or "vars" not in kv:
         raise SessionError("ring line needs p= and vars=")
     relations = _split_bracket_list(kv["mod"]) if "mod" in kv else []

@@ -47,6 +47,13 @@ def test_missing_file_is_usage_error(capsys):
     assert main(["colength", "/no/such/file.hk", "I"]) == 2
 
 
+def test_unreadable_file_is_usage_error(tmp_path, capsys):
+    assert main(["colength", str(tmp_path), "I"]) == 2  # a directory
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_hk_table_human(fermat_file, capsys):
     assert main(["hk", fermat_file, "J", "--qmax", "3"]) == 0
     out = capsys.readouterr().out
@@ -103,18 +110,19 @@ def test_hk_unit_ideal_has_colength_zero(tmp_path, capsys):
     assert lines[-1] == "estimate: 0 [exact-monomial-volume; exact limit]"
 
 
-@pytest.mark.parametrize("argv", [
-    ["hk", "fermat", "J"],  # raised IndexError in the sequence estimate
-    ["hk", "regular", "m"],  # printed an empty table
-    ["verify", "regular", "len-identity", "--trials", "2"],  # printed no report
+@pytest.mark.parametrize("argv", [  # each argv ends with the flag given -1
+    ["hk", "fermat", "J", "--qmax"],  # raised IndexError in the sequence estimate
+    ["hk", "regular", "m", "--qmax"],  # printed an empty table
+    ["verify", "regular", "len-identity", "--trials", "2", "--qmax"],  # printed no report
+    ["verify", "regular", "len-identity", "--trials"],  # printed no report
 ])
 def test_negative_qmax_is_usage_error(argv, regular_file, fermat_file, capsys):
     files = {"fermat": fermat_file, "regular": regular_file}
     with pytest.raises(SystemExit) as exc:
-        main([argv[0], files[argv[1]], *argv[2:], "--qmax", "-1"])
+        main([argv[0], files[argv[1]], *argv[2:], "-1"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
-    assert out == "" and "--qmax" in err
+    assert out == "" and argv[-1] in err
 
 
 def test_verify_named_fixture_exit_0(regular_file, capsys):
@@ -145,6 +153,30 @@ def test_verify_csv_summary(regular_file, capsys):
 
 def test_verify_unknown_check_exit_2(regular_file, capsys):
     assert main(["verify", regular_file, "no-such-check"]) == 2
+
+
+def test_verify_integer_star_spread_mode(regular_file, capsys):
+    assert main(["verify", regular_file, "hk-product", "--ideal", "m",
+                 "--ideal", "sq", "--mode", "3"]) == 0
+    (line,) = capsys.readouterr().out.splitlines()
+    assert json.loads(line)["data"]["star_spread"] == 3
+
+
+def test_verify_bad_star_spread_mode_exit_2(regular_file, capsys):
+    assert main(["verify", regular_file, "hk-product", "--ideal", "m",
+                 "--ideal", "sq", "--mode", "foo"]) == 2
+    assert "star-spread mode" in capsys.readouterr().err
+
+
+def test_verify_trials_without_m_primary_ideals_exit_2(tmp_path, capsys):
+    # over F_2[x,y]/(xy) the trial families keep drawing ideals of
+    # infinite colength
+    path = tmp_path / "axes.hk"
+    path.write_text("ring: p=2 vars=x,y mod=[x*y]\n")
+    assert main(["verify", str(path), "hk-product", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 # check -> (--ideal names on REGULAR, the verifier calls on those ideals

@@ -84,6 +84,12 @@ def test_monomial_volume_spec_value(F2xy):
     assert monomial_hk_volume(I_(F2xy, "1", "x")) == 0  # unit ideal
 
 
+def test_monomial_volume_drops_cancelled_join(F2xy):
+    # x^3*y^3 joins the pair (x*y^3, x^3*y) and the triple: its coefficient is 0
+    I = I_(F2xy, "x^4", "y^4", "x*y^3", "x^2*y^2", "x^3*y")
+    assert monomial_hk_volume(I) == 10 == I.colength_strict()
+
+
 def test_monomial_volume_equals_colength_randomized(F3xy):
     spec = TrialSpec(seed=17, family="monomial", degree_bound=4, count=25)
     for I in random_ideals(spec, F3xy):

