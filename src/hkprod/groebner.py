@@ -5,6 +5,10 @@ questions are handled by the callers adjoining the presentation's
 relations (for ideals) or relation multiples of the basis vectors (for
 modules).  Output bases are reduced, monic and deterministically sorted,
 so identical inputs give identical bases.
+
+Inside the engines every term is one int (see _Layout).  The public
+functions take and return Polynomials and vectors: they pack on entry
+and unpack on exit.
 """
 
 from __future__ import annotations
@@ -12,183 +16,470 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import groupby
 from math import prod
-from operator import add, itemgetter, le, sub
+from operator import itemgetter
 
 from .rings import Monomial, Polynomial, Ring
 
-
-def _divides(m1: Monomial, m2: Monomial) -> bool:
-    return all(map(le, m1, m2))
-
-
-def _lcm(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(max, m1, m2))
+# A module element of R^rank is a dict {(component, monomial): coeff}; an
+# ideal element is packed as a vector in component 0.
+VecTerm = tuple[int, Monomial]
+Vector = dict
 
 
-def _quot(m1: Monomial, m2: Monomial) -> Monomial:
-    return tuple(map(sub, m1, m2))
+# --- packed terms -----------------------------------------------------------
+
+class _Overflow(Exception):
+    """A term has an exponent that its field cannot hold."""
 
 
-def _update_pairs(t: int, leads: list[Monomial], earlier, pending: dict,
-                  coprime_criterion: bool) -> list:
+def _field_bytes(degree: int) -> int:
+    """Bytes per exponent field for an input of this total degree: room
+    for twice any exponent of the input, under the guard bit."""
+    return (degree.bit_length() + 9) // 8
+
+
+def _widening(run, field_bytes: int):
+    """run(field_bytes), rerun with fields twice as wide while a term
+    overflows."""
+    while True:
+        try:
+            return run(field_bytes)
+        except _Overflow:
+            field_bytes *= 2
+
+
+def _extent(vectors) -> tuple[int, int]:
+    """(largest total degree, rank) of the terms of vectors."""
+    terms = [t for v in vectors for t in v]
+    return (max(map(sum, map(itemgetter(1), terms)), default=0),
+            1 + max(map(itemgetter(0), terms), default=0))
+
+
+class _Layout:
+    """Module terms (component, monomial) packed into ints (Bachmann and
+    Schoenemann, "Monomial representations for Groebner bases
+    computations", ISSAC 1998).
+
+    Each exponent gets a field of whole bytes whose top bit is a guard
+    bit.  The fields fill the low S bits, the first variable highest
+    under lex and the last highest under grevlex; one-byte fields, the
+    common case, are packed and unpacked by int.from_bytes and
+    int.to_bytes, wider ones by shifts.  While every guard bit is
+    clear, a product of monomials is their sum, a divides b iff
+    ((b | guard) - a) & guard == guard, and their lcm is a max taken in
+    all fields at once.  A field that overflows sets its guard bit and
+    does not carry into the next field, so one & checks a new term.
+
+    The order key of a monomial m is one int, linear in m: m itself
+    under lex, (deg(m) << S) - m under grevlex.  A term is coded as
+
+        (rank_key << (S + PB)) + (component << S) + m
+
+    with the component in PB bits of its own and rank_key = component -
+    (key << PB), less 1 << top for component 0 of an elimination order.
+    Larger terms have smaller codes, so a heap pops the leading term
+    first, and two codes in one component differ by an amount that
+    depends only on the quotient of their monomials: the code of a
+    multiple of a term is that term's code plus a shift.
+    """
+
+    __slots__ = ("p", "field_bytes", "bits", "largest", "byteorder", "nbytes", "shifts",
+                 "rank", "S", "PB", "guard", "mask", "pmask", "grevlex", "elim", "top")
+
+    def __init__(self, ring: Ring, field_bytes: int, rank: int = 1, elim: bool = False):
+        n = ring.nvars
+        width = 8 * field_bytes
+        self.p = ring.p
+        self.field_bytes = field_bytes
+        self.bits = width - 1  # value bits per field
+        self.largest = (1 << self.bits) - 1
+        self.grevlex = ring.order.kind == "grevlex"
+        self.byteorder = "little" if self.grevlex else "big"
+        self.nbytes = n * field_bytes
+        self.shifts = [width * (i if self.grevlex else n - 1 - i) for i in range(n)]
+        self.rank = rank
+        self.S = n * width
+        self.PB = (rank - 1).bit_length()
+        self.guard = sum(1 << (width * i + self.bits) for i in range(n))
+        self.mask = (1 << self.S) - 1
+        self.pmask = (1 << self.PB) - 1
+        self.elim = elim
+        # above every key << PB + component: a grevlex key is below
+        # (n << bits) << S
+        self.top = self.S + (n << self.bits).bit_length() + self.PB
+
+    def monomial(self, mono: Monomial) -> int:
+        if max(mono, default=0) > self.largest:
+            raise _Overflow
+        if self.field_bytes == 1:
+            return int.from_bytes(bytes(mono), self.byteorder)
+        return sum(map(int.__lshift__, mono, self.shifts))
+
+    def exponents(self, m: int) -> Monomial:
+        if self.field_bytes == 1:
+            return tuple(m.to_bytes(self.nbytes, self.byteorder))
+        v = self.largest
+        return tuple([(m >> s) & v for s in self.shifts])
+
+    def degree(self, m: int) -> int:
+        if self.field_bytes == 1:
+            return sum(m.to_bytes(self.nbytes, "big"))
+        v = self.largest
+        return sum([(m >> s) & v for s in self.shifts])
+
+    def key(self, m: int, degree: int) -> int:
+        """The order key of monomial m of total degree `degree`."""
+        return (degree << self.S) - m if self.grevlex else m
+
+    def code(self, pos: int, m: int, degree: int) -> int:
+        rank_key = pos - (self.key(m, degree) << self.PB)
+        if self.elim and not pos:
+            rank_key -= 1 << self.top
+        return (rank_key << (self.S + self.PB)) + (pos << self.S) + m
+
+    def position(self, code: int) -> int:
+        return (code >> self.S) & self.pmask
+
+    def divides(self, a: int, b: int) -> bool:
+        guard = self.guard
+        return ((b | guard) - a) & guard == guard
+
+    def lcm(self, a: int, b: int) -> int:
+        guard = self.guard
+        ge = ((a | guard) - b) & guard  # guard bits of the fields where a >= b
+        return b ^ ((a ^ b) & (ge - (ge >> self.bits)))
+
+    def pack(self, v: Vector) -> dict:
+        """{code: coeff} of a vector; raises _Overflow if it does not fit."""
+        return {self.code(pos, self.monomial(m), sum(m)): c for (pos, m), c in v.items()}
+
+    def pack_poly(self, terms: dict) -> dict:
+        """{code: coeff} of polynomial terms, in component 0."""
+        return {self.code(0, self.monomial(m), sum(m)): c for m, c in terms.items()}
+
+    def unpack(self, terms) -> Vector:
+        """The vector of the (code, coeff) pairs, in their order."""
+        S, pmask, mask, exponents = self.S, self.pmask, self.mask, self.exponents
+        return {((e >> S) & pmask, exponents(e & mask)): c for e, c in terms}
+
+    def unpack_poly(self, terms) -> dict:
+        """The polynomial terms of the (code, coeff) pairs, in their order."""
+        mask, exponents = self.mask, self.exponents
+        return {exponents(e & mask): c for e, c in terms}
+
+
+def _monic(work: dict, p: int) -> dict:
+    inv = pow(work[min(work)], -1, p)
+    return work if inv == 1 else {e: (c * inv) % p for e, c in work.items()}
+
+
+def _reducer(work: dict, lay: _Layout) -> tuple:
+    """A nonzero packed element prepared for division: (leading monomial,
+    leading code, inverse leading coefficient, tail), where tail lists
+    (code, coeff) for every other term."""
+    lead = min(work)
+    return (lead & lay.mask, lead, pow(work[lead], -1, lay.p),
+            [(e, c) for e, c in work.items() if e != lead])
+
+
+def _terms(r: tuple, p: int):
+    """The (code, coeff) pairs of a reducer, leading term first."""
+    yield r[1], pow(r[2], -1, p)
+    yield from r[3]
+
+
+def _by_position(reducers, lay: _Layout) -> dict[int, list]:
+    groups: dict[int, list] = {}
+    for r in reducers:
+        groups.setdefault(lay.position(r[1]), []).append(r)
+    return groups
+
+
+def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
+    """Remainder of the packed terms in work under first-match division.
+
+    work ({code: coeff}) is consumed.  rows maps a component to the
+    reducers whose leading term lies in it, in basis order.  The largest
+    remaining term comes off a heap of codes; entries whose term has
+    cancelled are skipped when popped.  Each term is reduced by the first
+    reducer whose leading monomial divides it, else it moves to the
+    remainder, which thus lists its terms from the largest down.  Every new
+    term is checked for overflow.
+    """
+    p, mask, guard, S, pmask = lay.p, lay.mask, lay.guard, lay.S, lay.pmask
+    heap = list(work)
+    heapify(heap)
+    remainder: dict = {}
+    while heap:
+        e = heappop(heap)
+        c = work.pop(e, None)
+        if c is None:
+            continue  # cancelled after it was pushed
+        mg = (e & mask) | guard
+        for lm, lead, lcinv, tail in rows.get((e >> S) & pmask, ()):
+            if (mg - lm) & guard == guard:
+                factor = (c * lcinv) % p
+                shift = e - lead
+                for t, tc in tail:
+                    t += shift
+                    old = work.get(t)
+                    if old is None:
+                        if t & guard:
+                            raise _Overflow
+                        work[t] = (-factor * tc) % p
+                        heappush(heap, t)
+                    else:
+                        v = (old - factor * tc) % p
+                        if v:
+                            work[t] = v
+                        else:
+                            del work[t]
+                break
+        else:
+            remainder[e] = c
+    return remainder
+
+
+def _update_pairs(t: int, leads: list[int], earlier, pending: dict,
+                  coprime_criterion: bool, lay: _Layout) -> list:
     """Gebauer-Moeller update of the pair set for a new basis element t.
 
-    leads are the leading monomials of the basis, earlier the indices of
-    the elements that t pairs with, pending maps each queued pair (i, j)
-    to its lcm.  First the pending pairs that t makes redundant are
-    dropped (criterion B: lead(t) divides lcm(i, j), and lcm(i, t) and
-    lcm(j, t) both differ from it).  Then a new pair whose lcm is a
-    multiple of another surviving new pair's lcm is dropped (criteria M
-    and F).  Each of these drops is the chain criterion: S(i, j) is
-    covered by the S-polynomials of a chain i - k - j whose leads divide
-    lcm(i, j).  With coprime_criterion, pairs with coprime leading
-    monomials are dropped last (Buchberger's first criterion, valid for
-    polynomials but not for module vectors).  Returns the new pairs to
-    queue, as (i, lcm).
+    leads are the packed leading monomials of the basis, earlier the
+    indices of the elements that t pairs with, pending maps each queued
+    pair (i, j) to its lcm.  First the pending pairs that t makes
+    redundant are dropped (criterion B: lead(t) divides lcm(i, j), and
+    lcm(i, t) and lcm(j, t) both differ from it).  Then a new pair whose
+    lcm is a multiple of another surviving new pair's lcm is dropped
+    (criteria M and F).  Each of these drops is the chain criterion:
+    S(i, j) is covered by the S-polynomials of a chain i - k - j whose
+    leads divide lcm(i, j).  With coprime_criterion, pairs with coprime
+    leading monomials are dropped last (Buchberger's first criterion,
+    valid for polynomials but not for module vectors).  Returns the new
+    pairs to queue, as (i, lcm).
     """
+    guard, bits, lcm_of = lay.guard, lay.bits, lay.lcm
     lt = leads[t]
     for (i, j), lcm in list(pending.items()):
-        if (_divides(lt, lcm) and _lcm(leads[i], lt) != lcm
-                and _lcm(leads[j], lt) != lcm):
+        if (((lcm | guard) - lt) & guard == guard and lcm_of(leads[i], lt) != lcm
+                and lcm_of(leads[j], lt) != lcm):
             del pending[i, j]
-    new = [(i, _lcm(leads[i], lt)) for i in earlier]
+    lcms = []
+    for i in earlier:
+        a = leads[i]
+        ge = ((a | guard) - lt) & guard  # lay.lcm, inline
+        lcms.append(lt ^ ((a ^ lt) & (ge - (ge >> bits))))
     kept = []  # (i, lcm, coprime)
-    for n, (i, lcm) in enumerate(new):
-        coprime = coprime_criterion and lcm == tuple(map(add, leads[i], lt))
-        if coprime or not (any(_divides(other, lcm) for _, other, _ in kept)
-                           or any(_divides(other, lcm) for _, other in new[n + 1:])):
-            kept.append((i, lcm, coprime))
+    kept_lcms = []
+    for n, (i, lcm) in enumerate(zip(earlier, lcms)):
+        coprime = coprime_criterion and lcm == leads[i] + lt
+        if not coprime:
+            lg = lcm | guard
+            if (any((lg - other) & guard == guard for other in kept_lcms)
+                    or any((lg - other) & guard == guard for other in lcms[n + 1:])):
+                continue
+        kept.append((i, lcm, coprime))
+        kept_lcms.append(lcm)
     return [(i, lcm) for i, lcm, coprime in kept if not coprime]
 
 
-# A reducer is a basis element prepared for division:
-# (lead, heap key of lead, inverse lead coefficient, tail), where tail
-# lists (term, heap key, coefficient) for every other term.  Heap keys
-# are linear, so the key of a multiple's term is a sum of two keys.
+def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
+    """Groebner basis, not yet reduced, of the nonzero packed elements in
+    works: monic reducers, the inputs sorted by leading term, then the
+    new elements in the order they were found.
 
-def _reducer(g: Polynomial):
-    heap_key = g.ring.order.heap_key
-    lm = g.leading_monomial()
-    tail = [(m, heap_key(m), c) for m, c in g.terms.items() if m != lm]
-    return lm, heap_key(lm), pow(g.terms[lm], -1, g.ring.p), tail
+    Normal selection strategy: S-pairs ordered by lcm degree, then by
+    the term order on the lcm, then by index.  Only elements whose
+    leading terms share a component form pairs, pruned by the chain
+    criterion in Gebauer-Moeller's form and, with coprime, by
+    Buchberger's first criterion (see _update_pairs).  An S-polynomial
+    is built in the division's work dict from the two reducers.
+    """
+    p, guard = lay.p, lay.guard
+    G = sorted((_reducer(_monic(w, p), lay) for w in works if w),
+               key=itemgetter(1), reverse=True)
+    leads = [r[0] for r in G]
+    # per component: the reducers of the basis elements whose leading
+    # term lies in it, their indices, and its queued pairs with their lcms
+    rows: dict[int, list] = {}
+    members: dict[int, list[int]] = {}
+    pending: dict[int, dict] = {}
+    queue: list = []
 
+    def add_pairs(t):
+        pos = lay.position(G[t][1])
+        earlier = members.setdefault(pos, [])
+        in_pos = pending.setdefault(pos, {})
+        for i, lcm in _update_pairs(t, leads, earlier, in_pos, coprime, lay):
+            in_pos[i, t] = lcm
+            deg = lay.degree(lcm)
+            heappush(queue, (deg, -lay.code(pos, lcm, deg), i, t))
+        earlier.append(t)
+        rows.setdefault(pos, []).append(G[t])
+
+    for t in range(len(G)):
+        add_pairs(t)
+    while queue:
+        _, lcm_code, i, j = heappop(queue)
+        lcm_code = -lcm_code
+        if pending[lay.position(lcm_code)].pop((i, j), None) is None:
+            continue  # dropped by a later update
+        work: dict = {}
+        for (_, lead, _, tail), sign in ((G[i], 1), (G[j], -1)):
+            shift = lcm_code - lead
+            for e, c in tail:
+                e += shift
+                if e & guard:
+                    raise _Overflow
+                v = (work.get(e, 0) + sign * c) % p
+                if v:
+                    work[e] = v
+                else:
+                    del work[e]
+        rem = _divide(work, rows, lay)
+        if rem:
+            G.append(_reducer(_monic(rem, p), lay))
+            leads.append(G[-1][0])
+            add_pairs(len(G) - 1)
+    return G
+
+
+def _minimal(rows: list[tuple], lay: _Layout) -> list[int]:
+    """Indices of the minimal part of a basis given by its reducers, sorted
+    by leading term: an element is dropped when the leading term of an
+    earlier kept one divides its own."""
+    kept: list[int] = []
+    leads: list[tuple[int, int]] = []  # (component, monomial) of the kept
+    for i in sorted(range(len(rows)), key=lambda i: rows[i][1], reverse=True):
+        pos, lm = lay.position(rows[i][1]), rows[i][0]
+        if not any(p == pos and lay.divides(m, lm) for p, m in leads):
+            kept.append(i)
+            leads.append((pos, lm))
+    return kept
+
+
+class Reducers:
+    """A division basis, packed once for many normal forms.
+
+    basis holds Polynomials, or vectors when key (a ModuleOrder) is
+    given.  It is packed at the first division, with fields sized from
+    the basis and that dividend, and repacked wider, in place, when a
+    later dividend or reduction does not fit.
+    """
+
+    def __init__(self, basis: list, ring: Ring, key=None):
+        self.basis = basis
+        self.ring = ring
+        self.key = key
+        self.lay = None
+        self.rows: dict = {}
+
+    @classmethod
+    def minimal(cls, G: list, ring: Ring, key=None) -> "Reducers":
+        """Reducers of the minimal part of the nonzero basis G, whose
+        elements it keeps in .basis, sorted by leading term."""
+        self = cls(G, ring, key)
+        rows = self._repack(())
+        kept = _minimal(rows, self.lay)
+        self.basis = [G[i] for i in kept]
+        self.rows = _by_position([rows[i] for i in kept], self.lay)
+        return self
+
+    def _size(self, xs) -> tuple[int, int]:
+        if self.key is None:
+            return max((max(map(sum, f.terms)) for f in xs if f.terms), default=0), 1
+        return _extent(xs)
+
+    def _pack(self, lay: _Layout, x) -> dict:
+        return lay.pack(x) if self.key else lay.pack_poly(x.terms)
+
+    def _repack(self, xs, field_bytes: int = 1) -> list[tuple]:
+        """Pack the basis in a layout that the dividends xs fit too, with
+        fields of at least field_bytes; returns its reducers in order."""
+        degree, rank = self._size([*self.basis, *xs])
+        lay = self.lay = _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank,
+                                 bool(self.key and self.key.elim))
+        rows = [_reducer(w, lay) for w in (self._pack(lay, g) for g in self.basis) if w]
+        self.rows = _by_position(rows, lay)
+        return rows
+
+    def remainder(self, x):
+        """The remainder of x, a Polynomial or a vector like the basis,
+        as polynomial terms or a vector from the largest term down."""
+        if self.lay is None or (self.key and
+                                max((pos for pos, _ in x), default=0) >= self.lay.rank):
+            self._repack([x])
+        while True:
+            lay = self.lay
+            try:
+                rem = _divide(self._pack(lay, x), self.rows, lay)
+            except _Overflow:
+                self._repack([x], 2 * lay.field_bytes)
+                continue
+            return lay.unpack(rem.items()) if self.key else lay.unpack_poly(rem.items())
+
+
+# --- the ideal engine ---------------------------------------------------------
 
 def normal_form(f: Polynomial, basis: list[Polynomial], reducers=None) -> Polynomial:
     """Remainder of multivariate division of f by basis (first-match reducer).
 
     Zero iff f lies in the ideal generated by a *Groebner* basis; always
     idempotent and F_p-linear for a fixed basis.  The largest remaining
-    term comes off a heap keyed once per inserted term; entries whose
-    term has cancelled are skipped when popped.  Each term is reduced by
-    the first basis element whose leading monomial divides it.
-    reducers, when given, is [_reducer(g) for the nonzero g in basis].
+    term comes off a heap; each term is reduced by the first basis
+    element whose leading monomial divides it.  reducers, when given, is
+    Reducers(basis, ring), kept by a caller that divides by one basis
+    many times.
     """
-    ring = f.ring
-    p = ring.p
     if reducers is None:
-        reducers = [_reducer(g) for g in basis if not g.is_zero()]
-    heap_key = ring.order.heap_key
-    work = dict(f.terms)
-    heap = [(heap_key(m), m) for m in work]
-    heapify(heap)
-    remainder: dict = {}
-    while heap:
-        hm, m = heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        for lm, hlm, lcinv, tail in reducers:
-            if all(map(le, lm, m)):
-                factor = (c * lcinv) % p
-                q = tuple(map(sub, m, lm))
-                hq = tuple(map(sub, hm, hlm))
-                for gm, hg, gc in tail:
-                    mm = tuple(map(add, gm, q))
-                    old = work.get(mm)
-                    if old is None:
-                        work[mm] = (-factor * gc) % p
-                        heappush(heap, (tuple(map(add, hg, hq)), mm))
-                    else:
-                        v = (old - factor * gc) % p
-                        if v:
-                            work[mm] = v
-                        else:
-                            del work[mm]
-                break
-        else:
-            remainder[m] = c
-    return Polynomial(ring, remainder)
+        reducers = Reducers(basis, f.ring)
+    return Polynomial(f.ring, reducers.remainder(f))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     lf, lg = f.leading_monomial(), g.leading_monomial()
-    lcm = _lcm(lf, lg)
+    lcm = tuple(map(max, lf, lg))
     p = f.ring.p
     cf = pow(f.leading_coefficient(), -1, p)
     cg = pow(g.leading_coefficient(), -1, p)
-    return f.term_mul(_quot(lcm, lf), cf) - g.term_mul(_quot(lcm, lg), cg)
+    return (f.term_mul(tuple(a - b for a, b in zip(lcm, lf)), cf)
+            - g.term_mul(tuple(a - b for a, b in zip(lcm, lg)), cg))
 
 
 def buchberger(gens, ring: Ring) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
-    Normal selection strategy: S-pairs ordered by lcm degree, then by
-    the monomial order on the lcm, then by index.  Pairs are pruned by
-    Buchberger's two criteria, coprime leading monomials and the chain
-    criterion, in Gebauer-Moeller's form (see _update_pairs).  Leading
-    monomials and reducers are kept in lists parallel to the basis.
+    The packed engine (_buchberger) with Buchberger's coprime criterion,
+    rerun with wider fields while a term overflows, then interreduce.
     """
-    G: list[Polynomial] = []
-    for f in list(gens) + list(ring.relations):
-        if not f.is_zero():
-            G.append(f.monic())
-    key = ring.order.key
-    G.sort(key=lambda g: key(g.leading_monomial()))
-    reducers = [_reducer(g) for g in G]
-    leads = [r[0] for r in reducers]
-    queue: list = []
-    pending: dict = {}  # queued pair -> lcm of its leading monomials
+    polys = [f for f in [*gens, *ring.relations] if not f.is_zero()]
 
-    def add_pairs(t):
-        for i, lcm in _update_pairs(t, leads, range(t), pending, True):
-            pending[i, t] = lcm
-            heappush(queue, (sum(lcm), key(lcm), i, t))
-
-    for t in range(len(G)):
-        add_pairs(t)
-    while queue:
-        _, _, i, j = heappop(queue)
-        if pending.pop((i, j), None) is None:
-            continue  # dropped by a later update
-        s = normal_form(s_polynomial(G[i], G[j]), G, reducers)
-        if not s.is_zero():
-            s = s.monic()
-            G.append(s)
-            reducers.append(_reducer(s))
-            leads.append(reducers[-1][0])
-            add_pairs(len(G) - 1)
-    return interreduce(G)
+    def run(field_bytes):
+        lay = _Layout(ring, field_bytes)
+        return [Polynomial(ring, lay.unpack_poly(_terms(r, ring.p)))
+                for r in _buchberger([lay.pack_poly(f.terms) for f in polys], lay, True)]
+    degree = max((f.degree() for f in polys), default=0)
+    return interreduce(_widening(run, _field_bytes(degree)))
 
 
 def interreduce(G: list[Polynomial]) -> list[Polynomial]:
-    """Minimalize then fully reduce a Groebner basis; result is canonical."""
+    """Minimalize then fully reduce a Groebner basis; result is canonical.
+
+    Each tail is reduced by the whole minimal basis: an element never
+    reduces a term of its own tail, which lies below its leading term.
+    """
+    G = [g for g in G if not g.is_zero()]
     if not G:
         return []
     ring = G[0].ring
-    key = ring.order.key
-    minimal: list[Polynomial] = []
-    for g in sorted(G, key=lambda h: key(h.leading_monomial())):
-        if not any(_divides(h.leading_monomial(), g.leading_monomial())
-                   for h in minimal):
-            minimal.append(g)
-    reducers = [_reducer(g) for g in minimal]
+    p = ring.p
+    reducers = Reducers.minimal(G, ring)
     reduced = []
-    for i, g in enumerate(minimal):
-        r = normal_form(g, minimal[:i] + minimal[i + 1:],
-                        reducers[:i] + reducers[i + 1:])
-        if not r.is_zero():
-            reduced.append(r.monic())
-    reduced.sort(key=lambda h: key(h.leading_monomial()))
+    for g in reducers.basis:
+        lead = g.leading_monomial()
+        inv = pow(g.terms[lead], -1, p)
+        tail = {m: (c * inv) % p for m, c in g.terms.items() if m != lead}
+        r = normal_form(Polynomial(ring, tail), reducers.basis, reducers).terms if tail else {}
+        reduced.append(g if inv == 1 and r == tail else Polynomial(ring, {lead: 1, **r}))
     return reduced
 
 
@@ -254,41 +545,30 @@ def colength_of_basis(gb: list[Polynomial], ring: Ring):
     return staircase_count(leads, ring.nvars)
 
 
-# --- module machinery -------------------------------------------------------
+# --- the module engine ---------------------------------------------------------
 #
-# A module element of R^rank is a dict {(component, monomial): coeff}.
 # Orders on module terms:
 #   TOP  - term over position, position tiebreak e_0 > e_1 > ...
 #   ELIM - every term in component 0 beats every term elsewhere (used to
 #          read syzygies / colon ideals off an extended module basis).
-
-VecTerm = tuple[int, Monomial]
-Vector = dict
 
 
 class ModuleOrder:
     """A term order on module terms (component, monomial), TOP or ELIM.
 
     Called on a term it returns an ascending sort key, so max(v, key=order)
-    is the leading term.  heap_key() is the descending key for heapq and,
-    like MonomialOrder.heap_key, linear in the exponents.
+    is the leading term.
     """
 
     def __init__(self, ring: Ring, elim: bool):
         self.elim = elim
         self._key = ring.order.key
-        self._heap_key = ring.order.heap_key
 
     def __call__(self, t: VecTerm):
         pos, m = t
         if self.elim:
             return (1 if pos == 0 else 0, self._key(m), -pos)
         return (self._key(m), -pos)
-
-    def heap_key(self, t: VecTerm) -> tuple[int, ...]:
-        pos, m = t
-        k = self._heap_key(m) + (pos,)
-        return ((0 if pos == 0 else 1),) + k if self.elim else k
 
 
 def top_key(ring: Ring) -> ModuleOrder:
@@ -314,160 +594,46 @@ def vector_to_polys(v: Vector, rank: int, ring: Ring) -> list[Polynomial]:
     return [Polynomial(ring, t) for t in comps]
 
 
-def _vec_leading(v: Vector, key) -> VecTerm:
-    return max(v, key=key)
-
-
-def _vec_axpy(v: Vector, coeff: int, mono: Monomial, w: Vector, p: int) -> None:
-    """v -= coeff * x^mono * w, in place."""
-    for (i, m), c in w.items():
-        t = (i, tuple(map(add, m, mono)))
-        val = (v.get(t, 0) - coeff * c) % p
-        if val:
-            v[t] = val
-        else:
-            v.pop(t, None)
-
-
-def _vec_reducer(w: Vector, key: ModuleOrder, p: int):
-    """(lead, heap key of lead, inverse lead coefficient, tail) of w."""
-    lead = _vec_leading(w, key)
-    tail = [(t, key.heap_key(t), c) for t, c in w.items() if t != lead]
-    return lead, key.heap_key(lead), pow(w[lead], -1, p), tail
-
-
-def _by_component(reducers) -> dict[int, list]:
-    groups: dict[int, list] = {}
-    for r in reducers:
-        groups.setdefault(r[0][0], []).append(r)
-    return groups
-
-
 def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, key,
                        reducers=None) -> Vector:
     """Remainder of v under first-match division by basis in order key.
 
-    The heap division of normal_form, on one work dict updated in place.
-    reducers, when given, maps each component to the _vec_reducer of the
-    nonzero basis vectors whose leading term lies in it, in basis order.
+    The division of normal_form, on module terms.  reducers, when given,
+    is Reducers(basis, ring, key), kept by a caller that divides by one
+    basis many times.
     """
-    p = ring.p
     if reducers is None:
-        reducers = _by_component(_vec_reducer(w, key, p) for w in basis if w)
-    heap_key = key.heap_key
-    work = dict(v)
-    heap = [(heap_key(t), t) for t in work]
-    heapify(heap)
-    remainder: Vector = {}
-    while heap:
-        ht, t = heappop(heap)
-        c = work.pop(t, None)
-        if c is None:
-            continue  # cancelled after it was pushed
-        mono = t[1]
-        for (_, lmono), hl, lcinv, tail in reducers.get(t[0], ()):
-            if all(map(le, lmono, mono)):
-                factor = (c * lcinv) % p
-                q = tuple(map(sub, mono, lmono))
-                hq = tuple(map(sub, ht, hl))
-                for (i, m), hw, wc in tail:
-                    tt = (i, tuple(map(add, m, q)))
-                    old = work.get(tt)
-                    if old is None:
-                        work[tt] = (-factor * wc) % p
-                        heappush(heap, (tuple(map(add, hw, hq)), tt))
-                    else:
-                        val = (old - factor * wc) % p
-                        if val:
-                            work[tt] = val
-                        else:
-                            del work[tt]
-                break
-        else:
-            remainder[t] = c
-    return remainder
-
-
-def _vec_monic(v: Vector, ring: Ring, key) -> Vector:
-    inv = pow(v[_vec_leading(v, key)], -1, ring.p)
-    if inv == 1:
-        return v
-    return {t: (c * inv) % ring.p for t, c in v.items()}
+        reducers = Reducers(basis, ring, key)
+    return reducers.remainder(v)
 
 
 def module_buchberger(vectors: list[Vector], ring: Ring, key) -> list[Vector]:
     """Reduced module Groebner basis; S-pairs only within a component.
 
-    Normal selection strategy as in buchberger: pairs ordered by lcm
-    degree, then by key, then by index.  Only vectors whose leading
-    terms share a component form pairs, and those are pruned by the
-    chain criterion in Gebauer-Moeller's form, per component.  The
-    coprime criterion does not hold for module vectors and is not used.
-    Leading terms and reducers are kept per basis vector, the reducers
-    also grouped by component.
+    The packed engine (_buchberger) without the coprime criterion, which
+    does not hold for module vectors, rerun with wider fields while a
+    term overflows, then module_interreduce.
     """
-    p = ring.p
-    G = [_vec_monic(dict(v), ring, key) for v in vectors if v]
-    G.sort(key=lambda v: key(_vec_leading(v, key)))
-    reducers = [_vec_reducer(w, key, p) for w in G]
-    leads = [r[0] for r in reducers]
-    by_component = _by_component(reducers)
-    monos = [m for _, m in leads]
-    # per component: the indices of the basis vectors whose leading term
-    # lies in it, and its queued pairs with their lcms
-    members: dict[int, list[int]] = {}
-    pending: dict[int, dict] = {}
-    queue: list = []
+    degree, rank = _extent(vectors)
 
-    def add_pairs(t):
-        pos = leads[t][0]
-        earlier = members.setdefault(pos, [])
-        in_pos = pending.setdefault(pos, {})
-        for i, lcm in _update_pairs(t, monos, earlier, in_pos, False):
-            in_pos[i, t] = lcm
-            heappush(queue, (sum(lcm), key((pos, lcm)), i, t))
-        earlier.append(t)
-
-    for t in range(len(G)):
-        add_pairs(t)
-    while queue:
-        _, _, i, j = heappop(queue)
-        lcm = pending[leads[i][0]].pop((i, j), None)
-        if lcm is None:
-            continue  # dropped by a later update
-        s: Vector = {}
-        _vec_axpy(s, p - reducers[i][2], _quot(lcm, monos[i]), G[i], p)
-        _vec_axpy(s, reducers[j][2], _quot(lcm, monos[j]), G[j], p)
-        s = module_normal_form(s, G, ring, key, by_component)
-        if s:
-            s = _vec_monic(s, ring, key)
-            r = _vec_reducer(s, key, p)
-            G.append(s)
-            reducers.append(r)
-            leads.append(r[0])
-            monos.append(r[0][1])
-            by_component.setdefault(r[0][0], []).append(r)
-            add_pairs(len(G) - 1)
-    return module_interreduce(G, ring, key)
+    def run(field_bytes):
+        lay = _Layout(ring, field_bytes, rank, key.elim)
+        return [lay.unpack(_terms(r, ring.p))
+                for r in _buchberger([lay.pack(v) for v in vectors], lay, False)]
+    return module_interreduce(_widening(run, _field_bytes(degree)), ring, key)
 
 
 def module_interreduce(G: list[Vector], ring: Ring, key) -> list[Vector]:
+    """Minimalize then fully reduce a module Groebner basis, as interreduce."""
     p = ring.p
-    prepared = sorted(((_vec_reducer(v, key, p), v) for v in G if v),
-                      key=lambda rv: key(rv[0][0]))
-    minimal: list = []  # (reducer, vector) pairs
-    for r, v in prepared:
-        pv, mv = r[0]
-        if not any(rw[0][0] == pv and _divides(rw[0][1], mv) for rw, _ in minimal):
-            minimal.append((r, v))
+    reducers = Reducers.minimal([v for v in G if v], ring, key)
     reduced = []
-    for i, (_, v) in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = module_normal_form(v, [w for _, w in others], ring, key,
-                               _by_component(rw for rw, _ in others))
-        if r:
-            reduced.append(_vec_monic(r, ring, key))
-    reduced.sort(key=lambda v: key(_vec_leading(v, key)))
+    for v in reducers.basis:
+        lead = max(v, key=key)
+        inv = pow(v[lead], -1, p)
+        tail = {t: (c * inv) % p for t, c in v.items() if t != lead}
+        r = module_normal_form(tail, reducers.basis, ring, key, reducers) if tail else {}
+        reduced.append({lead: 1, **r})
     return reduced
 
 
@@ -518,11 +684,10 @@ def module_colength(vectors: list[Vector], rank: int, ring: Ring):
     for f in ring.relations:
         for i in range(rank):
             gens.append({(i, m): c for m, c in f.terms.items()})
-    basis = module_buchberger(gens, ring, top_key(ring))
     key = top_key(ring)
     per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for v in basis:
-        i, m = _vec_leading(v, key)
+    for v in module_buchberger(gens, ring, key):
+        i, m = max(v, key=key)
         per_component[i].append(m)
     total = 0
     for leads in per_component:

@@ -27,7 +27,8 @@ class Ideal:
     """An ideal of the presented ring, with a lazily cached reduced basis.
 
     The basis always presents I + Q in the ambient polynomial ring, so
-    colengths over the quotient come for free.
+    colengths over the quotient come for free.  Its packed reducers are
+    cached next to it, for membership tests and normal forms.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -41,6 +42,7 @@ class Ideal:
                 polys.append(f)
         self.gens = tuple(polys)
         self._gb = None
+        self._reducers = None
         self._colength = None
         self._brackets: dict[int, Ideal] = {}
 
@@ -66,13 +68,16 @@ class Ideal:
         return self.colength() is not None
 
     def contains(self, f: Polynomial) -> bool:
-        return groebner.normal_form(f, self.groebner_basis).is_zero()
+        return self.normal_form(f).is_zero()
 
     def contains_ideal(self, other: "Ideal") -> bool:
         return all(self.contains(g) for g in other.gens)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return groebner.normal_form(f, self.groebner_basis)
+        gb = self.groebner_basis
+        if self._reducers is None:
+            self._reducers = groebner.Reducers(gb, self.ring)
+        return groebner.normal_form(f, gb, self._reducers)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)

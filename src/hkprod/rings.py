@@ -54,7 +54,6 @@ class MonomialOrder:
     kind is "grevlex" or "lex"; variables rank in the ring's order, the
     first most significant.  key() returns a tuple that sorts small
     monomials first, so max(..., key=order.key) is the leading monomial.
-    heap_key() sorts large monomials first, for heapq's min-heap.
     """
 
     kind: str
@@ -69,17 +68,6 @@ class MonomialOrder:
         # grevlex: total degree first, then the reversed exponent vector
         # with sign flipped (smaller last exponent wins ties).
         return (sum(mono), tuple(-e for e in reversed(mono)))
-
-    def heap_key(self, mono: Monomial) -> tuple[int, ...]:
-        """Descending key: the flat negation of key().
-
-        It is linear in the exponents, so the key of a product of
-        monomials is the elementwise sum of their keys; division uses
-        this to key new terms without recomputing from the exponents.
-        """
-        if self.kind == "lex":
-            return tuple(-e for e in mono)
-        return (-sum(mono),) + mono[::-1]
 
 
 class Ring:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from hkprod import Ideal, InfiniteColengthError
-from hkprod.groebner import normal_form, s_polynomial
+from hkprod.groebner import s_polynomial
 from hkprod.rings import is_p_power
 
 
@@ -227,13 +227,15 @@ def rescan_module_normal_form(v, basis, ring, key):
 
 
 def is_groebner(G):
-    """Buchberger criterion: every S-pair reduces to zero.
+    """Buchberger criterion: every S-pair reduces to zero under
+    rescan_normal_form.
 
-    Deliberately unpruned (no coprime or chain criterion), so it is an
-    independent reference check on buchberger's output.
+    Deliberately unpruned (no coprime or chain criterion) and dividing
+    with the reference loop, not the engine's, so it is an independent
+    check on buchberger's output.
     """
     for f, g in combinations(G, 2):
-        if not normal_form(s_polynomial(f, g), G).is_zero():
+        if not rescan_normal_form(s_polynomial(f, g), G).is_zero():
             return False
     return True
 

@@ -5,10 +5,11 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (colength_of_basis, elim_key, module_buchberger,
-                             module_colength, module_normal_form,
-                             staircase_count, top_key, vector_from_polys)
+from hkprod import Ideal, Ring, buchberger, normal_form, syzygies
+from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, colength_of_basis,
+                             elim_key, module_buchberger, module_colength,
+                             module_normal_form, staircase_count, top_key,
+                             vector_from_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       is_groebner, module_is_groebner,
@@ -207,6 +208,62 @@ def test_buchberger_criterion_on_monomial_ideals(monos):
     assert is_groebner(gb)
     # reduced basis of a monomial ideal is its minimal generating set
     assert all(len(g.terms) == 1 for g in gb)
+
+
+def test_engines_widen_fields_when_a_term_overflows():
+    # fields chosen from inputs of degree 16 cannot hold y^128 or y^256,
+    # so every result below comes from a rerun with wider fields
+    assert _field_bytes(16) == 1  # exponents up to 127
+    ring = Ring(2, ["x", "y"], order="lex")
+    gens = [ring.poly("x + y^16"), ring.poly("x^16")]
+    gb = buchberger(gens, ring)
+    assert [str(g) for g in gb] == ["y^256", "x + y^16"]
+    assert is_groebner(gb)
+    assert Ideal(ring, gens).colength() == 256
+    assert module_colength([vector_from_polys([g]) for g in gens], 1, ring) == 256
+    f, basis = ring.poly("x^8"), [ring.poly("x + y^16")]
+    assert normal_form(f, basis) == rescan_normal_form(f, basis) == ring.poly("y^128")
+    assert module_normal_form(vector_from_polys([f]), [vector_from_polys(basis)],
+                              ring, top_key(ring)) == {(0, (0, 128)): 1}
+
+
+@st.composite
+def layouts(draw):
+    """A packing of 1 to 4 variables, lex or grevlex, fields of 1 to 3
+    bytes, rank 1 to 3, TOP or ELIM."""
+    ring = Ring(2, "wxyz"[:draw(st.integers(1, 4))],
+                order=draw(st.sampled_from(["grevlex", "lex"])))
+    return ring, _Layout(ring, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+                         draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(), st.data())
+def test_packed_monomials_match_tuple_operations(case, data):
+    ring, lay = case
+    monos = st.tuples(*[st.integers(0, lay.largest)] * ring.nvars)
+    a, b = data.draw(monos), data.draw(monos)
+    ma, mb = lay.monomial(a), lay.monomial(b)
+    assert lay.exponents(ma) == a and lay.degree(ma) == sum(a)
+    ka, kb = lay.key(ma, sum(a)), lay.key(mb, sum(b))
+    assert (ka < kb) == (ring.order.key(a) < ring.order.key(b))
+    assert (ka == kb) == (a == b)
+    assert lay.divides(ma, mb) == all(x <= y for x, y in zip(a, b))
+    assert lay.lcm(ma, mb) == lay.monomial(tuple(map(max, a, b)))
+    # codes of module terms sort as the module order and unpack to the term
+    key = ModuleOrder(ring, lay.elim)
+    pa, pb = (data.draw(st.integers(0, lay.rank - 1)) for _ in "ab")
+    ca, cb = lay.code(pa, ma, sum(a)), lay.code(pb, mb, sum(b))
+    assert (ca < cb) == (key((pa, a)) > key((pb, b)))
+    assert lay.unpack([(ca, 1)]) == {(pa, a): 1}
+    # a product is a sum with a linear key and code, or sets a guard bit
+    ab = tuple(x + y for x, y in zip(a, b))
+    if max(ab, default=0) <= lay.largest:
+        assert ma + mb == lay.monomial(ab)
+        assert lay.key(ma + mb, sum(ab)) == ka + kb
+        assert lay.code(pa, ma + mb, sum(ab)) - ca == cb - lay.code(pb, 0, 0)
+    else:
+        assert (ma + mb) & lay.guard
 
 
 def test_empty_input(F2xy):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from hkprod import (Ideal, buchberger, kernel_length, len_identity_sides,
+from hkprod import (Ideal, Ring, buchberger, kernel_length, len_identity_sides,
                     normal_form)
 
 from .oracles import koszul_cells, koszul_vector
@@ -84,6 +84,18 @@ def test_len_identity_on_quotient(fermat):
     for q in (1, 2, 4):
         s = len_identity_sides(m, a, q)
         assert s.holds(), f"identity failed at q={q}"
+
+
+def test_len_identity_on_four_variable_quotient():
+    # the ideal path (lhs and the product term) and the module path (the
+    # kernel term) agree on a cubic in four variables
+    ring = Ring(2, "xyzw", relations=["x^3+y^3+z^3+w^3"])
+    I = Ideal(ring, ["x^2+y*z", "y^2+z*w", "z^2+x*w", "w^2"])
+    a = [ring.poly(g) for g in ["x+y", "y+z", "z*w+w^2", "w^3"]]
+    for q, sides in ((1, (61, 33, 28)), (2, (544, 278, 266))):
+        s = len_identity_sides(I, a, q)
+        assert (s.lhs, s.rhs_kernel, s.rhs_product) == sides
+        assert s.holds()
 
 
 def test_len_identity_nonminimal_sequence(F2xy):

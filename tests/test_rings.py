@@ -143,16 +143,3 @@ def test_canonical_form_no_zero_coefficients(data):
     g = data.draw(_polys(ring))
     for m, c in (f * g).terms.items():
         assert 1 <= c < 5 and len(m) == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(["grevlex", "lex"]), st.permutations("xyz"),
-       st.tuples(*[st.integers(0, 4)] * 3), st.tuples(*[st.integers(0, 4)] * 3))
-def test_heap_key_reverses_key_and_is_linear(kind, names, a, b):
-    # a and b give the exponents of x, y, z; the ring lists them in names' order
-    order = Ring(2, names, order=kind).order
-    a, b = (tuple(m["xyz".index(v)] for v in names) for m in (a, b))
-    assert (order.key(a) < order.key(b)) == (order.heap_key(a) > order.heap_key(b))
-    product = tuple(x + y for x, y in zip(a, b))
-    assert order.heap_key(product) == tuple(
-        x + y for x, y in zip(order.heap_key(a), order.heap_key(b)))
