@@ -8,7 +8,9 @@ so identical inputs give identical bases.
 
 Inside the engines every term is one int (see _Layout).  The public
 functions take and return Polynomials and vectors: they pack on entry
-and unpack on exit.
+and unpack on exit.  An engine hands its packed basis to interreduce
+as Reducers, which unpack only the minimal part and divide its tails in
+the engine's layout, so an engine's basis is packed once.
 """
 
 from __future__ import annotations
@@ -343,16 +345,16 @@ def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
     return G
 
 
-def _minimal(rows: list[tuple], lay: _Layout) -> list[int]:
-    """Indices of the minimal part of a basis given by its reducers, sorted
-    by leading term: an element is dropped when the leading term of an
+def _minimal(G: list[tuple], lay: _Layout) -> list[tuple]:
+    """The minimal part of a basis given by its reducers, sorted by
+    leading term: an element is dropped when the leading term of an
     earlier kept one divides its own."""
-    kept: list[int] = []
+    kept: list[tuple] = []
     leads: list[tuple[int, int]] = []  # (component, monomial) of the kept
-    for i in sorted(range(len(rows)), key=lambda i: rows[i][1], reverse=True):
-        pos, lm = lay.position(rows[i][1]), rows[i][0]
+    for r in sorted(G, key=itemgetter(1), reverse=True):
+        pos, lm = lay.position(r[1]), r[0]
         if not any(p == pos and lay.divides(m, lm) for p, m in leads):
-            kept.append(i)
+            kept.append(r)
             leads.append((pos, lm))
     return kept
 
@@ -362,8 +364,9 @@ class Reducers:
 
     basis holds Polynomials, or vectors when key (a ModuleOrder) is
     given.  It is packed at the first division, with fields sized from
-    the basis and that dividend, and repacked wider, in place, when a
-    later dividend or reduction does not fit.
+    the basis and that dividend, or comes packed from the engine
+    (from_engine); it is repacked wider, in place, when a later dividend
+    or reduction does not fit.
     """
 
     def __init__(self, basis: list, ring: Ring, key=None):
@@ -374,14 +377,14 @@ class Reducers:
         self.rows: dict = {}
 
     @classmethod
-    def minimal(cls, G: list, ring: Ring, key=None) -> "Reducers":
-        """Reducers of the minimal part of the nonzero basis G, whose
-        elements it keeps in .basis, sorted by leading term."""
-        self = cls(G, ring, key)
-        rows = self._repack(())
-        kept = _minimal(rows, self.lay)
-        self.basis = [G[i] for i in kept]
-        self.rows = _by_position([rows[i] for i in kept], self.lay)
+    def from_engine(cls, G: list[tuple], lay: _Layout, ring: Ring, key=None) -> "Reducers":
+        """Reducers of the minimal part of _buchberger's basis G, kept in
+        its layout lay; .basis holds those elements unpacked, sorted by
+        leading term."""
+        rows = _minimal(G, lay)
+        unpack = lay.unpack if key else lambda ts: Polynomial(ring, lay.unpack_poly(ts))
+        self = cls([unpack(_terms(r, ring.p)) for r in rows], ring, key)
+        self.lay, self.rows = lay, _by_position(rows, lay)
         return self
 
     def _size(self, xs) -> tuple[int, int]:
@@ -449,37 +452,32 @@ def buchberger(gens, ring: Ring) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
     The packed engine (_buchberger) with Buchberger's coprime criterion,
-    rerun with wider fields while a term overflows, then interreduce.
+    rerun with wider fields while a term overflows; its packed basis
+    goes to interreduce as Reducers, without a second pack.
     """
     polys = [f for f in [*gens, *ring.relations] if not f.is_zero()]
 
     def run(field_bytes):
         lay = _Layout(ring, field_bytes)
-        return [Polynomial(ring, lay.unpack_poly(_terms(r, ring.p)))
-                for r in _buchberger([lay.pack_poly(f.terms) for f in polys], lay, True)]
+        G = _buchberger([lay.pack_poly(f.terms) for f in polys], lay, True)
+        return Reducers.from_engine(G, lay, ring)
     degree = max((f.degree() for f in polys), default=0)
     return interreduce(_widening(run, _field_bytes(degree)))
 
 
-def interreduce(G: list[Polynomial]) -> list[Polynomial]:
-    """Minimalize then fully reduce a Groebner basis; result is canonical.
+def interreduce(reducers: Reducers) -> list[Polynomial]:
+    """Fully reduce the minimal monic basis of reducers (see
+    Reducers.from_engine); the result is canonical.
 
     Each tail is reduced by the whole minimal basis: an element never
     reduces a term of its own tail, which lies below its leading term.
     """
-    G = [g for g in G if not g.is_zero()]
-    if not G:
-        return []
-    ring = G[0].ring
-    p = ring.p
-    reducers = Reducers.minimal(G, ring)
     reduced = []
     for g in reducers.basis:
         lead = g.leading_monomial()
-        inv = pow(g.terms[lead], -1, p)
-        tail = {m: (c * inv) % p for m, c in g.terms.items() if m != lead}
-        r = normal_form(Polynomial(ring, tail), reducers.basis, reducers).terms if tail else {}
-        reduced.append(g if inv == 1 and r == tail else Polynomial(ring, {lead: 1, **r}))
+        tail = {m: c for m, c in g.terms.items() if m != lead}
+        r = normal_form(Polynomial(g.ring, tail), reducers.basis, reducers).terms if tail else {}
+        reduced.append(g if r == tail else Polynomial(g.ring, {lead: 1, **r}))
     return reduced
 
 
@@ -612,27 +610,26 @@ def module_buchberger(vectors: list[Vector], ring: Ring, key) -> list[Vector]:
 
     The packed engine (_buchberger) without the coprime criterion, which
     does not hold for module vectors, rerun with wider fields while a
-    term overflows, then module_interreduce.
+    term overflows; its packed basis goes to module_interreduce.
     """
     degree, rank = _extent(vectors)
 
     def run(field_bytes):
         lay = _Layout(ring, field_bytes, rank, key.elim)
-        return [lay.unpack(_terms(r, ring.p))
-                for r in _buchberger([lay.pack(v) for v in vectors], lay, False)]
-    return module_interreduce(_widening(run, _field_bytes(degree)), ring, key)
+        G = _buchberger([lay.pack(v) for v in vectors], lay, False)
+        return Reducers.from_engine(G, lay, ring, key)
+    return module_interreduce(_widening(run, _field_bytes(degree)))
 
 
-def module_interreduce(G: list[Vector], ring: Ring, key) -> list[Vector]:
-    """Minimalize then fully reduce a module Groebner basis, as interreduce."""
-    p = ring.p
-    reducers = Reducers.minimal([v for v in G if v], ring, key)
+def module_interreduce(reducers: Reducers) -> list[Vector]:
+    """Fully reduce the minimal monic module basis of reducers, as
+    interreduce."""
+    key = reducers.key
     reduced = []
     for v in reducers.basis:
         lead = max(v, key=key)
-        inv = pow(v[lead], -1, p)
-        tail = {t: (c * inv) % p for t, c in v.items() if t != lead}
-        r = module_normal_form(tail, reducers.basis, ring, key, reducers) if tail else {}
+        tail = {t: c for t, c in v.items() if t != lead}
+        r = module_normal_form(tail, reducers.basis, reducers.ring, key, reducers) if tail else {}
         reduced.append({lead: 1, **r})
     return reduced
 

@@ -44,6 +44,7 @@ class Ideal:
         self._gb = None
         self._reducers = None
         self._colength = None
+        self._mu = None
         self._brackets: dict[int, Ideal] = {}
 
     @property
@@ -114,11 +115,12 @@ class Ideal:
 
     def min_gens(self) -> int:
         """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables."""
-        lam = self.colength()
-        if lam is None:
-            raise InfiniteColengthError("min_gens needs finite colength")
-        m = maximal_ideal(self.ring)
-        return (m * self).colength_strict() - lam
+        if self._mu is None:
+            lam = self.colength()
+            if lam is None:
+                raise InfiniteColengthError("min_gens needs finite colength")
+            self._mu = (maximal_ideal(self.ring) * self).colength_strict() - lam
+        return self._mu
 
     def _greedy_trim(self, gens) -> list[Polynomial]:
         gens = sorted(gens, key=lambda g: (g.degree(),

@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import Ideal, Ring, buchberger, normal_form, syzygies
+from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
 from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, colength_of_basis,
                              elim_key, module_buchberger, module_colength,
                              module_normal_form, staircase_count, top_key,
@@ -227,6 +227,22 @@ def test_engines_widen_fields_when_a_term_overflows():
                               ring, top_key(ring)) == {(0, (0, 128)): 1}
 
 
+def test_tail_reduction_widens_the_engine_layout():
+    # the engines hold x + y^60 and y + z^63 in one-byte fields; reducing
+    # the tail y^60 to z^3780 does not fit them, so the division that
+    # interreduces the engine's packed basis repacks it wider
+    assert _field_bytes(63) == 1  # exponents up to 127
+    ring = Ring(2, ["x", "y", "z"], order="lex")
+    gens = [ring.poly("x + y^60"), ring.poly("y + z^63")]
+    gb = buchberger(gens, ring)
+    assert [str(g) for g in gb] == ["y + z^63", "x + z^3780"]
+    assert is_groebner(gb)
+    key = top_key(ring)
+    basis = module_buchberger([vector_from_polys([g]) for g in gens], ring, key)
+    assert basis == [vector_from_polys([g]) for g in gb]
+    assert module_is_groebner(basis, ring, key)
+
+
 @st.composite
 def layouts(draw):
     """A packing of 1 to 4 variables, lex or grevlex, fields of 1 to 3
@@ -340,6 +356,43 @@ def test_buchberger_agrees_with_span_oracles(case):
         assert normal_form(g, gb).is_zero()
 
 
+def _tail(g):
+    lead = g.leading_monomial()
+    return Polynomial(g.ring, {m: c for m, c in g.terms.items() if m != lead})
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_ideals())
+def test_buchberger_output_is_reduced(case):
+    ring, gens, _ = case
+    gb = buchberger(gens, ring)
+    assert all(g.leading_coefficient() == 1 for g in gb)
+    keys = [ring.order.key(g.leading_monomial()) for g in gb]
+    assert keys == sorted(set(keys))  # by leading term, smallest first
+    assert buchberger(gb, ring) == gb
+    for g in gb:
+        assert rescan_normal_form(_tail(g), gb) == _tail(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans())
+def test_module_buchberger_output_is_reduced(case, rank, elim):
+    ring, gens, _ = case
+    key = elim_key(ring) if elim else top_key(ring)
+    # the pure powers in every component keep the quotient module finite
+    vectors = [{(i, g.leading_monomial()): 1} for g in gens[:ring.nvars] for i in range(rank)]
+    vectors += [_spread(g, i, rank) for i, g in enumerate(gens[ring.nvars:])]
+    basis = module_buchberger(vectors, ring, key)
+    leads = [max(v, key=key) for v in basis]
+    assert all(v[t] == 1 for v, t in zip(basis, leads))
+    keys = [key(t) for t in leads]
+    assert keys == sorted(set(keys))
+    assert module_buchberger(basis, ring, key) == basis
+    for v, t in zip(basis, leads):
+        tail = {u: c for u, c in v.items() if u != t}
+        assert rescan_module_normal_form(tail, basis, ring, key) == tail
+
+
 @settings(max_examples=40, deadline=None)
 @given(bounded_ideals())
 def test_module_colength_at_rank_one_matches_ideal_path(case):
@@ -372,7 +425,8 @@ def division_cases(draw):
 @given(division_cases())
 def test_normal_form_matches_rescan_division(case):
     ring, basis, f = case
-    # arbitrary bases, as interreduce passes them, and Groebner bases
+    # the division is defined for any basis: arbitrary ones, then
+    # Groebner bases
     assert normal_form(f, basis).terms == rescan_normal_form(f, basis).terms
     gb = buchberger(basis, ring)
     assert normal_form(f, gb).terms == rescan_normal_form(f, gb).terms

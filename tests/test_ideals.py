@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
                     is_parameter_ideal, krull_dim, maximal_ideal,
                     random_ideals)
+from hkprod import groebner
 from hkprod.ideals import FAMILIES
 
 from .oracles import brute_colength
@@ -71,6 +72,19 @@ def test_min_gens(F2xy, F3xy):
     assert I_(F2xy, "x^2", "x*y", "y^2").min_gens() == 3
     assert I_(F2xy, "x", "x + y", "y").min_gens() == 2
     assert I_(F3xy, "x^2", "y^5").min_gens() == 2
+
+
+def test_min_gens_is_cached(F2xy, monkeypatch):
+    I = I_(F2xy, "x^2", "x*y", "y^2")
+    assert I.min_gens() == 3
+    built = []
+    engine = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *args: built.append(args) or engine(*args))
+    assert I.min_gens() == 3
+    assert built == []
+    # the count sees the bases that a fresh ideal builds
+    assert I_(F2xy, "x^2", "y^2").min_gens() == 2
+    assert built
 
 
 def test_minimal_generators_trims(F2xy):
