@@ -100,13 +100,22 @@ class Ideal:
     def bracket_power(self, q: int) -> "Ideal":
         """I^[q]: generated by the q-th Frobenius powers of the generators.
 
-        Memoized per q, so each bracket power keeps its cached basis."""
+        Memoized per q, so each bracket power keeps its cached basis.  On
+        a polynomial ring that basis is G^[q], G the reduced basis of I;
+        over a quotient it is computed from scratch."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
             return self
         if q not in self._brackets:
-            self._brackets[q] = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
+            bracket = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
+            if self.ring.is_regular:
+                # Frobenius is flat on S (Kunz): S is free over S^q on the
+                # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
+                # of some lt(g)^q; and x -> x^q keeps the monomial order,
+                # monic leads and reducedness.  G^[q] is the reduced basis.
+                bracket._gb = [g.frobenius(q) for g in self.groebner_basis]
+            self._brackets[q] = bracket
         return self._brackets[q]
 
     def colon(self, f: Polynomial) -> "Ideal":

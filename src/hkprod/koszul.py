@@ -25,8 +25,11 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     """lambda(K_{a^q, I^[q]}).
 
     Computed as l * lambda(R/I^[q]) minus lambda(R^l / (K_{a^q} + I^[q] R^l)),
-    with the syzygy module K_{a^q} recomputed fresh at every q (Frobenius
-    does not transport syzygies outside regular rings).
+    with the syzygy module K_{a^q} and the module basis recomputed fresh at
+    every q on every ring.  That is on purpose: Frobenius does not transport
+    syzygies outside regular rings, and on a polynomial ring, where
+    Ideal.bracket_power takes its basis as G^[q], this module computation
+    keeps the kernel side of the length identity independent of it.
     """
     if not a:
         raise ValueError("empty generating sequence")

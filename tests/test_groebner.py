@@ -14,6 +14,7 @@ from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, colength_of_bas
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       is_groebner, module_is_groebner,
                       rescan_module_normal_form, rescan_normal_form)
+from .strategies import bounded_ideals, polys, rings
 
 
 def test_basis_already_reduced(F5xy):
@@ -289,58 +290,7 @@ def test_empty_input(F2xy):
 
 # --- differential tests against the oracles ---------------------------------
 #
-# Rings: lex or grevlex, p in {2, 3, 5, 2^31-1}, one to four variables or
-# the Fermat cubic quotient, with the variables listed in a drawn order
-# (which ranks them in that order).  Ideals: a pure power of every
-# variable plus non-homogeneous generators.  The pure powers bound the
-# quotient, which keeps the bases small and makes the truncated-span
-# oracles exact at a degree computed from the input.
-
-PRIMES = (2, 3, 5, 2**31 - 1)
-
-
-@st.composite
-def rings(draw):
-    order = draw(st.sampled_from(["grevlex", "lex"]))
-    if draw(st.integers(0, 4)) == 0:
-        return Ring(2, draw(st.permutations("xyz")), relations=["x^3+y^3+z^3"],
-                    order=order)
-    n = draw(st.integers(1, 4))
-    return Ring(draw(st.sampled_from(PRIMES)), draw(st.permutations("wxyz"[:n])),
-                order=order)
-
-
-@st.composite
-def polys(draw, ring, max_terms=3, max_degree=3, min_degree=0):
-    f = ring.zero()
-    for _ in range(draw(st.integers(1, max_terms))):
-        exps = [0] * ring.nvars
-        for i in draw(st.lists(st.integers(0, ring.nvars - 1),
-                               min_size=min_degree, max_size=max_degree)):
-            exps[i] += 1
-        f = f + ring.monomial(exps, draw(st.integers(1, ring.p - 1)))
-    return f
-
-
-@st.composite
-def bounded_ideals(draw, max_extra=4):
-    """(ring, generators, degree at which the span oracles are exact)."""
-    ring = draw(rings())
-    top = 3 if ring.nvars <= 3 else 2
-    powers = [draw(st.integers(1, top)) for _ in range(ring.nvars)]
-    gens = [ring.monomial([a if j == i else 0 for j in range(ring.nvars)])
-            for i, a in enumerate(powers)]
-    # no constant terms: the ideal stays inside the maximal ideal
-    gens += [g for g in draw(st.lists(polys(ring, min_degree=1), max_size=max_extra))
-             if not g.is_zero()]
-    # every monomial of degree >= d0 is a multiple of a pure power, so the
-    # span of generator multiples of degree <= D holds every ideal member of
-    # degree <= D once D >= d0 - 1 + (largest generator degree); D >= d0 + 1
-    # gives brute_colength three degrees >= d0 - 1, where the count is stable
-    d0 = sum(a - 1 for a in powers) + 1
-    max_gen_deg = max(g.degree() for g in list(gens) + list(ring.relations))
-    exact = max(d0 + 1, d0 - 1 + max_gen_deg)
-    return ring, gens, exact
+# The rings and ideals are drawn by tests/strategies.py.
 
 
 @settings(max_examples=150, deadline=None)
@@ -374,15 +324,19 @@ def test_buchberger_output_is_reduced(case):
         assert rescan_normal_form(_tail(g), gb) == _tail(g)
 
 
+def _bounded_vectors(ring, gens, rank):
+    """The pure powers of a bounded ideal in every component, which keep
+    the quotient module finite, then its other generators spread."""
+    vectors = [{(i, g.leading_monomial()): 1} for g in gens[:ring.nvars] for i in range(rank)]
+    return vectors + [_spread(g, i, rank) for i, g in enumerate(gens[ring.nvars:])]
+
+
 @settings(max_examples=60, deadline=None)
 @given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans())
 def test_module_buchberger_output_is_reduced(case, rank, elim):
     ring, gens, _ = case
     key = elim_key(ring) if elim else top_key(ring)
-    # the pure powers in every component keep the quotient module finite
-    vectors = [{(i, g.leading_monomial()): 1} for g in gens[:ring.nvars] for i in range(rank)]
-    vectors += [_spread(g, i, rank) for i, g in enumerate(gens[ring.nvars:])]
-    basis = module_buchberger(vectors, ring, key)
+    basis = module_buchberger(_bounded_vectors(ring, gens, rank), ring, key)
     leads = [max(v, key=key) for v in basis]
     assert all(v[t] == 1 for v, t in zip(basis, leads))
     keys = [key(t) for t in leads]
@@ -422,13 +376,15 @@ def division_cases(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(division_cases())
-def test_normal_form_matches_rescan_division(case):
-    ring, basis, f = case
+@given(division_cases(), bounded_ideals(), st.data())
+def test_normal_form_matches_rescan_division(case, ideal, data):
+    _, basis, f = case
     # the division is defined for any basis: arbitrary ones, then
-    # Groebner bases
+    # Groebner bases, of bounded ideals so that Buchberger stays small
     assert normal_form(f, basis).terms == rescan_normal_form(f, basis).terms
-    gb = buchberger(basis, ring)
+    ring, gens, _ = ideal
+    f = data.draw(polys(ring, max_terms=6, max_degree=5))
+    gb = buchberger(gens, ring)
     assert normal_form(f, gb).terms == rescan_normal_form(f, gb).terms
 
 
@@ -454,11 +410,11 @@ def test_module_normal_form_matches_rescan_division(case, rank, elim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(division_cases(), st.integers(2, 3), st.booleans())
+@given(bounded_ideals(max_extra=2), st.integers(2, 3), st.booleans())
 def test_module_buchberger_passes_unpruned_criterion(case, rank, elim):
-    ring, polys_, _ = case
+    ring, gens, _ = case
     key = elim_key(ring) if elim else top_key(ring)
-    vectors = [_spread(g, i, rank) for i, g in enumerate(polys_) if not g.is_zero()]
+    vectors = _bounded_vectors(ring, gens, rank)
     basis = module_buchberger(vectors, ring, key)
     assert module_is_groebner(basis, ring, key)
     for v in vectors:

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
                     is_parameter_ideal, krull_dim, maximal_ideal,
                     random_ideals)
-from hkprod import groebner
+from hkprod import buchberger, groebner
 from hkprod.ideals import FAMILIES
 
 from .oracles import brute_colength
+from .strategies import bounded_ideals
 
 
 def I_(ring, *gens):
@@ -48,6 +49,36 @@ def test_bracket_power_distributes_over_sums(F3xy):
     lhs = (I + J).bracket_power(9)
     rhs = I.bracket_power(9) + J.bracket_power(9)
     assert lhs.equals(rhs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bounded_ideals(), st.booleans())
+def test_bracket_power_basis_is_buchberger_on_the_bracket_generators(case, square):
+    """On polynomial rings bracket_power takes G^[q] for the basis, which
+    must be what Buchberger makes of the q-th powers of the generators;
+    the Fermat cubic draws check that quotients still compute it."""
+    ring, gens, _ = case
+    q = ring.p ** 2 if square and ring.p < 2**31 - 1 else ring.p
+    basis = Ideal(ring, gens).bracket_power(q).groebner_basis
+    assert basis == buchberger([g.frobenius(q) for g in gens], ring)
+    assert buchberger(basis, ring) == basis
+
+
+def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, monkeypatch):
+    built = []
+    engine = groebner.buchberger
+    monkeypatch.setattr(groebner, "buchberger", lambda *args: built.append(args) or engine(*args))
+    I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
+    assert I.colength() == 12
+    built.clear()
+    assert I.bracket_power(8).colength() == 8**3 * 12
+    assert built == []
+    # over a quotient the bracket power runs Buchberger
+    J = I_(fermat, "y", "z")
+    assert J.colength() == 3
+    built.clear()
+    assert J.bracket_power(8).colength() == 3 * 8**2
+    assert len(built) == 1
 
 
 def test_colon_spec_value(F2xy):
