@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from functools import cache
 
 from . import verify as V
 from .hk import hk_estimate, hk_table, tc_probe
@@ -118,7 +119,10 @@ def cmd_probe(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hkprod parser, built at the first call and shared by later
+    ones: parse_args keeps no state between calls."""
     ap = argparse.ArgumentParser(
         prog="hkprod",
         description="Exact colengths, Hilbert-Kunz tables and theorem "

@@ -244,44 +244,55 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
 
 def _update_pairs(t: int, leads: list[int], earlier, pending: dict,
                   coprime_criterion: bool, lay: _Layout) -> list:
-    """Gebauer-Moeller update of the pair set for a new basis element t.
+    """Gebauer-Moeller update of the pair set for a new basis element t
+    (Gebauer and Moeller, "On an installation of Buchberger's
+    algorithm", J. Symbolic Comput. 6, 1988).
 
     leads are the packed leading monomials of the basis, earlier the
     indices of the elements that t pairs with, pending maps each queued
-    pair (i, j) to its lcm.  First the pending pairs that t makes
-    redundant are dropped (criterion B: lead(t) divides lcm(i, j), and
-    lcm(i, t) and lcm(j, t) both differ from it).  Then a new pair whose
-    lcm is a multiple of another surviving new pair's lcm is dropped
-    (criteria M and F).  Each of these drops is the chain criterion:
-    S(i, j) is covered by the S-polynomials of a chain i - k - j whose
-    leads divide lcm(i, j).  With coprime_criterion, pairs with coprime
-    leading monomials are dropped last (Buchberger's first criterion,
-    valid for polynomials but not for module vectors).  Returns the new
-    pairs to queue, as (i, lcm).
+    pair (i, j) to its lcm.  Criterion B drops the pending pairs that t
+    makes redundant: lead(t) divides lcm(i, j), and lcm(i, t) and
+    lcm(j, t) both differ from it.  The new pairs (i, t) are then taken
+    in one pass sorted by lcm, and a pair is dropped when the lcm of a
+    pair kept before it divides its own (criteria M and F).  The sort
+    is by the packed lcm, which puts every divisor before its
+    multiples: a divisor's fields are each no larger, so it is the
+    smaller int.  Each of these drops is the chain criterion: S(i, j)
+    is covered by the S-polynomials of a chain i - k - j whose leads
+    divide lcm(i, j).  With coprime_criterion, pairs with coprime
+    leading monomials (Buchberger's first criterion, valid for
+    polynomials but not for module vectors) sort first among equal
+    lcms and are kept but not returned, so they drop every pair whose
+    lcm is a multiple of theirs.  Returns the new pairs to queue, as
+    (i, lcm).
     """
     guard, bits, lcm_of = lay.guard, lay.bits, lay.lcm
     lt = leads[t]
-    for (i, j), lcm in list(pending.items()):
-        if (((lcm | guard) - lt) & guard == guard and lcm_of(leads[i], lt) != lcm
-                and lcm_of(leads[j], lt) != lcm):
-            del pending[i, j]
-    lcms = []
+    dead = [pair for pair, lcm in pending.items()
+            if ((lcm | guard) - lt) & guard == guard
+            and lcm_of(leads[pair[0]], lt) != lcm and lcm_of(leads[pair[1]], lt) != lcm]
+    for pair in dead:
+        del pending[pair]
+    new = []  # (lcm << 1 | to queue, i): coprime pairs sort first among equal lcms
     for i in earlier:
         a = leads[i]
         ge = ((a | guard) - lt) & guard  # lay.lcm, inline
-        lcms.append(lt ^ ((a ^ lt) & (ge - (ge >> bits))))
-    kept = []  # (i, lcm, coprime)
-    kept_lcms = []
-    for n, (i, lcm) in enumerate(zip(earlier, lcms)):
-        coprime = coprime_criterion and lcm == leads[i] + lt
-        if not coprime:
-            lg = lcm | guard
-            if (any((lg - other) & guard == guard for other in kept_lcms)
-                    or any((lg - other) & guard == guard for other in lcms[n + 1:])):
-                continue
-        kept.append((i, lcm, coprime))
-        kept_lcms.append(lcm)
-    return [(i, lcm) for i, lcm, coprime in kept if not coprime]
+        lcm = lt ^ ((a ^ lt) & (ge - (ge >> bits)))
+        new.append(((lcm << 1) | (not coprime_criterion or lcm != a + lt), i))
+    new.sort()
+    kept = []  # lcms of the kept pairs, coprime ones included
+    queued = []
+    for code, i in new:
+        lcm = code >> 1
+        lg = lcm | guard
+        for other in kept:
+            if (lg - other) & guard == guard:
+                break
+        else:
+            kept.append(lcm)
+            if code & 1:
+                queued.append((i, lcm))
+    return queued
 
 
 def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
@@ -291,10 +302,13 @@ def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
 
     Normal selection strategy: S-pairs ordered by lcm degree, then by
     the term order on the lcm, then by index.  Only elements whose
-    leading terms share a component form pairs, pruned by the chain
-    criterion in Gebauer-Moeller's form and, with coprime, by
-    Buchberger's first criterion (see _update_pairs).  An S-polynomial
-    is built in the division's work dict from the two reducers.
+    leading terms share a component form pairs.  Each new element
+    updates its component's pairs in Gebauer-Moeller's form: criterion
+    B on the queued pairs, then one pass over its new pairs sorted by
+    lcm for criteria M and F and, with coprime, Buchberger's first
+    criterion (see _update_pairs).  A queued pair that a later update
+    drops is skipped when popped.  An S-polynomial is built in the
+    division's work dict from the two reducers.
     """
     p, guard = lay.p, lay.guard
     G = sorted((_reducer(_monic(w, p), lay) for w in works if w),
@@ -431,7 +445,9 @@ def normal_form(f: Polynomial, basis: list[Polynomial], reducers=None) -> Polyno
     term comes off a heap; each term is reduced by the first basis
     element whose leading monomial divides it.  reducers, when given, is
     Reducers(basis, ring), kept by a caller that divides by one basis
-    many times.
+    many times, or the .reducers of a Basis: when basis is a Groebner
+    basis, any Groebner basis with its leading terms gives the same
+    remainder.
     """
     if reducers is None:
         reducers = Reducers(basis, f.ring)
@@ -448,12 +464,26 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
             - g.term_mul(tuple(a - b for a, b in zip(lcm, lg)), cg))
 
 
-def buchberger(gens, ring: Ring) -> list[Polynomial]:
+class Basis(list):
+    """A reduced Groebner basis, a list of Polynomials, with .reducers:
+    the Reducers of the minimal basis it was reduced from.  Both are
+    Groebner bases with the same leading terms, so they give the same
+    normal forms."""
+
+    __slots__ = ("reducers",)
+
+    def __init__(self, polys: list[Polynomial], reducers: Reducers):
+        super().__init__(polys)
+        self.reducers = reducers
+
+
+def buchberger(gens, ring: Ring) -> Basis:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
     The packed engine (_buchberger) with Buchberger's coprime criterion,
     rerun with wider fields while a term overflows; its packed basis
-    goes to interreduce as Reducers, without a second pack.
+    goes to interreduce as Reducers, without a second pack, and stays
+    with the result for later normal forms.
     """
     polys = [f for f in [*gens, *ring.relations] if not f.is_zero()]
 
@@ -462,7 +492,8 @@ def buchberger(gens, ring: Ring) -> list[Polynomial]:
         G = _buchberger([lay.pack_poly(f.terms) for f in polys], lay, True)
         return Reducers.from_engine(G, lay, ring)
     degree = max((f.degree() for f in polys), default=0)
-    return interreduce(_widening(run, _field_bytes(degree)))
+    reducers = _widening(run, _field_bytes(degree))
+    return Basis(interreduce(reducers), reducers)
 
 
 def interreduce(reducers: Reducers) -> list[Polynomial]:

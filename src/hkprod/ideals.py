@@ -27,8 +27,8 @@ class Ideal:
     """An ideal of the presented ring, with a lazily cached reduced basis.
 
     The basis always presents I + Q in the ambient polynomial ring, so
-    colengths over the quotient come for free.  Its packed reducers are
-    cached next to it, for membership tests and normal forms.
+    colengths over the quotient come for free.  The packed reducers that
+    built it are kept next to it, for membership tests and normal forms.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -51,6 +51,7 @@ class Ideal:
     def groebner_basis(self) -> list[Polynomial]:
         if self._gb is None:
             self._gb = groebner.buchberger(self.gens, self.ring)
+            self._reducers = self._gb.reducers
         return self._gb
 
     def colength(self):
@@ -76,7 +77,7 @@ class Ideal:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         gb = self.groebner_basis
-        if self._reducers is None:
+        if self._reducers is None:  # a bracket power's basis G^[q]
             self._reducers = groebner.Reducers(gb, self.ring)
         return groebner.normal_form(f, gb, self._reducers)
 

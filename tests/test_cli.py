@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -283,3 +284,51 @@ def test_cli_import_needs_no_numpy():
                            "import sys, hkprod.cli; print('numpy' in sys.modules)"],
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
+
+
+def test_successive_calls_share_no_parser_state(regular_file, capsys):
+    # one parser serves every call in a process
+    assert main(["verify", regular_file, "len-identity",
+                 "--ideal", "sq", "--ideal", "m", "--csv"]) == 0
+    assert capsys.readouterr().out.startswith("checker,")
+    # without --ideal: random trials, as JSON lines
+    assert main(["verify", regular_file, "len-identity", "--trials", "2"]) == 0
+    ring = load_session(regular_file).ring
+    expected = "".join(r.to_json_line() + "\n" for r in
+                       V.run_trials("len-identity", ring, 2, 0, e_max=1, n=2, mode=None))
+    assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", regular_file, "len-identity", "--qmax", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["colength", regular_file, "I"]) == 0
+    assert capsys.readouterr() == ("6\n", "")
+
+
+def test_parser_is_built_once_per_process(regular_file, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(5):
+        assert main(["colength", regular_file, "I"]) == 0
+    # none when an earlier test in this process built it
+    assert built.count("hkprod") <= 1
+    assert capsys.readouterr().out == "6\n" * 5
+
+
+def test_cli_import_builds_no_parser():
+    code = ("import argparse\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "built = []\n"
+            "def counting_init(self, *args, **kwargs):\n"
+            "    built.append(1)\n"
+            "    init(self, *args, **kwargs)\n"
+            "argparse.ArgumentParser.__init__ = counting_init\n"
+            "import hkprod.cli\n"
+            "print(len(built))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout.strip() == "0"

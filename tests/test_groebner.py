@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, colength_of_basis,
-                             elim_key, module_buchberger, module_colength,
+from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, _update_pairs,
+                             colength_of_basis, elim_key, module_buchberger, module_colength,
                              module_normal_form, staircase_count, top_key,
                              vector_from_polys)
 
@@ -281,6 +281,46 @@ def test_packed_monomials_match_tuple_operations(case, data):
         assert lay.code(pa, ma + mb, sum(ab)) - ca == cb - lay.code(pb, 0, 0)
     else:
         assert (ma + mb) & lay.guard
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts(), st.booleans(), st.data())
+def test_update_pairs_is_the_gebauer_moeller_update(case, coprime, data):
+    ring, lay = case
+    # small exponents, so that lcms often coincide or divide each other
+    monos = st.tuples(*[st.integers(0, 2)] * ring.nvars)
+    exps = data.draw(st.lists(monos, min_size=1, max_size=9))
+    leads = [lay.monomial(m) for m in exps]
+    t = len(leads) - 1
+    earlier = list(range(t))
+    lcm = {i: lay.monomial(tuple(map(max, exps[i], exps[t]))) for i in earlier}
+    pairs = [(i, j) for j in earlier for i in range(j)]
+    drawn = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    pending = {(i, j): lay.lcm(leads[i], leads[j]) for i, j in drawn}
+    before = dict(pending)
+    queued = _update_pairs(t, leads, earlier, pending, coprime, lay)
+
+    assert all(lcm[i] == m for i, m in queued)
+    returned = [i for i, _ in queued]
+    assert len(set(returned)) == len(returned)
+    coprimes = [i for i in earlier
+                if coprime and not any(a and b for a, b in zip(exps[i], exps[t]))]
+    assert not set(coprimes) & set(returned)
+    kept = returned + coprimes
+    # no kept lcm divides a queued one: queued lcms are pairwise
+    # non-dividing, and none is a multiple of a coprime pair's lcm
+    for i in returned:
+        assert not any(lay.divides(lcm[j], lcm[i]) for j in kept if j != i)
+    # every pair not queued is covered by a kept pair whose lcm divides its own
+    for i in set(earlier) - set(returned):
+        assert any(lay.divides(lcm[j], lcm[i]) for j in kept)
+
+    def criterion_b(i, j):
+        m = before[i, j]
+        return lay.divides(leads[t], m) and lcm[i] != m and lcm[j] != m
+    assert pending == {pair: m for pair, m in before.items() if pair in pending}
+    assert all(criterion_b(*pair) for pair in before.keys() - pending.keys())
+    assert not any(criterion_b(*pair) for pair in pending)
 
 
 def test_empty_input(F2xy):
