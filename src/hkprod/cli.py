@@ -14,7 +14,7 @@ import sys
 from functools import cache
 
 from . import verify as V
-from .hk import hk_estimate, hk_table, tc_probe
+from .hk import ESTIMATE_METHODS, hk_estimate, hk_table, tc_probe
 from .ideals import MinimalGeneratorsError
 from .sessions import load_session
 
@@ -88,9 +88,8 @@ def _named_reports(check, sess, names, args):
 def cmd_verify(args) -> int:
     sess = load_session(args.file)
     if args.check not in V.CHECK_NAMES:
-        print(f"error: unknown check {args.check!r}; choose from "
-              f"{', '.join(V.CHECK_NAMES)}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"unknown check {args.check!r}; choose from "
+                          f"{', '.join(V.CHECK_NAMES)}")
     if args.ideal:
         reports = _named_reports(args.check, sess, args.ideal, args)
     else:
@@ -139,9 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal")
     p.add_argument("--qmax", type=nonnegative_int, default=2, metavar="E",
                    help="largest exponent e, rows up to q=p^e")
-    p.add_argument("--method", default="auto",
-                   help="estimate method: auto, exact-regular, "
-                        "exact-monomial-volume, sequence-last, sequence-extrapolated")
+    p.add_argument("--method", default="auto", choices=("auto", *ESTIMATE_METHODS),
+                   help="estimate method")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

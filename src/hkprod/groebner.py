@@ -6,11 +6,12 @@ relations (for ideals) or relation multiples of the basis vectors (for
 modules).  Output bases are reduced, monic and deterministically sorted,
 so identical inputs give identical bases.
 
-Inside the engines every term is one int (see _Layout).  The public
+Inside the engines every term is one int (see _Layout), whose order
+on module terms is the one term order of both engines.  The public
 functions take and return Polynomials and vectors: they pack on entry
-and unpack on exit.  An engine hands its packed basis to interreduce
-as Reducers, which unpack only the minimal part and divide its tails in
-the engine's layout, so an engine's basis is packed once.
+and unpack on exit.  Both engines run through Reducers.from_engine,
+which hands the packed basis to interreduce, so an engine's basis is
+packed once.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .rings import Monomial, Polynomial, Ring
 
 # A module element of R^rank is a dict {(component, monomial): coeff}; an
 # ideal element is packed as a vector in component 0.
-VecTerm = tuple[int, Monomial]
 Vector = dict
 
 
@@ -38,23 +38,6 @@ def _field_bytes(degree: int) -> int:
     """Bytes per exponent field for an input of this total degree: room
     for twice any exponent of the input, under the guard bit."""
     return (degree.bit_length() + 9) // 8
-
-
-def _widening(run, field_bytes: int):
-    """run(field_bytes), rerun with fields twice as wide while a term
-    overflows."""
-    while True:
-        try:
-            return run(field_bytes)
-        except _Overflow:
-            field_bytes *= 2
-
-
-def _extent(vectors) -> tuple[int, int]:
-    """(largest total degree, rank) of the terms of vectors."""
-    terms = [t for v in vectors for t in v]
-    return (max(map(sum, map(itemgetter(1), terms)), default=0),
-            1 + max(map(itemgetter(0), terms), default=0))
 
 
 class _Layout:
@@ -83,6 +66,12 @@ class _Layout:
     first, and two codes in one component differ by an amount that
     depends only on the quotient of their monomials: the code of a
     multiple of a term is that term's code plus a shift.
+
+    The code defines the engines' term order, the only one they have.
+    On monomials it is the ring's order.  On module terms it is TOP
+    (term over position: the monomial first, then e_0 > e_1 > ...) or,
+    with elim, ELIM: every term in component 0 above every term
+    elsewhere, then TOP.
     """
 
     __slots__ = ("p", "field_bytes", "bits", "largest", "byteorder", "nbytes", "shifts",
@@ -376,53 +365,77 @@ def _minimal(G: list[tuple], lay: _Layout) -> list[tuple]:
 class Reducers:
     """A division basis, packed once for many normal forms.
 
-    basis holds Polynomials, or vectors when key (a ModuleOrder) is
-    given.  It is packed at the first division, with fields sized from
-    the basis and that dividend, or comes packed from the engine
-    (from_engine); it is repacked wider, in place, when a later dividend
-    or reduction does not fit.
+    basis holds Polynomials when elim is None, else vectors under the
+    module order that elim picks (see _Layout).  It is packed at the
+    first division, with fields sized from the basis and that dividend,
+    or comes packed from the engine (from_engine); it is repacked wider,
+    in place, when a later dividend or reduction does not fit.
     """
 
-    def __init__(self, basis: list, ring: Ring, key=None):
+    __slots__ = ("basis", "ring", "elim", "lay", "rows")
+
+    def __init__(self, basis: list, ring: Ring, elim: bool | None = None):
         self.basis = basis
         self.ring = ring
-        self.key = key
+        self.elim = elim
         self.lay = None
         self.rows: dict = {}
 
     @classmethod
-    def from_engine(cls, G: list[tuple], lay: _Layout, ring: Ring, key=None) -> "Reducers":
-        """Reducers of the minimal part of _buchberger's basis G, kept in
-        its layout lay; .basis holds those elements unpacked, sorted by
-        leading term."""
+    def from_engine(cls, elements: list, ring: Ring, elim: bool | None = None) -> "Reducers":
+        """Reducers of the minimal Groebner basis of elements, Polynomials
+        or (with elim a bool) vectors, kept in the engine's layout.
+
+        The one entry to the packed engine (_buchberger): fields sized
+        from elements, rerun twice as wide while a term overflows, and
+        Buchberger's coprime criterion, which does not hold for module
+        vectors, on Polynomials only.  .basis holds the minimal part
+        unpacked, monic, sorted by leading term, each element listing
+        its leading term first.
+        """
+        self = cls([], ring, elim)
+        lay = self._layout(elements)
+        while True:
+            try:
+                G = _buchberger([self._pack(lay, x) for x in elements], lay, elim is None)
+                break
+            except _Overflow:
+                lay = self._layout(elements, 2 * lay.field_bytes)
         rows = _minimal(G, lay)
-        unpack = lay.unpack if key else lambda ts: Polynomial(ring, lay.unpack_poly(ts))
-        self = cls([unpack(_terms(r, ring.p)) for r in rows], ring, key)
         self.lay, self.rows = lay, _by_position(rows, lay)
+        unpacked = (self._unpack(_terms(r, ring.p)) for r in rows)
+        self.basis = [Polynomial(ring, t) for t in unpacked] if elim is None else list(unpacked)
         return self
 
-    def _size(self, xs) -> tuple[int, int]:
-        if self.key is None:
-            return max((max(map(sum, f.terms)) for f in xs if f.terms), default=0), 1
-        return _extent(xs)
+    def _layout(self, xs, field_bytes: int = 1) -> _Layout:
+        """A layout that the elements xs fit, with fields of at least
+        field_bytes: room for twice their largest total degree."""
+        if self.elim is None:
+            degree = max((max(map(sum, f.terms)) for f in xs if f.terms), default=0)
+            rank = 1
+        else:
+            terms = [t for v in xs for t in v]
+            degree = max(map(sum, map(itemgetter(1), terms)), default=0)
+            rank = 1 + max(map(itemgetter(0), terms), default=0)
+        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, bool(self.elim))
 
     def _pack(self, lay: _Layout, x) -> dict:
-        return lay.pack(x) if self.key else lay.pack_poly(x.terms)
+        return lay.pack_poly(x.terms) if self.elim is None else lay.pack(x)
 
-    def _repack(self, xs, field_bytes: int = 1) -> list[tuple]:
+    def _unpack(self, terms):
+        return self.lay.unpack_poly(terms) if self.elim is None else self.lay.unpack(terms)
+
+    def _repack(self, xs, field_bytes: int = 1):
         """Pack the basis in a layout that the dividends xs fit too, with
-        fields of at least field_bytes; returns its reducers in order."""
-        degree, rank = self._size([*self.basis, *xs])
-        lay = self.lay = _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank,
-                                 bool(self.key and self.key.elim))
-        rows = [_reducer(w, lay) for w in (self._pack(lay, g) for g in self.basis) if w]
-        self.rows = _by_position(rows, lay)
-        return rows
+        fields of at least field_bytes."""
+        lay = self.lay = self._layout([*self.basis, *xs], field_bytes)
+        self.rows = _by_position(
+            [_reducer(w, lay) for w in (self._pack(lay, g) for g in self.basis) if w], lay)
 
     def remainder(self, x):
         """The remainder of x, a Polynomial or a vector like the basis,
         as polynomial terms or a vector from the largest term down."""
-        if self.lay is None or (self.key and
+        if self.lay is None or (self.elim is not None and
                                 max((pos for pos, _ in x), default=0) >= self.lay.rank):
             self._repack([x])
         while True:
@@ -432,7 +445,7 @@ class Reducers:
             except _Overflow:
                 self._repack([x], 2 * lay.field_bytes)
                 continue
-            return lay.unpack(rem.items()) if self.key else lay.unpack_poly(rem.items())
+            return self._unpack(rem.items())
 
 
 # --- the ideal engine ---------------------------------------------------------
@@ -480,19 +493,11 @@ class Basis(list):
 def buchberger(gens, ring: Ring) -> Basis:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
-    The packed engine (_buchberger) with Buchberger's coprime criterion,
-    rerun with wider fields while a term overflows; its packed basis
-    goes to interreduce as Reducers, without a second pack, and stays
-    with the result for later normal forms.
+    The engine's packed minimal basis (Reducers.from_engine) goes to
+    interreduce without a second pack, and stays with the result for
+    later normal forms.
     """
-    polys = [f for f in [*gens, *ring.relations] if not f.is_zero()]
-
-    def run(field_bytes):
-        lay = _Layout(ring, field_bytes)
-        G = _buchberger([lay.pack_poly(f.terms) for f in polys], lay, True)
-        return Reducers.from_engine(G, lay, ring)
-    degree = max((f.degree() for f in polys), default=0)
-    reducers = _widening(run, _field_bytes(degree))
+    reducers = Reducers.from_engine([*gens, *ring.relations], ring)
     return Basis(interreduce(reducers), reducers)
 
 
@@ -576,36 +581,10 @@ def colength_of_basis(gb: list[Polynomial], ring: Ring):
 
 # --- the module engine ---------------------------------------------------------
 #
-# Orders on module terms:
-#   TOP  - term over position, position tiebreak e_0 > e_1 > ...
-#   ELIM - every term in component 0 beats every term elsewhere (used to
-#          read syzygies / colon ideals off an extended module basis).
-
-
-class ModuleOrder:
-    """A term order on module terms (component, monomial), TOP or ELIM.
-
-    Called on a term it returns an ascending sort key, so max(v, key=order)
-    is the leading term.
-    """
-
-    def __init__(self, ring: Ring, elim: bool):
-        self.elim = elim
-        self._key = ring.order.key
-
-    def __call__(self, t: VecTerm):
-        pos, m = t
-        if self.elim:
-            return (1 if pos == 0 else 0, self._key(m), -pos)
-        return (self._key(m), -pos)
-
-
-def top_key(ring: Ring) -> ModuleOrder:
-    return ModuleOrder(ring, elim=False)
-
-
-def elim_key(ring: Ring) -> ModuleOrder:
-    return ModuleOrder(ring, elim=True)
+# Module terms are ordered by _Layout.code: TOP with elim=False, ELIM
+# (used to read syzygies / colon ideals off an extended module basis)
+# with elim=True.  Module bases come back lead-first: each vector lists
+# its leading term first, so next(iter(v)) is its leading term.
 
 
 def vector_from_polys(polys) -> Vector:
@@ -623,44 +602,39 @@ def vector_to_polys(v: Vector, rank: int, ring: Ring) -> list[Polynomial]:
     return [Polynomial(ring, t) for t in comps]
 
 
-def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, key,
+def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, elim: bool = False,
                        reducers=None) -> Vector:
-    """Remainder of v under first-match division by basis in order key.
+    """Remainder of v under first-match division by basis, in the TOP
+    order or, with elim, the ELIM order.
 
     The division of normal_form, on module terms.  reducers, when given,
-    is Reducers(basis, ring, key), kept by a caller that divides by one
+    is Reducers(basis, ring, elim), kept by a caller that divides by one
     basis many times.
     """
     if reducers is None:
-        reducers = Reducers(basis, ring, key)
+        reducers = Reducers(basis, ring, elim)
     return reducers.remainder(v)
 
 
-def module_buchberger(vectors: list[Vector], ring: Ring, key) -> list[Vector]:
-    """Reduced module Groebner basis; S-pairs only within a component.
+def module_buchberger(vectors: list[Vector], ring: Ring, elim: bool = False) -> list[Vector]:
+    """Reduced module Groebner basis, lead-first, in the TOP order or, with
+    elim, the ELIM order; S-pairs only within a component.
 
-    The packed engine (_buchberger) without the coprime criterion, which
-    does not hold for module vectors, rerun with wider fields while a
-    term overflows; its packed basis goes to module_interreduce.
+    The engine's packed minimal basis (Reducers.from_engine) goes to
+    module_interreduce.
     """
-    degree, rank = _extent(vectors)
-
-    def run(field_bytes):
-        lay = _Layout(ring, field_bytes, rank, key.elim)
-        G = _buchberger([lay.pack(v) for v in vectors], lay, False)
-        return Reducers.from_engine(G, lay, ring, key)
-    return module_interreduce(_widening(run, _field_bytes(degree)))
+    return module_interreduce(Reducers.from_engine(vectors, ring, elim))
 
 
 def module_interreduce(reducers: Reducers) -> list[Vector]:
     """Fully reduce the minimal monic module basis of reducers, as
-    interreduce."""
-    key = reducers.key
+    interreduce; every vector keeps its leading term first."""
     reduced = []
     for v in reducers.basis:
-        lead = max(v, key=key)
+        lead = next(iter(v))
         tail = {t: c for t, c in v.items() if t != lead}
-        r = module_normal_form(tail, reducers.basis, reducers.ring, key, reducers) if tail else {}
+        r = (module_normal_form(tail, reducers.basis, reducers.ring, reducers.elim, reducers)
+             if tail else {})
         reduced.append({lead: 1, **r})
     return reduced
 
@@ -680,9 +654,10 @@ def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
         vectors.append(v)
     for g in list(modulo) + list(ring.relations):
         vectors.append({(0, m): c for m, c in g.terms.items()})
-    basis = module_buchberger(vectors, ring, elim_key(ring))
+    # under ELIM a vector whose lead lies outside component 0 has no term there
+    basis = module_buchberger(vectors, ring, elim=True)
     return [{(i - 1, m): c for (i, m), c in v.items()}
-            for v in basis if all(t[0] != 0 for t in v)]
+            for v in basis if next(iter(v))[0] != 0]
 
 
 def syzygies(polys: list[Polynomial], ring: Ring) -> list[list[Polynomial]]:
@@ -712,10 +687,9 @@ def module_colength(vectors: list[Vector], rank: int, ring: Ring):
     for f in ring.relations:
         for i in range(rank):
             gens.append({(i, m): c for m, c in f.terms.items()})
-    key = top_key(ring)
     per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for v in module_buchberger(gens, ring, key):
-        i, m = max(v, key=key)
+    for v in module_buchberger(gens, ring):
+        i, m = next(iter(v))
         per_component[i].append(m)
     total = 0
     for leads in per_component:

@@ -27,8 +27,10 @@ class Ideal:
     """An ideal of the presented ring, with a lazily cached reduced basis.
 
     The basis always presents I + Q in the ambient polynomial ring, so
-    colengths over the quotient come for free.  The packed reducers that
-    built it are kept next to it, for membership tests and normal forms.
+    colengths over the quotient come for free.  It is a groebner.Basis,
+    whose reducers serve membership tests and normal forms: the engine's
+    packed basis for a computed one, packed at the first division for a
+    bracket power's G^[q].
     """
 
     def __init__(self, ring: Ring, gens):
@@ -42,16 +44,14 @@ class Ideal:
                 polys.append(f)
         self.gens = tuple(polys)
         self._gb = None
-        self._reducers = None
         self._colength = None
         self._mu = None
         self._brackets: dict[int, Ideal] = {}
 
     @property
-    def groebner_basis(self) -> list[Polynomial]:
+    def groebner_basis(self) -> groebner.Basis:
         if self._gb is None:
             self._gb = groebner.buchberger(self.gens, self.ring)
-            self._reducers = self._gb.reducers
         return self._gb
 
     def colength(self):
@@ -77,9 +77,7 @@ class Ideal:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         gb = self.groebner_basis
-        if self._reducers is None:  # a bracket power's basis G^[q]
-            self._reducers = groebner.Reducers(gb, self.ring)
-        return groebner.normal_form(f, gb, self._reducers)
+        return groebner.normal_form(f, gb, gb.reducers)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)
@@ -115,7 +113,8 @@ class Ideal:
                 # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
                 # of some lt(g)^q; and x -> x^q keeps the monomial order,
                 # monic leads and reducedness.  G^[q] is the reduced basis.
-                bracket._gb = [g.frobenius(q) for g in self.groebner_basis]
+                gq = [g.frobenius(q) for g in self.groebner_basis]
+                bracket._gb = groebner.Basis(gq, groebner.Reducers(gq, self.ring))
             self._brackets[q] = bracket
         return self._brackets[q]
 

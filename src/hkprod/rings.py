@@ -86,6 +86,8 @@ class Ring:
             raise ValueError("characteristic too large; prime fields only, p < 2^31")
         self.p = p
         self.variables = tuple(variables)
+        if not self.variables:
+            raise ValueError("a ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         self.order = MonomialOrder(order)
@@ -178,15 +180,6 @@ class Polynomial:
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         key = self.ring.order.key
         return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
-    def monic(self) -> "Polynomial":
-        if self.is_zero():
-            return self
-        inv = pow(self.leading_coefficient(), -1, self.ring.p)
-        if inv == 1:
-            return self
-        return Polynomial(self.ring, {m: (c * inv) % self.ring.p
-                                      for m, c in self.terms.items()})
 
     def _check(self, other: "Polynomial"):
         if not self.ring.same_as(other.ring):

@@ -192,9 +192,26 @@ def rescan_normal_form(f, basis):
     return type(f)(ring, remainder)
 
 
+def module_order(ring, elim=False):
+    """Ascending sort key on module terms (component, monomial), so that
+    max(v, key=module_order(ring, elim)) is the leading term of v.
+
+    TOP: the ring's monomial order, then position, e_0 > e_1 > ...
+    ELIM (elim=True): every term in component 0 above every term
+    elsewhere, then TOP.  A tuple comparison written out here, apart
+    from the engine's packed codes, so that the reference division
+    below does not share its order with the code it checks.
+    """
+    mono = ring.order.key
+    if elim:
+        return lambda t: (t[0] == 0, mono(t[1]), -t[0])
+    return lambda t: (mono(t[1]), -t[0])
+
+
 def rescan_module_normal_form(v, basis, ring, key):
     """The module analogue of rescan_normal_form, for vectors
-    {(component, monomial): coeff} under the term order `key`."""
+    {(component, monomial): coeff} under the term order `key`, a sort key
+    such as module_order(ring, elim)."""
     p = ring.p
     lead = []
     for w in basis:

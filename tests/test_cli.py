@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import hkprod.cli
 from hkprod import verify as V
 from hkprod.cli import main
 from hkprod.sessions import load_session
@@ -154,6 +155,36 @@ def test_verify_csv_summary(regular_file, capsys):
 
 def test_verify_unknown_check_exit_2(regular_file, capsys):
     assert main(["verify", regular_file, "no-such-check"]) == 2
+
+
+def test_verify_unknown_check_reports_one_error_line(regular_file, capsys):
+    assert main(["verify", regular_file, "bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: unknown check 'bogus'; choose from {', '.join(V.CHECK_NAMES)}\n"
+
+
+def test_hk_unknown_method_fails_before_any_work(regular_file, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("hk_table called")
+    monkeypatch.setattr(hkprod.cli, "hk_table", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(["hk", regular_file, "I", "--method", "exact-regluar"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'exact-regluar'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["colength", "I"],  # answered 0 on F_2[]
+    ["verify", "len-identity", "--trials", "1"],  # failed inside randrange
+])
+def test_ring_without_variables_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "empty.hk"
+    path.write_text("ring: p=2 vars=\nideal I = [1]\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: a ring needs at least one variable\n"
 
 
 def test_verify_integer_star_spread_mode(regular_file, capsys):

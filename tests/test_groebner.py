@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (ModuleOrder, _field_bytes, _Layout, _update_pairs,
-                             colength_of_basis, elim_key, module_buchberger, module_colength,
-                             module_normal_form, staircase_count, top_key,
-                             vector_from_polys)
+from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, colength_of_basis,
+                             module_buchberger, module_colength, module_normal_form,
+                             staircase_count, vector_from_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
-                      is_groebner, module_is_groebner,
+                      is_groebner, module_is_groebner, module_order,
                       rescan_module_normal_form, rescan_normal_form)
 from .strategies import bounded_ideals, polys, rings
 
@@ -151,15 +150,14 @@ def test_syzygies_contain_taylor_relations(F2xy):
     # for a monomial sequence the Taylor vectors generate all syzygies
     a = [F2xy.poly("x^2"), F2xy.poly("x*y"), F2xy.poly("y^2")]
     syz = syzygies(a, F2xy)
-    basis = module_buchberger([vector_from_polys(s) for s in syz],
-                              F2xy, top_key(F2xy))
+    basis = module_buchberger([vector_from_polys(s) for s in syz], F2xy)
     taylor = [
         [F2xy.poly("y"), F2xy.poly("x"), F2xy.zero()],
         [F2xy.zero(), F2xy.poly("y"), F2xy.poly("x")],
         [F2xy.poly("y^2"), F2xy.zero(), F2xy.poly("x^2")],
     ]
     for t in taylor:
-        nf = module_normal_form(vector_from_polys(t), basis, F2xy, top_key(F2xy))
+        nf = module_normal_form(vector_from_polys(t), basis, F2xy)
         assert not nf
 
 
@@ -225,7 +223,7 @@ def test_engines_widen_fields_when_a_term_overflows():
     f, basis = ring.poly("x^8"), [ring.poly("x + y^16")]
     assert normal_form(f, basis) == rescan_normal_form(f, basis) == ring.poly("y^128")
     assert module_normal_form(vector_from_polys([f]), [vector_from_polys(basis)],
-                              ring, top_key(ring)) == {(0, (0, 128)): 1}
+                              ring) == {(0, (0, 128)): 1}
 
 
 def test_tail_reduction_widens_the_engine_layout():
@@ -238,10 +236,9 @@ def test_tail_reduction_widens_the_engine_layout():
     gb = buchberger(gens, ring)
     assert [str(g) for g in gb] == ["y + z^63", "x + z^3780"]
     assert is_groebner(gb)
-    key = top_key(ring)
-    basis = module_buchberger([vector_from_polys([g]) for g in gens], ring, key)
+    basis = module_buchberger([vector_from_polys([g]) for g in gens], ring)
     assert basis == [vector_from_polys([g]) for g in gb]
-    assert module_is_groebner(basis, ring, key)
+    assert module_is_groebner(basis, ring, module_order(ring))
 
 
 @st.composite
@@ -267,8 +264,9 @@ def test_packed_monomials_match_tuple_operations(case, data):
     assert (ka == kb) == (a == b)
     assert lay.divides(ma, mb) == all(x <= y for x, y in zip(a, b))
     assert lay.lcm(ma, mb) == lay.monomial(tuple(map(max, a, b)))
-    # codes of module terms sort as the module order and unpack to the term
-    key = ModuleOrder(ring, lay.elim)
+    # codes of module terms sort as the reference module order and unpack
+    # to the term
+    key = module_order(ring, lay.elim)
     pa, pb = (data.draw(st.integers(0, lay.rank - 1)) for _ in "ab")
     ca, cb = lay.code(pa, ma, sum(a)), lay.code(pb, mb, sum(b))
     assert (ca < cb) == (key((pa, a)) > key((pb, b)))
@@ -375,13 +373,14 @@ def _bounded_vectors(ring, gens, rank):
 @given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans())
 def test_module_buchberger_output_is_reduced(case, rank, elim):
     ring, gens, _ = case
-    key = elim_key(ring) if elim else top_key(ring)
-    basis = module_buchberger(_bounded_vectors(ring, gens, rank), ring, key)
+    key = module_order(ring, elim)
+    basis = module_buchberger(_bounded_vectors(ring, gens, rank), ring, elim)
     leads = [max(v, key=key) for v in basis]
+    assert [next(iter(v)) for v in basis] == leads  # lead-first
     assert all(v[t] == 1 for v, t in zip(basis, leads))
     keys = [key(t) for t in leads]
     assert keys == sorted(set(keys))
-    assert module_buchberger(basis, ring, key) == basis
+    assert module_buchberger(basis, ring, elim) == basis
     for v, t in zip(basis, leads):
         tail = {u: c for u, c in v.items() if u != t}
         assert rescan_module_normal_form(tail, basis, ring, key) == tail
@@ -442,20 +441,19 @@ def _spread(g, shift, rank):
 @given(division_cases(), st.integers(1, 3), st.booleans())
 def test_module_normal_form_matches_rescan_division(case, rank, elim):
     ring, polys_, f = case
-    key = elim_key(ring) if elim else top_key(ring)
     basis = [_spread(g, i, rank) for i, g in enumerate(polys_)]
     v = _spread(f, 0, rank)
-    assert module_normal_form(v, basis, ring, key) == \
-        rescan_module_normal_form(v, basis, ring, key)
+    assert module_normal_form(v, basis, ring, elim) == \
+        rescan_module_normal_form(v, basis, ring, module_order(ring, elim))
 
 
 @settings(max_examples=40, deadline=None)
 @given(bounded_ideals(max_extra=2), st.integers(2, 3), st.booleans())
 def test_module_buchberger_passes_unpruned_criterion(case, rank, elim):
     ring, gens, _ = case
-    key = elim_key(ring) if elim else top_key(ring)
+    key = module_order(ring, elim)
     vectors = _bounded_vectors(ring, gens, rank)
-    basis = module_buchberger(vectors, ring, key)
+    basis = module_buchberger(vectors, ring, elim)
     assert module_is_groebner(basis, ring, key)
     for v in vectors:
         assert not rescan_module_normal_form(v, basis, ring, key)

@@ -20,6 +20,12 @@ def test_duplicate_variables_rejected():
         Ring(2, ["x", "x"])
 
 
+def test_ring_needs_a_variable():
+    for variables in ([], "", ()):
+        with pytest.raises(ValueError, match="at least one variable"):
+            Ring(2, variables)
+
+
 def test_square_of_sum_in_char_two(F2xy):
     f = F2xy.poly("(x+y)^2")
     assert f == F2xy.poly("x^2 + y^2")
