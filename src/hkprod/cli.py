@@ -15,7 +15,6 @@ from functools import cache
 
 from . import verify as V
 from .hk import ESTIMATE_METHODS, hk_estimate, hk_table, tc_probe
-from .ideals import MinimalGeneratorsError
 from .sessions import load_session
 
 
@@ -51,8 +50,10 @@ def cmd_colength(args) -> int:
 def cmd_hk(args) -> int:
     sess = load_session(args.file)
     ideal = sess.ideal(args.ideal)
-    table = hk_table(ideal, args.qmax)
+    # the estimate first: an inapplicable method fails before any table
+    # work, and the sequence methods leave the bracket colengths memoized
     est = hk_estimate(ideal, args.qmax, args.method)
+    table = hk_table(ideal, args.qmax)
     if args.json:
         obj = table.to_json_obj()
         obj["estimate"] = {
@@ -174,7 +175,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, MinimalGeneratorsError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

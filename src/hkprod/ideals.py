@@ -16,13 +16,6 @@ class InfiniteColengthError(ValueError):
     """The ideal is not primary to the ideal of all variables."""
 
 
-class MinimalGeneratorsError(RuntimeError):
-    """Greedy trimming could not realize mu(I) many generators.
-
-    Happens for some non-homogeneous generating sets where only a unit
-    combination of generators is redundant, never a single generator."""
-
-
 class Ideal:
     """An ideal of the presented ring, with a lazily cached reduced basis.
 
@@ -97,23 +90,25 @@ class Ideal:
         return result
 
     def bracket_power(self, q: int) -> "Ideal":
-        """I^[q]: generated by the q-th Frobenius powers of the generators.
+        """I^[q], generated by the q-th Frobenius powers of one generating
+        list, memoized per q so each bracket power keeps its cached basis.
 
-        Memoized per q, so each bracket power keeps its cached basis.  On
-        a polynomial ring that basis is G^[q], G the reduced basis of I;
-        over a quotient it is computed from scratch."""
+        On a polynomial ring that list is G, the reduced basis of I, and
+        G^[q] is both the generators and the reduced basis of I^[q].  Over
+        a quotient the generators are powered and Buchberger runs."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
             return self
         if q not in self._brackets:
-            bracket = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
-            if self.ring.is_regular:
+            regular = self.ring.is_regular
+            gq = [g.frobenius(q) for g in (self.groebner_basis if regular else self.gens)]
+            bracket = Ideal(self.ring, gq)
+            if regular:
                 # Frobenius is flat on S (Kunz): S is free over S^q on the
                 # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
                 # of some lt(g)^q; and x -> x^q keeps the monomial order,
                 # monic leads and reducedness.  G^[q] is the reduced basis.
-                gq = [g.frobenius(q) for g in self.groebner_basis]
                 bracket._gb = groebner.Basis(gq, groebner.Reducers(gq, self.ring))
             self._brackets[q] = bracket
         return self._brackets[q]
@@ -125,9 +120,7 @@ class Ideal:
     def min_gens(self) -> int:
         """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables."""
         if self._mu is None:
-            lam = self.colength()
-            if lam is None:
-                raise InfiniteColengthError("min_gens needs finite colength")
+            lam = self.colength_strict()
             self._mu = (maximal_ideal(self.ring) * self).colength_strict() - lam
         return self._mu
 
@@ -142,29 +135,21 @@ class Ideal:
                 del gens[i]
         return gens
 
-    def minimal_generators(self, strict: bool = True) -> list[Polynomial]:
-        """A generating sequence of mu(I) elements, by greedy trimming.
+    def minimal_generators(self) -> list[Polynomial]:
+        """A generating sequence of I, by greedy trimming.
 
-        Trims the given generators, then the reduced basis if that got
-        stuck (the basis is echelonized, so single-generator redundancy
-        is the common case there).  With strict=True a sequence longer
-        than mu(I) raises; with strict=False the shortest one found is
-        returned (the length bookkeeping downstream is valid for any
-        generating sequence, just not minimal).
+        Trims the given generators and, when that leaves more than mu(I)
+        of an m-primary I, also the reduced basis (echelonized, so single
+        generators are redundant there more often), and returns the
+        shorter.  Each is irredundant, but neither need have mu(I)
+        elements: a unit combination of generators can be redundant where
+        no single one is.  The length identity holds for any generating
+        sequence; a caller that needs mu(I) compares lengths.
         """
         trimmed = self._greedy_trim(list(self.gens))
-        if not self.is_m_primary():
+        if not self.is_m_primary() or len(trimmed) == self.min_gens():
             return trimmed
-        mu = self.min_gens()
-        if len(trimmed) == mu:
-            return trimmed
-        from_basis = self._greedy_trim(list(self.groebner_basis))
-        if len(from_basis) == mu:
-            return from_basis
-        if strict:
-            raise MinimalGeneratorsError(
-                f"could not trim ({self}) to mu={mu} generators")
-        return min(trimmed, from_basis, key=len)
+        return min(trimmed, self._greedy_trim(list(self.groebner_basis)), key=len)
 
     def equals(self, other: "Ideal") -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)

@@ -27,22 +27,23 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     Computed as l * lambda(R/I^[q]) minus lambda(R^l / (K_{a^q} + I^[q] R^l)),
     with the syzygy module K_{a^q} and the module basis recomputed fresh at
     every q on every ring.  That is on purpose: Frobenius does not transport
-    syzygies outside regular rings, and on a polynomial ring, where
-    Ideal.bracket_power takes its basis as G^[q], this module computation
-    keeps the kernel side of the length identity independent of it.
+    syzygies outside regular rings.  The module side powers a and I.gens
+    itself, and reads no basis from the ideal engine, so it stays
+    independent of Ideal.bracket_power, which on a polynomial ring takes
+    G^[q] as the generators of I^[q].
     """
     if not a:
         raise ValueError("empty generating sequence")
     ring = I.ring
     ell = len(a)
     aq = [f.frobenius(q) for f in a]
-    Iq = I.bracket_power(q)
-    lam_Iq = Iq.colength_strict()
+    lam_Iq = I.bracket_power(q).colength_strict()
     syz = groebner.syzygies(aq, ring)
     vectors = [groebner.vector_from_polys(v) for v in syz]
-    for g in Iq.gens:
+    for g in I.gens:
+        gq = g.frobenius(q)
         for pos in range(ell):
-            vectors.append({(pos, m): c for m, c in g.terms.items()})
+            vectors.append({(pos, m): c for m, c in gq.terms.items()})
     quotient = groebner.module_colength(vectors, ell, ring)
     if quotient is None:
         raise InfiniteColengthError("K_a + I R^l has infinite module colength")

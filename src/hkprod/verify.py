@@ -16,9 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hk import jacobian_candidates, star_spread, tc_probe
-from .ideals import (Ideal, MinimalGeneratorsError, TrialSpec,
-                     is_parameter_ideal, krull_dim, maximal_ideal,
-                     random_ideals)
+from .ideals import (Ideal, TrialSpec, is_parameter_ideal, krull_dim,
+                     maximal_ideal, random_ideals)
 from .koszul import kernel_length, len_identity_sides
 from .rings import Ring
 
@@ -112,7 +111,7 @@ def verify_len_identity(I: Ideal, J: Ideal, q: int = 1) -> VerifyReport:
 
     Exact for any generating sequence of J, minimal or not; the l on the
     left is the length of the sequence actually used."""
-    a = J.minimal_generators(strict=False)
+    a = J.minimal_generators()
     sides = len_identity_sides(I, a, q)
     return VerifyReport(
         check=LEN_IDENTITY, fixture=_fixture(I, J), q=q,
@@ -125,7 +124,7 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
     """lambda(R/IJ) <= mu(J)*lambda(R/I) + lambda(R/J); principal J gets
     the regular-element branch lambda(M/IM) <= lambda(R/I) with the
     annihilator criterion reported."""
-    a = J.minimal_generators(strict=False)
+    a = J.minimal_generators()
     lam_I = I.colength_strict()
     if len(a) == 1:
         # principal J needs no colength of its own: the bound reduces to
@@ -193,10 +192,13 @@ def verify_eqconds(I: Ideal, J: Ideal) -> VerifyReport:
 def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
     """lambda(J/IJ) = mu(J)*lambda(R/I) exactly when the presentation
     kernel vanishes (J/IJ free over R/I); the two detections must agree.
-    Needs a genuinely minimal sequence: at a non-minimal presentation the
-    kernel is nonzero even for free quotients."""
+    Needs mu(J) generators: at a longer presentation the kernel is nonzero
+    even for free quotients, so a J that greedy trimming cannot bring down
+    to mu(J) is NotApplicable."""
     a = J.minimal_generators()
-    mu = len(a)
+    mu = J.min_gens()
+    if len(a) != mu:
+        raise NotApplicable(f"could not trim ({J}) to mu={mu} generators")
     lam_JIJ = (I * J).colength_strict() - J.colength_strict()
     rhs = mu * I.colength_strict()
     free_by_length = lam_JIJ == rhs
@@ -226,7 +228,7 @@ def verify_cor_square(J: Ideal) -> VerifyReport:
 def verify_eq7_per_q(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     """The length identity at every q = p^0 ... p^e_max (the exact form
     behind the limiting Hilbert-Kunz identity)."""
-    a = J.minimal_generators(strict=False)
+    a = J.minimal_generators()
     per_q = {}
     all_hold = True
     p = I.ring.p
@@ -290,10 +292,12 @@ def verify_eqthentc(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyReport:
     """Equality in the product bound forces J inside the tight closure
     of I: exact containment check in regular rings (I* = I); in other
     rings a zero finite-q gap triggers probe runs, reported unasserted."""
+    ring = I.ring
+    if not ring.is_regular and e_max < 1:
+        raise ValueError(f"{EQTHENTC} off regular rings needs e_max at least 1")
     ls = star_spread(J, mode)
     if ls < 2:
         raise NotApplicable("theorem needs star spread at least 2")
-    ring = I.ring
     hk, q, _ = _hk_side(ring, e_max)
     lhs = hk(I * J)
     rhs = ls * hk(I) + hk(J)
@@ -417,7 +421,10 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
 
 
 def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
-    """lambda(R/I^[q]) <= lambda(R/m^[q]) * lambda(R/I) for every q."""
+    """lambda(R/I^[q]) <= lambda(R/m^[q]) * lambda(R/I) for every
+    q = p^1 ... p^e_max; e_max < 1 would check nothing and is refused."""
+    if e_max < 1:
+        raise ValueError(f"{HUNEKE_YAO} needs e_max at least 1")
     ring = I.ring
     m = maximal_ideal(ring)
     lam_I = I.colength_strict()
@@ -534,8 +541,7 @@ CHECK_NAMES = tuple(CHECKS)
 def run_trials(check: str, ring: Ring, trials: int, seed: int,
                e_max: int = 1, n: int = 2, mode=None) -> list[VerifyReport]:
     """Seeded randomized suite for one checker; deterministic output.
-    Trials outside the check's hypotheses, or without a trimmable
-    minimal generating sequence, are skipped."""
+    Trials outside the check's hypotheses (NotApplicable) are skipped."""
     spec = CHECKS.get(check)
     if spec is None:
         raise ValueError(f"unknown check {check!r}")
@@ -546,6 +552,6 @@ def run_trials(check: str, ring: Ring, trials: int, seed: int,
         ideals = spec.draw(ring, rng, t, bound)
         try:
             reports += spec.run(ideals, e_max, n, mode)
-        except (NotApplicable, MinimalGeneratorsError):
+        except NotApplicable:
             pass
     return reports

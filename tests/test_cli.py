@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 
@@ -14,6 +15,11 @@ from hkprod.sessions import load_session
 
 REGULAR = "ring: p=2 vars=x,y\nideal I = [x^2, y^3]\nideal L = [x]\nideal m = [x, y]\nideal sq = [x^2, y^2]\n"
 FERMAT = "ring: p=2 vars=x,y,z mod=[x^3+y^3+z^3]\nideal J = [y, z]\nideal m = [x, y, z]\n"
+
+
+# subprocesses import the same hkprod as this process, installed or not
+SUBPROCESS_ENV = dict(os.environ,
+                      PYTHONPATH=os.path.dirname(os.path.dirname(hkprod.__file__)))
 
 
 @pytest.fixture
@@ -164,6 +170,15 @@ def test_verify_unknown_check_reports_one_error_line(regular_file, capsys):
     assert err == f"error: unknown check 'bogus'; choose from {', '.join(V.CHECK_NAMES)}\n"
 
 
+def test_hk_inapplicable_method_fails_before_the_table(fermat_file, monkeypatch, capsys):
+    def no_table(*args, **kwargs):
+        raise AssertionError("hk_table called")
+    monkeypatch.setattr(hkprod.cli, "hk_table", no_table)
+    assert main(["hk", fermat_file, "J", "--qmax", "3", "--method", "exact-regular"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: exact-regular needs a relation-free presentation\n"
+
+
 def test_hk_unknown_method_fails_before_any_work(regular_file, monkeypatch, capsys):
     def no_table(*args, **kwargs):
         raise AssertionError("hk_table called")
@@ -280,6 +295,13 @@ def test_verify_untrimmable_generators_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_huneke_yao_qmax_zero_exit_2(regular_file, capsys):
+    # at q = 1 alone there is nothing to check: this printed holds: true
+    assert main(["verify", regular_file, "huneke-yao", "--qmax", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "e_max at least 1" in err
+
+
 def test_verify_deterministic_output(regular_file, capsys):
     args = ["verify", regular_file, "eqconds", "--trials", "15", "--seed", "9"]
     assert main(args) == 0
@@ -306,14 +328,14 @@ def test_probe_bad_polynomial_exit_2(regular_file, capsys):
 def test_module_entry_point(regular_file):
     proc = subprocess.run([sys.executable, "-m", "hkprod.cli",
                            "colength", regular_file, "I"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "6"
 
 
 def test_cli_import_needs_no_numpy():
     proc = subprocess.run([sys.executable, "-c",
                            "import sys, hkprod.cli; print('numpy' in sys.modules)"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "False"
 
 
@@ -361,5 +383,6 @@ def test_cli_import_builds_no_parser():
             "argparse.ArgumentParser.__init__ = counting_init\n"
             "import hkprod.cli\n"
             "print(len(built))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "0"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
+from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, TrialSpec,
                     is_parameter_ideal, krull_dim, maximal_ideal,
                     random_ideals)
 from hkprod import buchberger, groebner
@@ -81,6 +81,19 @@ def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, m
     assert len(built) == 1
 
 
+def test_bracket_power_on_polynomial_rings_powers_the_basis_once(F2xyz, monkeypatch):
+    I = I_(F2xyz, "x^2 + y*z", "y^2 + x*z", "z^3", "x*y*z")
+    G = I.groebner_basis
+    powered = []
+    frobenius = Polynomial.frobenius
+    monkeypatch.setattr(Polynomial, "frobenius",
+                        lambda f, q: powered.append(f) or frobenius(f, q))
+    B = I.bracket_power(8)
+    assert powered == list(G)
+    assert list(B.gens) == B.groebner_basis == [g.frobenius(8) for g in G]
+    assert B.colength() == 8**3 * I.colength()
+
+
 def test_colon_spec_value(F2xy):
     colon = I_(F2xy, "x^2", "y^2").colon(F2xy.poly("x"))
     assert colon.equals(I_(F2xy, "x", "y^2"))
@@ -130,9 +143,8 @@ def test_minimal_generators_nonstrict_on_stubborn_fixture(F2xy):
     assert I.min_gens() == 2
     assert I.equals(maximal_ideal(F2xy))
     # the reduced basis trims down to mu elements even when the raw
-    # generators do not, so both strictness modes succeed here
-    assert len(I.minimal_generators(strict=False)) == 2
-    assert len(I.minimal_generators(strict=True)) == 2
+    # generators do not
+    assert len(I.minimal_generators()) == 2
 
 
 @st.composite
@@ -159,7 +171,7 @@ def trim_inputs(draw):
 @settings(max_examples=60, deadline=None)
 @given(trim_inputs())
 def test_minimal_generators_trim_is_irredundant(I):
-    gens = I.minimal_generators(strict=False)
+    gens = I.minimal_generators()
     assert Ideal(I.ring, gens).equals(I)
     for i, g in enumerate(gens):
         assert not Ideal(I.ring, gens[:i] + gens[i + 1:]).contains(g)

@@ -63,6 +63,14 @@ def test_eqconds_fixtures(F2xy):
         V.verify_eqconds(I_(line, "x"), I_(line, "x^2"))
 
 
+def test_freeness_needs_mu_generators(F2xy):
+    # greedy trimming cannot bring J down to mu(J) = 2 generators
+    J = I_(F2xy, "y^3+x*y+x+y", "x^2*y+x*y+y^2+y", "x^2*y+x*y^2")
+    assert J.min_gens() == 2 and len(J.minimal_generators()) == 3
+    with pytest.raises(V.NotApplicable, match="mu=2"):
+        V.verify_freeness(J, I_(F2xy, "x^2", "y^2"))
+
+
 def test_freeness_fixtures(F2xy):
     free = V.verify_freeness(I_(F2xy, "x", "y"), I_(F2xy, "x", "y"))
     assert free.holds and free.data["free_by_length"] and free.data["kernel_length"] == 0
@@ -133,6 +141,15 @@ def test_eqthentc_fixtures(F2xy, fermat):
         V.verify_eqthentc(I_(line, "x"), I_(line, "x^2"), "regular")
 
 
+def test_eqthentc_off_regular_rings_refuses_e_max_0(fermat):
+    # the gap is 1 at q = 1, so e_max = 0 never reached tc_probe's own
+    # check: the refusal must not depend on the gap
+    I, J = I_(fermat, "x", "y^2", "z"), I_(fermat, "y", "z^2")
+    assert V.verify_eqthentc(I, J, "parameter", 1).holds
+    with pytest.raises(ValueError, match="e_max"):
+        V.verify_eqthentc(I, J, "parameter", 0)
+
+
 def test_param_lower_fixtures(F2xy, fermat):
     r = V.verify_param_lower_bound(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y"))
     assert r.holds and (r.lhs, r.rhs) == (6, 3)
@@ -171,6 +188,8 @@ def test_huneke_yao_fixtures(F2xy, fermat):
     assert r.holds and r.data["per_q"]["2"] == {"lhs": 12, "rhs": 16}
     eq = V.verify_huneke_yao_per_q(I_(F2xy, "x^2", "y^2"), 1)
     assert eq.holds and eq.data["per_q"]["2"] == {"lhs": 16, "rhs": 16}
+    with pytest.raises(ValueError, match="e_max"):  # no q > 1 to check
+        V.verify_huneke_yao_per_q(I_(F2xy, "x^2", "y^2"), 0)
 
 
 def test_report_json_lines_are_canonical(F2xy):
