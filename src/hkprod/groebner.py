@@ -56,28 +56,36 @@ class _Layout:
     does not carry into the next field, so one & checks a new term.
 
     The order key of a monomial m is one int, linear in m: m itself
-    under lex, (deg(m) << S) - m under grevlex.  A term is coded as
+    under lex, (deg(m) << S) - m under grevlex.  A term in component i
+    is coded as
 
-        (rank_key << (S + PB)) + (component << S) + m
+        (rank_key << (S + PB)) + (i << S) + m,  rank_key = r_i - (key << PB)
 
-    with the component in PB bits of its own and rank_key = component -
-    (key << PB), less 1 << top for component 0 of an elimination order.
-    Larger terms have smaller codes, so a heap pops the leading term
-    first, and two codes in one component differ by an amount that
-    depends only on the quotient of their monomials: the code of a
-    multiple of a term is that term's code plus a shift.
+    with the component in PB bits of its own.  One offset table holds
+    the whole module order: r_i = i - ((d_i << S) << PB) for the degree
+    d_i >= 0 of e_i, less 1 << top for component 0 of an elimination
+    order, and base[i] = (r_i << (S + PB)) + (i << S), so that a code is
+    base[i] - (key << (S + 2 PB)) + m.  Larger terms have smaller codes,
+    so a heap pops the leading term first, and two codes in one
+    component differ by an amount that depends only on the quotient of
+    their monomials: the code of a multiple of a term is that term's
+    code plus a shift.
 
     The code defines the engines' term order, the only one they have.
-    On monomials it is the ring's order.  On module terms it is TOP
-    (term over position: the monomial first, then e_0 > e_1 > ...) or,
-    with elim, ELIM: every term in component 0 above every term
-    elsewhere, then TOP.
+    On monomials it is the ring's order.  On module terms it compares
+    key(m) + (d_i << S), then the position, e_0 > e_1 > ...: with every
+    d_i = 0 that is TOP (term over position), and under grevlex with
+    d_i = deg(e_i) it is graded, the shifted degree deg(m) + d_i first
+    (Schreyer's induced orders).  With elim it is ELIM: every term in
+    component 0 above every term elsewhere, then that order.
     """
 
     __slots__ = ("p", "field_bytes", "bits", "largest", "byteorder", "nbytes", "shifts",
-                 "rank", "S", "PB", "guard", "mask", "pmask", "grevlex", "elim", "top")
+                 "rank", "S", "PB", "guard", "mask", "pmask", "grevlex", "elim", "degrees",
+                 "base", "key_shift", "degree_shift")
 
-    def __init__(self, ring: Ring, field_bytes: int, rank: int = 1, elim: bool = False):
+    def __init__(self, ring: Ring, field_bytes: int, rank: int = 1, elim: bool = False,
+                 degrees=None):
         n = ring.nvars
         width = 8 * field_bytes
         self.p = ring.p
@@ -95,9 +103,19 @@ class _Layout:
         self.mask = (1 << self.S) - 1
         self.pmask = (1 << self.PB) - 1
         self.elim = elim
-        # above every key << PB + component: a grevlex key is below
-        # (n << bits) << S
-        self.top = self.S + (n << self.bits).bit_length() + self.PB
+        self.degrees = tuple(degrees) if degrees else (0,) * rank
+        if len(self.degrees) != rank or min(self.degrees) < 0:
+            raise ValueError(f"need {rank} nonnegative degree shifts, got {self.degrees}")
+        S, PB = self.S, self.PB
+        # above every (key + (d << S)) << PB + component: a grevlex key is
+        # below (n << bits) << S
+        top = S + ((n << self.bits) + max(self.degrees)).bit_length() + PB
+        r = [pos - ((d << S) << PB) for pos, d in enumerate(self.degrees)]
+        if elim:
+            r[0] -= 1 << top
+        self.base = [(r_pos << (S + PB)) + (pos << S) for pos, r_pos in enumerate(r)]
+        self.key_shift = S + 2 * PB
+        self.degree_shift = S + self.key_shift
 
     def monomial(self, mono: Monomial) -> int:
         if max(mono, default=0) > self.largest:
@@ -123,10 +141,10 @@ class _Layout:
         return (degree << self.S) - m if self.grevlex else m
 
     def code(self, pos: int, m: int, degree: int) -> int:
-        rank_key = pos - (self.key(m, degree) << self.PB)
-        if self.elim and not pos:
-            rank_key -= 1 << self.top
-        return (rank_key << (self.S + self.PB)) + (pos << self.S) + m
+        """base[pos] - (key << key_shift) + m, with the key written out."""
+        if self.grevlex:
+            return self.base[pos] + (m << self.key_shift) + m - (degree << self.degree_shift)
+        return self.base[pos] - (m << self.key_shift) + m
 
     def position(self, code: int) -> int:
         return (code >> self.S) & self.pmask
@@ -289,8 +307,9 @@ def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
     works: monic reducers, the inputs sorted by leading term, then the
     new elements in the order they were found.
 
-    Normal selection strategy: S-pairs ordered by lcm degree, then by
-    the term order on the lcm, then by index.  Only elements whose
+    Normal selection strategy: S-pairs ordered by the degree of the lcm
+    term, deg(lcm) + d_i in component i (see _Layout), then by the term
+    order on the lcm, then by index.  Only elements whose
     leading terms share a component form pairs.  Each new element
     updates its component's pairs in Gebauer-Moeller's form: criterion
     B on the queued pairs, then one pass over its new pairs sorted by
@@ -310,14 +329,17 @@ def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
     pending: dict[int, dict] = {}
     queue: list = []
 
+    degree, code = lay.degree, lay.code
+
     def add_pairs(t):
         pos = lay.position(G[t][1])
+        shift = lay.degrees[pos]
         earlier = members.setdefault(pos, [])
         in_pos = pending.setdefault(pos, {})
         for i, lcm in _update_pairs(t, leads, earlier, in_pos, coprime, lay):
             in_pos[i, t] = lcm
-            deg = lay.degree(lcm)
-            heappush(queue, (deg, -lay.code(pos, lcm, deg), i, t))
+            deg = degree(lcm)
+            heappush(queue, (deg + shift, -code(pos, lcm, deg), i, t))
         earlier.append(t)
         rows.setdefault(pos, []).append(G[t])
 
@@ -366,34 +388,38 @@ class Reducers:
     """A division basis, packed once for many normal forms.
 
     basis holds Polynomials when elim is None, else vectors under the
-    module order that elim picks (see _Layout).  It is packed at the
-    first division, with fields sized from the basis and that dividend,
-    or comes packed from the engine (from_engine); it is repacked wider,
-    in place, when a later dividend or reduction does not fit.
+    module order that elim and degrees pick (see _Layout).  It is packed
+    at the first division, with fields sized from the basis and that
+    dividend, or comes packed from the engine (from_engine); it is
+    repacked wider, in place, when a later dividend or reduction does
+    not fit.
     """
 
-    __slots__ = ("basis", "ring", "elim", "lay", "rows")
+    __slots__ = ("basis", "ring", "elim", "degrees", "lay", "rows")
 
-    def __init__(self, basis: list, ring: Ring, elim: bool | None = None):
+    def __init__(self, basis: list, ring: Ring, elim: bool | None = None, degrees=None):
         self.basis = basis
         self.ring = ring
         self.elim = elim
+        self.degrees = degrees
         self.lay = None
         self.rows: dict = {}
 
     @classmethod
-    def from_engine(cls, elements: list, ring: Ring, elim: bool | None = None) -> "Reducers":
+    def from_engine(cls, elements: list, ring: Ring, elim: bool | None = None,
+                    degrees=None) -> "Reducers":
         """Reducers of the minimal Groebner basis of elements, Polynomials
         or (with elim a bool) vectors, kept in the engine's layout.
 
         The one entry to the packed engine (_buchberger): fields sized
         from elements, rerun twice as wide while a term overflows, and
         Buchberger's coprime criterion, which does not hold for module
-        vectors, on Polynomials only.  .basis holds the minimal part
+        vectors, on Polynomials only.  degrees, for vectors, puts e_i in
+        degree degrees[i] (see _Layout).  .basis holds the minimal part
         unpacked, monic, sorted by leading term, each element listing
         its leading term first.
         """
-        self = cls([], ring, elim)
+        self = cls([], ring, elim, degrees)
         lay = self._layout(elements)
         while True:
             try:
@@ -416,8 +442,9 @@ class Reducers:
         else:
             terms = [t for v in xs for t in v]
             degree = max(map(sum, map(itemgetter(1), terms)), default=0)
-            rank = 1 + max(map(itemgetter(0), terms), default=0)
-        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, bool(self.elim))
+            rank = max(1 + max(map(itemgetter(0), terms), default=0), len(self.degrees or ()))
+        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, bool(self.elim),
+                       self.degrees)
 
     def _pack(self, lay: _Layout, x) -> dict:
         return lay.pack_poly(x.terms) if self.elim is None else lay.pack(x)
@@ -583,8 +610,9 @@ def colength_of_basis(gb: list[Polynomial], ring: Ring):
 #
 # Module terms are ordered by _Layout.code: TOP with elim=False, ELIM
 # (used to read syzygies / colon ideals off an extended module basis)
-# with elim=True.  Module bases come back lead-first: each vector lists
-# its leading term first, so next(iter(v)) is its leading term.
+# with elim=True, each graded by degrees, one shift per component (all 0
+# by default).  Module bases come back lead-first: each vector lists its
+# leading term first, so next(iter(v)) is its leading term.
 
 
 def vector_from_polys(polys) -> Vector:
@@ -616,14 +644,18 @@ def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, elim: bool = 
     return reducers.remainder(v)
 
 
-def module_buchberger(vectors: list[Vector], ring: Ring, elim: bool = False) -> list[Vector]:
+def module_buchberger(vectors: list[Vector], ring: Ring, elim: bool = False,
+                      degrees=None) -> list[Vector]:
     """Reduced module Groebner basis, lead-first, in the TOP order or, with
     elim, the ELIM order; S-pairs only within a component.
 
-    The engine's packed minimal basis (Reducers.from_engine) goes to
+    degrees, when given, puts e_i in degree degrees[i] >= 0 (see _Layout):
+    for homogeneous input in a grevlex ring the module is then graded and
+    S-pairs are taken degree by degree, as for homogeneous ideals.  The
+    engine's packed minimal basis (Reducers.from_engine) goes to
     module_interreduce.
     """
-    return module_interreduce(Reducers.from_engine(vectors, ring, elim))
+    return module_interreduce(Reducers.from_engine(vectors, ring, elim, degrees))
 
 
 def module_interreduce(reducers: Reducers) -> list[Vector]:
@@ -644,7 +676,10 @@ def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
 
     A syzygy is a tuple s with sum(s_i * a_i) in (modulo) + Q, read off
     an elimination-order module basis of the vectors a_i*e_0 + e_i
-    together with g*e_0 for each g in modulo and each relation.
+    together with g*e_0 for each g in modulo and each relation.  e_i
+    sits in degree deg(a_i), so these vectors are homogeneous when the
+    a_i, modulo and Q are, and the engine runs degree by degree; any
+    ELIM-type order gives the same syzygy module.
     """
     vectors: list[Vector] = []
     for i, a in enumerate(polys):
@@ -655,7 +690,8 @@ def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
     for g in list(modulo) + list(ring.relations):
         vectors.append({(0, m): c for m, c in g.terms.items()})
     # under ELIM a vector whose lead lies outside component 0 has no term there
-    basis = module_buchberger(vectors, ring, elim=True)
+    degrees = [0, *(max(a.degree(), 0) for a in polys)]
+    basis = module_buchberger(vectors, ring, elim=True, degrees=degrees)
     return [{(i - 1, m): c for (i, m), c in v.items()}
             for v in basis if next(iter(v))[0] != 0]
 
@@ -677,18 +713,23 @@ def colon_by_element(gens: list[Polynomial], f: Polynomial, ring: Ring) -> list[
     return [vector_to_polys(v, 1, ring)[0] for v in _syzygy_basis([f], gens, ring)]
 
 
-def module_colength(vectors: list[Vector], rank: int, ring: Ring):
+def module_colength(vectors: list[Vector], rank: int, ring: Ring, degrees=None):
     """lambda(R^rank / N) for N generated by vectors (relations adjoined).
 
     None when infinite.  Computed componentwise from the leading-term
-    module of the TOP-order basis of N + Q*(e_0,...,e_{rank-1}).
+    module of a minimal basis of N + Q*(e_0,...,e_{rank-1}) in the TOP
+    order graded by degrees (see module_buchberger).  That count is
+    lambda(R^rank / N) under any module order, so degrees change only
+    the work: for a graded N, putting e_i in its degree lets the engine
+    run degree by degree.  Only leading terms are read, so the minimal
+    basis is not interreduced.
     """
     gens = [dict(v) for v in vectors if v]
     for f in ring.relations:
         for i in range(rank):
             gens.append({(i, m): c for m, c in f.terms.items()})
     per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for v in module_buchberger(gens, ring):
+    for v in Reducers.from_engine(gens, ring, False, degrees).basis:
         i, m = next(iter(v))
         per_component[i].append(m)
     total = 0

@@ -31,6 +31,11 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     itself, and reads no basis from the ideal engine, so it stays
     independent of Ideal.bracket_power, which on a polynomial ring takes
     G^[q] as the generators of I^[q].
+
+    e_i sits in degree deg(a_i^q): then K_{a^q} + I^[q] R^l is a graded
+    submodule of the sum of the R(-deg a_i^q) when a, I and the ring are
+    homogeneous, and both module bases are built degree by degree.  The
+    quotient length is the same under any module order.
     """
     if not a:
         raise ValueError("empty generating sequence")
@@ -44,7 +49,8 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
         gq = g.frobenius(q)
         for pos in range(ell):
             vectors.append({(pos, m): c for m, c in gq.terms.items()})
-    quotient = groebner.module_colength(vectors, ell, ring)
+    degrees = [max(f.degree(), 0) for f in aq]
+    quotient = groebner.module_colength(vectors, ell, ring, degrees)
     if quotient is None:
         raise InfiniteColengthError("K_a + I R^l has infinite module colength")
     return ell * lam_Iq - quotient

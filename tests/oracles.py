@@ -192,26 +192,40 @@ def rescan_normal_form(f, basis):
     return type(f)(ring, remainder)
 
 
-def module_order(ring, elim=False):
+def module_order(ring, elim=False, degrees=None):
     """Ascending sort key on module terms (component, monomial), so that
-    max(v, key=module_order(ring, elim)) is the leading term of v.
+    max(v, key=module_order(ring, elim, degrees)) is the leading term of v.
 
-    TOP: the ring's monomial order, then position, e_0 > e_1 > ...
-    ELIM (elim=True): every term in component 0 above every term
-    elsewhere, then TOP.  A tuple comparison written out here, apart
-    from the engine's packed codes, so that the reference division
+    e_i sits in degree degrees[i] (all 0 when degrees is None).  TOP
+    under grevlex: the shifted degree deg(m) + degrees[i], then the
+    reversed exponent vector with its sign flipped, then position, e_0 >
+    e_1 > ...; under lex: the shift, then the exponent vector, then
+    position.  With every shift 0 that is the ring's monomial order,
+    then position.  ELIM (elim=True): every term in component 0 above
+    every term elsewhere, then TOP.  A tuple comparison written out here,
+    apart from the engine's packed codes, so that the reference division
     below does not share its order with the code it checks.
     """
-    mono = ring.order.key
+    shift = tuple(degrees or ())
+
+    def d(i):
+        return shift[i] if i < len(shift) else 0
+
+    if ring.order.kind == "lex":
+        def weight(t):
+            return (d(t[0]), t[1])
+    else:
+        def weight(t):
+            return (sum(t[1]) + d(t[0]), tuple(-e for e in reversed(t[1])))
     if elim:
-        return lambda t: (t[0] == 0, mono(t[1]), -t[0])
-    return lambda t: (mono(t[1]), -t[0])
+        return lambda t: (t[0] == 0, weight(t), -t[0])
+    return lambda t: (weight(t), -t[0])
 
 
 def rescan_module_normal_form(v, basis, ring, key):
     """The module analogue of rescan_normal_form, for vectors
     {(component, monomial): coeff} under the term order `key`, a sort key
-    such as module_order(ring, elim)."""
+    such as module_order(ring, elim, degrees)."""
     p = ring.p
     lead = []
     for w in basis:

@@ -244,11 +244,12 @@ def test_tail_reduction_widens_the_engine_layout():
 @st.composite
 def layouts(draw):
     """A packing of 1 to 4 variables, lex or grevlex, fields of 1 to 3
-    bytes, rank 1 to 3, TOP or ELIM."""
+    bytes, rank 1 to 3, TOP or ELIM, each e_i in a degree from 0 to 6."""
     ring = Ring(2, "wxyz"[:draw(st.integers(1, 4))],
                 order=draw(st.sampled_from(["grevlex", "lex"])))
-    return ring, _Layout(ring, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
-                         draw(st.booleans()))
+    rank = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank))
+    return ring, _Layout(ring, draw(st.integers(1, 3)), rank, draw(st.booleans()), degrees)
 
 
 @settings(max_examples=300, deadline=None)
@@ -266,7 +267,7 @@ def test_packed_monomials_match_tuple_operations(case, data):
     assert lay.lcm(ma, mb) == lay.monomial(tuple(map(max, a, b)))
     # codes of module terms sort as the reference module order and unpack
     # to the term
-    key = module_order(ring, lay.elim)
+    key = module_order(ring, lay.elim, lay.degrees)
     pa, pb = (data.draw(st.integers(0, lay.rank - 1)) for _ in "ab")
     ca, cb = lay.code(pa, ma, sum(a)), lay.code(pb, mb, sum(b))
     assert (ca < cb) == (key((pa, a)) > key((pb, b)))
@@ -369,21 +370,56 @@ def _bounded_vectors(ring, gens, rank):
     return vectors + [_spread(g, i, rank) for i, g in enumerate(gens[ring.nvars:])]
 
 
+def _degrees(data, rank):
+    """None (every e_i in degree 0) or a degree from 0 to 6 for each of
+    rank components."""
+    return data.draw(st.none() | st.lists(st.integers(0, 6), min_size=rank, max_size=rank))
+
+
 @settings(max_examples=60, deadline=None)
-@given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans())
-def test_module_buchberger_output_is_reduced(case, rank, elim):
+@given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans(), st.data())
+def test_module_buchberger_output_is_reduced(case, rank, elim, data):
     ring, gens, _ = case
-    key = module_order(ring, elim)
-    basis = module_buchberger(_bounded_vectors(ring, gens, rank), ring, elim)
+    degrees = _degrees(data, rank)
+    key = module_order(ring, elim, degrees)
+    basis = module_buchberger(_bounded_vectors(ring, gens, rank), ring, elim, degrees)
     leads = [max(v, key=key) for v in basis]
     assert [next(iter(v)) for v in basis] == leads  # lead-first
     assert all(v[t] == 1 for v, t in zip(basis, leads))
     keys = [key(t) for t in leads]
     assert keys == sorted(set(keys))
-    assert module_buchberger(basis, ring, elim) == basis
+    assert module_buchberger(basis, ring, elim, degrees) == basis
     for v, t in zip(basis, leads):
         tail = {u: c for u, c in v.items() if u != t}
         assert rescan_module_normal_form(tail, basis, ring, key) == tail
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounded_ideals(max_extra=2), st.integers(1, 3), st.data())
+def test_module_colength_is_the_same_under_every_grading(case, rank, data):
+    ring, gens, _ = case
+    vectors = _bounded_vectors(ring, gens, rank)
+    degrees = data.draw(st.lists(st.integers(0, 6), min_size=rank, max_size=rank))
+    assert module_colength(vectors, rank, ring, degrees) == module_colength(vectors, rank, ring)
+
+
+@settings(max_examples=30, deadline=None)
+@given(bounded_ideals(max_extra=1))
+def test_graded_and_ungraded_syzygies_generate_one_module(case):
+    ring, gens, _ = case
+    # the ungraded syzygies, read off the ELIM basis with every e_i in
+    # degree 0 (syzygies puts e_i in degree deg(a_i))
+    extended = [{(0, m): c for m, c in f.terms.items()} | {(i + 1, (0,) * ring.nvars): 1}
+                for i, f in enumerate(gens)]
+    extended += [vector_from_polys([f]) for f in ring.relations]
+    ungraded = [{(i - 1, m): c for (i, m), c in v.items()}
+                for v in module_buchberger(extended, ring, elim=True) if next(iter(v))[0]]
+    graded = [vector_from_polys(s) for s in syzygies(gens, ring)]
+    graded_key = module_order(ring, degrees=[g.degree() for g in gens])
+    for v in graded:
+        assert not rescan_module_normal_form(v, ungraded, ring, module_order(ring))
+    for v in ungraded:
+        assert not rescan_module_normal_form(v, graded, ring, graded_key)
 
 
 @settings(max_examples=40, deadline=None)
@@ -448,12 +484,13 @@ def test_module_normal_form_matches_rescan_division(case, rank, elim):
 
 
 @settings(max_examples=40, deadline=None)
-@given(bounded_ideals(max_extra=2), st.integers(2, 3), st.booleans())
-def test_module_buchberger_passes_unpruned_criterion(case, rank, elim):
+@given(bounded_ideals(max_extra=2), st.integers(2, 3), st.booleans(), st.data())
+def test_module_buchberger_passes_unpruned_criterion(case, rank, elim, data):
     ring, gens, _ = case
-    key = module_order(ring, elim)
+    degrees = _degrees(data, rank)
+    key = module_order(ring, elim, degrees)
     vectors = _bounded_vectors(ring, gens, rank)
-    basis = module_buchberger(vectors, ring, elim)
+    basis = module_buchberger(vectors, ring, elim, degrees)
     assert module_is_groebner(basis, ring, key)
     for v in vectors:
         assert not rescan_module_normal_form(v, basis, ring, key)

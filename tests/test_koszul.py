@@ -2,7 +2,7 @@
 
 import pytest
 
-from hkprod import (Ideal, Ring, buchberger, kernel_length, len_identity_sides,
+from hkprod import (Ideal, Ring, buchberger, groebner, kernel_length, len_identity_sides,
                     normal_form)
 
 from .oracles import koszul_cells, koszul_vector
@@ -96,6 +96,32 @@ def test_len_identity_on_four_variable_quotient():
         s = len_identity_sides(I, a, q)
         assert (s.lhs, s.rhs_kernel, s.rhs_product) == sides
         assert s.holds()
+
+
+def _quartic():
+    ring = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
+    I = Ideal(ring, ["x^2+y*z", "y^2", "z^2"])
+    return I, [ring.poly(g) for g in ["x+y", "z^2", "y*z"]]
+
+
+def test_len_identity_on_the_quartic_at_high_q():
+    I, a = _quartic()
+    for q, sides in ((27, (31416, 12107, 19309)), (81, (282840, 108983, 173857))):
+        s = len_identity_sides(I, a, q)
+        assert (s.lhs, s.rhs_kernel, s.rhs_product) == sides
+        assert s.holds()
+
+
+def test_kernel_length_on_the_quartic_divides_little(monkeypatch):
+    # e_i in degree deg(a_i^q) lets both module bases be built degree by
+    # degree; with every e_i in degree 0 this takes 507 divisions
+    I, a = _quartic()
+    I.bracket_power(27).colength()  # as len_identity_sides does first
+    calls = []
+    divide = groebner._divide
+    monkeypatch.setattr(groebner, "_divide", lambda *args: calls.append(1) or divide(*args))
+    assert kernel_length(a, I, 27) == 12107
+    assert len(calls) <= 250
 
 
 def test_len_identity_nonminimal_sequence(F2xy):
