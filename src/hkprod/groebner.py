@@ -10,8 +10,9 @@ Inside the engines every term is one int (see _Layout), whose order
 on module terms is the one term order of both engines.  The public
 functions take and return Polynomials and vectors: they pack on entry
 and unpack on exit.  Both engines run through Reducers.from_engine,
-which hands the packed basis to interreduce, so an engine's basis is
-packed once.
+which keeps the packed minimal basis.  A colength reads only its
+leading terms (Reducers.leads); the basis is unpacked, and reduced by
+interreduce, only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -390,15 +391,15 @@ class Reducers:
     basis holds Polynomials when elim is None, else vectors under the
     module order that elim and degrees pick (see _Layout).  It is packed
     at the first division, with fields sized from the basis and that
-    dividend, or comes packed from the engine (from_engine); it is
-    repacked wider, in place, when a later dividend or reduction does
-    not fit.
+    dividend, or comes packed from the engine (from_engine) and is then
+    unpacked only when read; it is repacked wider, in place, when a
+    later dividend or reduction does not fit.
     """
 
-    __slots__ = ("basis", "ring", "elim", "degrees", "lay", "rows")
+    __slots__ = ("_basis", "ring", "elim", "degrees", "lay", "rows")
 
-    def __init__(self, basis: list, ring: Ring, elim: bool | None = None, degrees=None):
-        self.basis = basis
+    def __init__(self, basis: list | None, ring: Ring, elim: bool | None = None, degrees=None):
+        self._basis = basis
         self.ring = ring
         self.elim = elim
         self.degrees = degrees
@@ -415,11 +416,11 @@ class Reducers:
         from elements, rerun twice as wide while a term overflows, and
         Buchberger's coprime criterion, which does not hold for module
         vectors, on Polynomials only.  degrees, for vectors, puts e_i in
-        degree degrees[i] (see _Layout).  .basis holds the minimal part
-        unpacked, monic, sorted by leading term, each element listing
-        its leading term first.
+        degree degrees[i] (see _Layout).  .basis, at its first read,
+        unpacks the minimal part: monic, sorted by leading term, each
+        element listing its leading term first.
         """
-        self = cls([], ring, elim, degrees)
+        self = cls(None, ring, elim, degrees)
         lay = self._layout(elements)
         while True:
             try:
@@ -427,11 +428,29 @@ class Reducers:
                 break
             except _Overflow:
                 lay = self._layout(elements, 2 * lay.field_bytes)
-        rows = _minimal(G, lay)
-        self.lay, self.rows = lay, _by_position(rows, lay)
-        unpacked = (self._unpack(_terms(r, ring.p)) for r in rows)
-        self.basis = [Polynomial(ring, t) for t in unpacked] if elim is None else list(unpacked)
+        self.lay, self.rows = lay, _by_position(_minimal(G, lay), lay)
         return self
+
+    @property
+    def basis(self) -> list:
+        if self._basis is None:
+            rows = sorted((r for group in self.rows.values() for r in group),
+                          key=itemgetter(1), reverse=True)
+            unpacked = (self._unpack(_terms(r, self.ring.p)) for r in rows)
+            self._basis = ([Polynomial(self.ring, t) for t in unpacked] if self.elim is None
+                           else list(unpacked))
+        return self._basis
+
+    def leads(self) -> list[tuple[int, Monomial]]:
+        """(component, exponents) of the leading term of each nonzero basis
+        element, read off the packed leading codes.  Polynomials not yet
+        packed report their own: a colength alone does not pack them."""
+        if self.lay is None and self.elim is None:
+            return [(0, g.leading_monomial()) for g in self.basis if not g.is_zero()]
+        if self.lay is None:
+            self._repack(())
+        exponents = self.lay.exponents
+        return [(pos, exponents(r[0])) for pos, group in self.rows.items() for r in group]
 
     def _layout(self, xs, field_bytes: int = 1) -> _Layout:
         """A layout that the elements xs fit, with fields of at least
@@ -455,9 +474,10 @@ class Reducers:
     def _repack(self, xs, field_bytes: int = 1):
         """Pack the basis in a layout that the dividends xs fit too, with
         fields of at least field_bytes."""
-        lay = self.lay = self._layout([*self.basis, *xs], field_bytes)
+        basis = self.basis  # an engine basis unpacks from the old layout
+        lay = self.lay = self._layout([*basis, *xs], field_bytes)
         self.rows = _by_position(
-            [_reducer(w, lay) for w in (self._pack(lay, g) for g in self.basis) if w], lay)
+            [_reducer(w, lay) for w in (self._pack(lay, g) for g in basis) if w], lay)
 
     def remainder(self, x):
         """The remainder of x, a Polynomial or a vector like the basis,
@@ -477,7 +497,7 @@ class Reducers:
 
 # --- the ideal engine ---------------------------------------------------------
 
-def normal_form(f: Polynomial, basis: list[Polynomial], reducers=None) -> Polynomial:
+def normal_form(f: Polynomial, basis: list[Polynomial] | None, reducers=None) -> Polynomial:
     """Remainder of multivariate division of f by basis (first-match reducer).
 
     Zero iff f lies in the ideal generated by a *Groebner* basis; always
@@ -485,9 +505,10 @@ def normal_form(f: Polynomial, basis: list[Polynomial], reducers=None) -> Polyno
     term comes off a heap; each term is reduced by the first basis
     element whose leading monomial divides it.  reducers, when given, is
     Reducers(basis, ring), kept by a caller that divides by one basis
-    many times, or the .reducers of a Basis: when basis is a Groebner
-    basis, any Groebner basis with its leading terms gives the same
-    remainder.
+    many times, or the engine's Reducers of the ideal that basis
+    generates (Reducers.from_engine); basis is then not read and may be
+    None.  When basis is a Groebner basis, any Groebner basis with its
+    leading terms gives the same remainder.
     """
     if reducers is None:
         reducers = Reducers(basis, f.ring)
@@ -504,28 +525,13 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
             - g.term_mul(tuple(a - b for a, b in zip(lcm, lg)), cg))
 
 
-class Basis(list):
-    """A reduced Groebner basis, a list of Polynomials, with .reducers:
-    the Reducers of the minimal basis it was reduced from.  Both are
-    Groebner bases with the same leading terms, so they give the same
-    normal forms."""
-
-    __slots__ = ("reducers",)
-
-    def __init__(self, polys: list[Polynomial], reducers: Reducers):
-        super().__init__(polys)
-        self.reducers = reducers
-
-
-def buchberger(gens, ring: Ring) -> Basis:
+def buchberger(gens, ring: Ring) -> list[Polynomial]:
     """Reduced Groebner basis of (gens) + (ring.relations) in the ambient ring.
 
     The engine's packed minimal basis (Reducers.from_engine) goes to
-    interreduce without a second pack, and stays with the result for
-    later normal forms.
+    interreduce without a second pack.
     """
-    reducers = Reducers.from_engine([*gens, *ring.relations], ring)
-    return Basis(interreduce(reducers), reducers)
+    return interreduce(Reducers.from_engine([*gens, *ring.relations], ring))
 
 
 def interreduce(reducers: Reducers) -> list[Polynomial]:
@@ -598,12 +604,6 @@ def _box_count(gens: list[Monomial], bounds: list[int]) -> int:
         if not below:
             return total
     return total + (bounds[n] - start) * below
-
-
-def colength_of_basis(gb: list[Polynomial], ring: Ring):
-    """lambda of the quotient by the ideal a reduced basis presents."""
-    leads = [g.leading_monomial() for g in gb if not g.is_zero()]
-    return staircase_count(leads, ring.nvars)
 
 
 # --- the module engine ---------------------------------------------------------
@@ -721,16 +721,15 @@ def module_colength(vectors: list[Vector], rank: int, ring: Ring, degrees=None):
     order graded by degrees (see module_buchberger).  That count is
     lambda(R^rank / N) under any module order, so degrees change only
     the work: for a graded N, putting e_i in its degree lets the engine
-    run degree by degree.  Only leading terms are read, so the minimal
-    basis is not interreduced.
+    run degree by degree.  Only leading terms are read (Reducers.leads),
+    so the minimal basis is neither interreduced nor unpacked.
     """
     gens = [dict(v) for v in vectors if v]
     for f in ring.relations:
         for i in range(rank):
             gens.append({(i, m): c for m, c in f.terms.items()})
     per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for v in Reducers.from_engine(gens, ring, False, degrees).basis:
-        i, m = next(iter(v))
+    for i, m in Reducers.from_engine(gens, ring, False, degrees).leads():
         per_component[i].append(m)
     total = 0
     for leads in per_component:

@@ -17,13 +17,15 @@ class InfiniteColengthError(ValueError):
 
 
 class Ideal:
-    """An ideal of the presented ring, with a lazily cached reduced basis.
+    """An ideal of the presented ring, with a lazily cached Groebner basis.
 
     The basis always presents I + Q in the ambient polynomial ring, so
-    colengths over the quotient come for free.  It is a groebner.Basis,
-    whose reducers serve membership tests and normal forms: the engine's
-    packed basis for a computed one, packed at the first division for a
-    bracket power's G^[q].
+    colengths over the quotient come for free.  It is held as
+    groebner.Reducers: the engine's packed minimal basis for a computed
+    one, packed at its first division for a bracket power's G^[q].
+    Colengths count the staircase of its leading terms, and membership
+    tests and normal forms divide by it; only groebner_basis unpacks and
+    interreduces it, at its first read.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -36,6 +38,7 @@ class Ideal:
             if not f.is_zero():
                 polys.append(f)
         self.gens = tuple(polys)
+        self._reducers = None
         self._gb = None
         self._colength = None
         self._mu = None
@@ -43,15 +46,26 @@ class Ideal:
         self._brackets: dict[int, Ideal] = {}
 
     @property
-    def groebner_basis(self) -> groebner.Basis:
+    def reducers(self) -> groebner.Reducers:
+        """A minimal Groebner basis of I + Q: the engine's, run at the
+        first read, or a bracket power's G^[q]."""
+        if self._reducers is None:
+            self._reducers = groebner.Reducers.from_engine(
+                [*self.gens, *self.ring.relations], self.ring)
+        return self._reducers
+
+    @property
+    def groebner_basis(self) -> list[Polynomial]:
+        """The reduced Groebner basis, groebner.buchberger(gens, ring)."""
         if self._gb is None:
-            self._gb = groebner.buchberger(self.gens, self.ring)
+            self._gb = groebner.interreduce(self.reducers)
         return self._gb
 
     def colength(self):
         """lambda(R/I); None when infinite."""
         if self._colength is None:
-            self._colength = groebner.colength_of_basis(self.groebner_basis, self.ring)
+            leads = [m for _, m in self.reducers.leads()]
+            self._colength = groebner.staircase_count(leads, self.ring.nvars)
         return self._colength
 
     def colength_strict(self) -> int:
@@ -70,8 +84,7 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        gb = self.groebner_basis
-        return groebner.normal_form(f, gb, gb.reducers)
+        return groebner.normal_form(f, None, self.reducers)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)
@@ -110,7 +123,8 @@ class Ideal:
                 # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
                 # of some lt(g)^q; and x -> x^q keeps the monomial order,
                 # monic leads and reducedness.  G^[q] is the reduced basis.
-                bracket._gb = groebner.Basis(gq, groebner.Reducers(gq, self.ring))
+                bracket._gb = gq
+                bracket._reducers = groebner.Reducers(gq, self.ring)
             self._brackets[q] = bracket
         return self._brackets[q]
 

@@ -13,14 +13,16 @@ need higher-degree multiples to cancel against.
 The staircase and volume references at the end are plain too: one
 enumerates every cell of the box, the other sums inclusion-exclusion
 over all generator subsets.  The unpruned Buchberger criteria and the
-trivial Koszul syzygies are references for the two Groebner engines.
+trivial Koszul syzygies are references for the two Groebner engines,
+and colength_of_basis counts the staircase of a basis from the leading
+monomials its Polynomials report, not from the engine's packed codes.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
 
 from hkprod import Ideal, InfiniteColengthError
-from hkprod.groebner import s_polynomial
+from hkprod.groebner import s_polynomial, staircase_count
 from hkprod.rings import is_p_power
 
 
@@ -269,6 +271,13 @@ def is_groebner(G):
         if not rescan_normal_form(s_polynomial(f, g), G).is_zero():
             return False
     return True
+
+
+def colength_of_basis(gb, ring):
+    """lambda of the quotient by the ideal a Groebner basis presents,
+    counted from the leading monomials that the Polynomials report."""
+    leads = [g.leading_monomial() for g in gb if not g.is_zero()]
+    return staircase_count(leads, ring.nvars)
 
 
 def module_is_groebner(basis, ring, key):

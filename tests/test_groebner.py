@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, colength_of_basis,
-                             module_buchberger, module_colength, module_normal_form,
-                             staircase_count, vector_from_polys)
+from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, module_buchberger,
+                             module_colength, module_normal_form, staircase_count,
+                             vector_from_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
-                      is_groebner, module_is_groebner, module_order,
+                      colength_of_basis, is_groebner, module_is_groebner, module_order,
                       rescan_module_normal_form, rescan_normal_form)
 from .strategies import bounded_ideals, polys, rings
 

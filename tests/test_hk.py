@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec,
-                    hk_estimate, hk_table, jacobian_candidates,
+from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec, groebner,
+                    hk_estimate, hk_table, jacobian_candidates, krull_dim,
                     monomial_hk_volume, random_ideals, star_spread, tc_probe)
 
 from .oracles import subset_volume
@@ -25,6 +25,23 @@ def test_table_on_fermat_parameter(fermat):
     assert [r.colength for r in table.rows] == [3, 12, 48, 192]
     assert all(r.normalized == 3 for r in table.rows)
     assert table.d == 2
+
+
+def test_quotient_table_reads_only_the_engine_leads(monkeypatch):
+    # a colength counts the staircase of the engine's packed leading
+    # terms: with the ring's dimension known, no basis of the table is
+    # interreduced and no polynomial is unpacked
+    ring = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
+    IJ = I_(ring, "x^2+y*z", "y^2", "z^2") * I_(ring, "x+y", "y*z", "z^2")
+    krull_dim(ring)
+    calls = []
+    interreduce, unpack_poly = groebner.interreduce, groebner._Layout.unpack_poly
+    monkeypatch.setattr(groebner, "interreduce",
+                        lambda *args: calls.append("interreduce") or interreduce(*args))
+    monkeypatch.setattr(groebner._Layout, "unpack_poly",
+                        lambda *args: calls.append("unpack_poly") or unpack_poly(*args))
+    assert [r.colength for r in hk_table(IJ, 2).rows] == [17, 229, 2137]
+    assert calls == []
 
 
 def test_table_kunz_scaling(F5xy):

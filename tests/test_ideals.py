@@ -11,8 +11,8 @@ from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, TrialSpec,
 from hkprod import buchberger, groebner
 from hkprod.ideals import FAMILIES
 
-from .oracles import brute_colength
-from .strategies import bounded_ideals
+from .oracles import brute_colength, rescan_normal_form
+from .strategies import bounded_ideals, polys
 
 
 def I_(ring, *gens):
@@ -64,10 +64,17 @@ def test_bracket_power_basis_is_buchberger_on_the_bracket_generators(case, squar
     assert buchberger(basis, ring) == basis
 
 
-def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, monkeypatch):
+def count_engine_runs(monkeypatch) -> list:
+    """Record the arguments of every Groebner engine run from now on."""
     built = []
-    engine = groebner.buchberger
-    monkeypatch.setattr(groebner, "buchberger", lambda *args: built.append(args) or engine(*args))
+    engine = groebner.Reducers.from_engine
+    monkeypatch.setattr(groebner.Reducers, "from_engine",
+                        classmethod(lambda cls, *args: built.append(args) or engine(*args)))
+    return built
+
+
+def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, monkeypatch):
+    built = count_engine_runs(monkeypatch)
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
     assert I.colength() == 12
     built.clear()
@@ -121,9 +128,7 @@ def test_min_gens(F2xy, F3xy):
 def test_min_gens_is_cached(F2xy, monkeypatch):
     I = I_(F2xy, "x^2", "x*y", "y^2")
     assert I.min_gens() == 3
-    built = []
-    engine = groebner.buchberger
-    monkeypatch.setattr(groebner, "buchberger", lambda *args: built.append(args) or engine(*args))
+    built = count_engine_runs(monkeypatch)
     assert I.min_gens() == 3
     assert built == []
     # the count sees the bases that a fresh ideal builds
@@ -187,6 +192,37 @@ def test_colength_finiteness(F2xy):
 def test_colength_against_brute_force_dense(F3xy):
     I = I_(F3xy, "x^2 + 2*y^3", "y^4", "x*y + y^2")
     assert I.colength_strict() == brute_colength(I.gens, F3xy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bounded_ideals(), st.data())
+def test_ideal_answers_from_the_engine_reducers_agree_with_the_oracles(case, data):
+    """Colength from the packed leads, division by the packed minimal
+    basis, and the reduced basis that groebner_basis unpacks and
+    interreduces afterwards."""
+    ring, gens, exact = case
+    I = Ideal(ring, gens)
+    assert I.colength() == brute_colength(gens, ring, max_deg=exact, slack=0)
+    gb = buchberger(gens, ring)
+    f = data.draw(polys(ring, max_terms=4, max_degree=6))
+    assert I.normal_form(f) == rescan_normal_form(f, gb)
+    assert I.groebner_basis == gb
+
+
+def test_division_repacks_a_basis_that_was_never_unpacked():
+    # the engine packs this basis in one-byte fields, exponents up to
+    # 127; the dividend does not fit them, so the division unpacks the
+    # basis from the engine's rows and repacks it wider
+    ring = Ring(3, "xyz")
+    gens = [ring.poly("x^2 + y*z"), ring.poly("y^3 + x*z")]
+    I = Ideal(ring, gens)
+    assert I.colength() is None
+    assert I.reducers.lay.field_bytes == 1 and I.reducers._basis is None
+    f = ring.poly("x^130*z + 2*x*y^129 + z^140 + x*y")
+    gb = buchberger(gens, ring)
+    assert I.normal_form(f) == rescan_normal_form(f, gb)
+    assert I.reducers.lay.field_bytes == 2
+    assert sorted(I.reducers.leads()) == sorted((0, g.leading_monomial()) for g in gb)
 
 
 def test_krull_dim(F2xy, fermat):
