@@ -6,13 +6,16 @@ relations (for ideals) or relation multiples of the basis vectors (for
 modules).  Output bases are reduced, monic and deterministically sorted,
 so identical inputs give identical bases.
 
-Inside the engines every term is one int (see _Layout), whose order
-on module terms is the one term order of both engines.  The public
-functions take and return Polynomials and vectors: they pack on entry
-and unpack on exit.  Both engines run through Reducers.from_engine,
-which keeps the packed minimal basis.  A colength reads only its
-leading terms (Reducers.leads); the basis is unpacked, and reduced by
-interreduce, only for a caller that reads it.
+There is one packed engine, on vectors: an ideal element enters it as
+its vector in component 0 (as_vector), and a rank-1 run is an ideal
+run, with Buchberger's coprime criterion.  Inside the engine every term
+is one int (see _Layout), whose order on module terms is the one term
+order.  The public functions take and return Polynomials and vectors:
+they convert and pack on entry and unpack on exit.  Every Groebner
+basis is computed by Reducers.from_engine, which keeps the packed
+minimal basis.  A colength reads only its leading terms
+(Reducers.leads); the basis is unpacked, and reduced by interreduce,
+only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -25,8 +28,13 @@ from operator import itemgetter
 from .rings import Monomial, Polynomial, Ring
 
 # A module element of R^rank is a dict {(component, monomial): coeff}; an
-# ideal element is packed as a vector in component 0.
+# ideal element enters the engine as its vector in component 0.
 Vector = dict
+
+
+def as_vector(f: Polynomial, pos: int = 0) -> Vector:
+    """f as a vector in component pos."""
+    return {(pos, m): c for m, c in f.terms.items()}
 
 
 # --- packed terms -----------------------------------------------------------
@@ -137,10 +145,6 @@ class _Layout:
         v = self.largest
         return sum([(m >> s) & v for s in self.shifts])
 
-    def key(self, m: int, degree: int) -> int:
-        """The order key of monomial m of total degree `degree`."""
-        return (degree << self.S) - m if self.grevlex else m
-
     def code(self, pos: int, m: int, degree: int) -> int:
         """base[pos] - (key << key_shift) + m, with the key written out."""
         if self.grevlex:
@@ -163,19 +167,10 @@ class _Layout:
         """{code: coeff} of a vector; raises _Overflow if it does not fit."""
         return {self.code(pos, self.monomial(m), sum(m)): c for (pos, m), c in v.items()}
 
-    def pack_poly(self, terms: dict) -> dict:
-        """{code: coeff} of polynomial terms, in component 0."""
-        return {self.code(0, self.monomial(m), sum(m)): c for m, c in terms.items()}
-
     def unpack(self, terms) -> Vector:
         """The vector of the (code, coeff) pairs, in their order."""
         S, pmask, mask, exponents = self.S, self.pmask, self.mask, self.exponents
         return {((e >> S) & pmask, exponents(e & mask)): c for e, c in terms}
-
-    def unpack_poly(self, terms) -> dict:
-        """The polynomial terms of the (code, coeff) pairs, in their order."""
-        mask, exponents = self.mask, self.exponents
-        return {exponents(e & mask): c for e, c in terms}
 
 
 def _monic(work: dict, p: int) -> dict:
@@ -303,7 +298,7 @@ def _update_pairs(t: int, leads: list[int], earlier, pending: dict,
     return queued
 
 
-def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
+def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     """Groebner basis, not yet reduced, of the nonzero packed elements in
     works: monic reducers, the inputs sorted by leading term, then the
     new elements in the order they were found.
@@ -314,12 +309,13 @@ def _buchberger(works: list[dict], lay: _Layout, coprime: bool) -> list[tuple]:
     leading terms share a component form pairs.  Each new element
     updates its component's pairs in Gebauer-Moeller's form: criterion
     B on the queued pairs, then one pass over its new pairs sorted by
-    lcm for criteria M and F and, with coprime, Buchberger's first
-    criterion (see _update_pairs).  A queued pair that a later update
-    drops is skipped when popped.  An S-polynomial is built in the
-    division's work dict from the two reducers.
+    lcm for criteria M and F and, at rank 1, where a vector is a
+    polynomial, Buchberger's first criterion (see _update_pairs).  A
+    queued pair that a later update drops is skipped when popped.  An
+    S-polynomial is built in the division's work dict from the two
+    reducers.
     """
-    p, guard = lay.p, lay.guard
+    p, guard, coprime = lay.p, lay.guard, lay.rank == 1
     G = sorted((_reducer(_monic(w, p), lay) for w in works if w),
                key=itemgetter(1), reverse=True)
     leads = [r[0] for r in G]
@@ -386,45 +382,43 @@ def _minimal(G: list[tuple], lay: _Layout) -> list[tuple]:
 
 
 class Reducers:
-    """A division basis, packed once for many normal forms.
+    """A division basis of vectors, packed once for many normal forms.
 
-    basis holds Polynomials when elim is None, else vectors under the
-    module order that elim and degrees pick (see _Layout).  It is packed
-    at the first division, with fields sized from the basis and that
-    dividend, or comes packed from the engine (from_engine) and is then
-    unpacked only when read; it is repacked wider, in place, when a
-    later dividend or reduction does not fit.
+    The basis is ordered by the module order that elim and degrees pick
+    (see _Layout); an ideal element is its vector in component 0 (see
+    as_vector), at rank 1.  Reducers(basis, ...) packs basis at once,
+    with fields sized from it; from_engine comes packed from the engine
+    and unpacks its basis only when read.  The basis is repacked wider,
+    in place, when a later dividend or reduction does not fit.
     """
 
     __slots__ = ("_basis", "ring", "elim", "degrees", "lay", "rows")
 
-    def __init__(self, basis: list | None, ring: Ring, elim: bool | None = None, degrees=None):
+    def __init__(self, basis: list[Vector], ring: Ring, elim: bool = False, degrees=None):
         self._basis = basis
         self.ring = ring
         self.elim = elim
         self.degrees = degrees
-        self.lay = None
-        self.rows: dict = {}
+        self._repack(())
 
     @classmethod
-    def from_engine(cls, elements: list, ring: Ring, elim: bool | None = None,
+    def from_engine(cls, elements: list[Vector], ring: Ring, elim: bool = False,
                     degrees=None) -> "Reducers":
-        """Reducers of the minimal Groebner basis of elements, Polynomials
-        or (with elim a bool) vectors, kept in the engine's layout.
+        """Reducers of the minimal Groebner basis of the vectors elements,
+        kept in the engine's layout.
 
         The one entry to the packed engine (_buchberger): fields sized
-        from elements, rerun twice as wide while a term overflows, and
-        Buchberger's coprime criterion, which does not hold for module
-        vectors, on Polynomials only.  degrees, for vectors, puts e_i in
-        degree degrees[i] (see _Layout).  .basis, at its first read,
-        unpacks the minimal part: monic, sorted by leading term, each
-        element listing its leading term first.
+        from elements, rerun twice as wide while a term overflows.
+        degrees puts e_i in degree degrees[i] (see _Layout).  .basis, at
+        its first read, unpacks the minimal part: monic, sorted by
+        leading term, each vector listing its leading term first.
         """
-        self = cls(None, ring, elim, degrees)
+        self = cls.__new__(cls)
+        self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
         lay = self._layout(elements)
         while True:
             try:
-                G = _buchberger([self._pack(lay, x) for x in elements], lay, elim is None)
+                G = _buchberger([lay.pack(v) for v in elements], lay)
                 break
             except _Overflow:
                 lay = self._layout(elements, 2 * lay.field_bytes)
@@ -432,70 +426,50 @@ class Reducers:
         return self
 
     @property
-    def basis(self) -> list:
+    def basis(self) -> list[Vector]:
         if self._basis is None:
             rows = sorted((r for group in self.rows.values() for r in group),
                           key=itemgetter(1), reverse=True)
-            unpacked = (self._unpack(_terms(r, self.ring.p)) for r in rows)
-            self._basis = ([Polynomial(self.ring, t) for t in unpacked] if self.elim is None
-                           else list(unpacked))
+            self._basis = [self.lay.unpack(_terms(r, self.ring.p)) for r in rows]
         return self._basis
 
     def leads(self) -> list[tuple[int, Monomial]]:
         """(component, exponents) of the leading term of each nonzero basis
-        element, read off the packed leading codes.  Polynomials not yet
-        packed report their own: a colength alone does not pack them."""
-        if self.lay is None and self.elim is None:
-            return [(0, g.leading_monomial()) for g in self.basis if not g.is_zero()]
-        if self.lay is None:
-            self._repack(())
+        element, read off the packed leading codes."""
         exponents = self.lay.exponents
         return [(pos, exponents(r[0])) for pos, group in self.rows.items() for r in group]
 
-    def _layout(self, xs, field_bytes: int = 1) -> _Layout:
-        """A layout that the elements xs fit, with fields of at least
+    def _layout(self, vectors, field_bytes: int = 1) -> _Layout:
+        """A layout that the vectors fit, with fields of at least
         field_bytes: room for twice their largest total degree."""
-        if self.elim is None:
-            degree = max((max(map(sum, f.terms)) for f in xs if f.terms), default=0)
-            rank = 1
-        else:
-            terms = [t for v in xs for t in v]
-            degree = max(map(sum, map(itemgetter(1), terms)), default=0)
-            rank = max(1 + max(map(itemgetter(0), terms), default=0), len(self.degrees or ()))
-        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, bool(self.elim),
+        terms = [t for v in vectors for t in v]
+        degree = max(map(sum, map(itemgetter(1), terms)), default=0)
+        rank = max(1 + max(map(itemgetter(0), terms), default=0), len(self.degrees or ()))
+        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, self.elim,
                        self.degrees)
 
-    def _pack(self, lay: _Layout, x) -> dict:
-        return lay.pack_poly(x.terms) if self.elim is None else lay.pack(x)
-
-    def _unpack(self, terms):
-        return self.lay.unpack_poly(terms) if self.elim is None else self.lay.unpack(terms)
-
-    def _repack(self, xs, field_bytes: int = 1):
-        """Pack the basis in a layout that the dividends xs fit too, with
-        fields of at least field_bytes."""
+    def _repack(self, vectors, field_bytes: int = 1):
+        """Pack the basis in a layout that the dividends vectors fit too,
+        with fields of at least field_bytes."""
         basis = self.basis  # an engine basis unpacks from the old layout
-        lay = self.lay = self._layout([*basis, *xs], field_bytes)
-        self.rows = _by_position(
-            [_reducer(w, lay) for w in (self._pack(lay, g) for g in basis) if w], lay)
+        lay = self.lay = self._layout([*basis, *vectors], field_bytes)
+        self.rows = _by_position([_reducer(w, lay) for w in map(lay.pack, basis) if w], lay)
 
-    def remainder(self, x):
-        """The remainder of x, a Polynomial or a vector like the basis,
-        as polynomial terms or a vector from the largest term down."""
-        if self.lay is None or (self.elim is not None and
-                                max((pos for pos, _ in x), default=0) >= self.lay.rank):
-            self._repack([x])
+    def remainder(self, v: Vector) -> Vector:
+        """The remainder of the vector v, from the largest term down."""
+        if max((pos for pos, _ in v), default=0) >= self.lay.rank:
+            self._repack([v])
         while True:
             lay = self.lay
             try:
-                rem = _divide(self._pack(lay, x), self.rows, lay)
+                rem = _divide(lay.pack(v), self.rows, lay)
             except _Overflow:
-                self._repack([x], 2 * lay.field_bytes)
+                self._repack([v], 2 * lay.field_bytes)
                 continue
-            return self._unpack(rem.items())
+            return lay.unpack(rem.items())
 
 
-# --- the ideal engine ---------------------------------------------------------
+# --- ideals: the engine at rank 1 -------------------------------------------
 
 def normal_form(f: Polynomial, basis: list[Polynomial] | None, reducers=None) -> Polynomial:
     """Remainder of multivariate division of f by basis (first-match reducer).
@@ -503,16 +477,17 @@ def normal_form(f: Polynomial, basis: list[Polynomial] | None, reducers=None) ->
     Zero iff f lies in the ideal generated by a *Groebner* basis; always
     idempotent and F_p-linear for a fixed basis.  The largest remaining
     term comes off a heap; each term is reduced by the first basis
-    element whose leading monomial divides it.  reducers, when given, is
-    Reducers(basis, ring), kept by a caller that divides by one basis
-    many times, or the engine's Reducers of the ideal that basis
-    generates (Reducers.from_engine); basis is then not read and may be
-    None.  When basis is a Groebner basis, any Groebner basis with its
-    leading terms gives the same remainder.
+    element whose leading monomial divides it.  f and the basis enter
+    the division as their vectors in component 0 (as_vector).  reducers,
+    when given, is the Reducers of those vectors, kept by a caller that
+    divides by one basis many times, or the engine's Reducers of the
+    ideal that basis generates (Reducers.from_engine); basis is then not
+    read and may be None.  When basis is a Groebner basis, any Groebner
+    basis with its leading terms gives the same remainder.
     """
     if reducers is None:
-        reducers = Reducers(basis, f.ring)
-    return Polynomial(f.ring, reducers.remainder(f))
+        reducers = Reducers(list(map(as_vector, basis)), f.ring)
+    return vector_to_polys(reducers.remainder(as_vector(f)), 1, f.ring)[0]
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -531,22 +506,26 @@ def buchberger(gens, ring: Ring) -> list[Polynomial]:
     The engine's packed minimal basis (Reducers.from_engine) goes to
     interreduce without a second pack.
     """
-    return interreduce(Reducers.from_engine([*gens, *ring.relations], ring))
+    return interreduce(Reducers.from_engine([as_vector(f) for f in (*gens, *ring.relations)],
+                                            ring))
 
 
 def interreduce(reducers: Reducers) -> list[Polynomial]:
     """Fully reduce the minimal monic basis of reducers (see
-    Reducers.from_engine); the result is canonical.
+    Reducers.from_engine), vectors in component 0, to Polynomials; the
+    result is canonical.
 
     Each tail is reduced by the whole minimal basis: an element never
     reduces a term of its own tail, which lies below its leading term.
     """
+    ring = reducers.ring
     reduced = []
-    for g in reducers.basis:
+    for v in reducers.basis:
+        g = vector_to_polys(v, 1, ring)[0]
         lead = g.leading_monomial()
         tail = {m: c for m, c in g.terms.items() if m != lead}
-        r = normal_form(Polynomial(g.ring, tail), reducers.basis, reducers).terms if tail else {}
-        reduced.append(g if r == tail else Polynomial(g.ring, {lead: 1, **r}))
+        r = normal_form(Polynomial(ring, tail), None, reducers).terms if tail else {}
+        reduced.append(g if r == tail else Polynomial(ring, {lead: 1, **r}))
     return reduced
 
 
@@ -606,7 +585,7 @@ def _box_count(gens: list[Monomial], bounds: list[int]) -> int:
     return total + (bounds[n] - start) * below
 
 
-# --- the module engine ---------------------------------------------------------
+# --- modules ----------------------------------------------------------------
 #
 # Module terms are ordered by _Layout.code: TOP with elim=False, ELIM
 # (used to read syzygies / colon ideals off an extended module basis)
@@ -618,8 +597,7 @@ def _box_count(gens: list[Monomial], bounds: list[int]) -> int:
 def vector_from_polys(polys) -> Vector:
     v: Vector = {}
     for i, f in enumerate(polys):
-        for m, c in f.terms.items():
-            v[(i, m)] = c
+        v.update(as_vector(f, i))
     return v
 
 
@@ -683,12 +661,8 @@ def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
     """
     vectors: list[Vector] = []
     for i, a in enumerate(polys):
-        v: Vector = {(i + 1, (0,) * ring.nvars): 1}
-        for m, c in a.terms.items():
-            v[(0, m)] = c
-        vectors.append(v)
-    for g in list(modulo) + list(ring.relations):
-        vectors.append({(0, m): c for m, c in g.terms.items()})
+        vectors.append({(i + 1, (0,) * ring.nvars): 1, **as_vector(a)})
+    vectors += map(as_vector, [*modulo, *ring.relations])
     # under ELIM a vector whose lead lies outside component 0 has no term there
     degrees = [0, *(max(a.degree(), 0) for a in polys)]
     basis = module_buchberger(vectors, ring, elim=True, degrees=degrees)
@@ -725,11 +699,9 @@ def module_colength(vectors: list[Vector], rank: int, ring: Ring, degrees=None):
     so the minimal basis is neither interreduced nor unpacked.
     """
     gens = [dict(v) for v in vectors if v]
-    for f in ring.relations:
-        for i in range(rank):
-            gens.append({(i, m): c for m, c in f.terms.items()})
+    gens += [as_vector(f, i) for f in ring.relations for i in range(rank)]
     per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for i, m in Reducers.from_engine(gens, ring, False, degrees).leads():
+    for i, m in Reducers.from_engine(gens, ring, degrees=degrees).leads():
         per_component[i].append(m)
     total = 0
     for leads in per_component:

@@ -20,12 +20,14 @@ class Ideal:
     """An ideal of the presented ring, with a lazily cached Groebner basis.
 
     The basis always presents I + Q in the ambient polynomial ring, so
-    colengths over the quotient come for free.  It is held as
-    groebner.Reducers: the engine's packed minimal basis for a computed
-    one, packed at its first division for a bracket power's G^[q].
-    Colengths count the staircase of its leading terms, and membership
-    tests and normal forms divide by it; only groebner_basis unpacks and
-    interreduces it, at its first read.
+    colengths over the quotient come for free.  A computed basis is held
+    as groebner.Reducers, the engine's packed minimal basis: colengths
+    count the staircase of its leading terms, membership tests and
+    normal forms divide by it, and only groebner_basis unpacks and
+    interreduces it, at its first read.  A bracket power's transported
+    G^[q] is held as the reduced basis alone: its colength reads the
+    leading monomials of G^[q], and reducers packs G^[q] at the first
+    division.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -47,11 +49,16 @@ class Ideal:
 
     @property
     def reducers(self) -> groebner.Reducers:
-        """A minimal Groebner basis of I + Q: the engine's, run at the
-        first read, or a bracket power's G^[q]."""
+        """A minimal Groebner basis of I + Q, packed at the first read:
+        a bracket power's G^[q], else the engine's."""
         if self._reducers is None:
-            self._reducers = groebner.Reducers.from_engine(
-                [*self.gens, *self.ring.relations], self.ring)
+            if self._gb is not None:
+                self._reducers = groebner.Reducers(
+                    list(map(groebner.as_vector, self._gb)), self.ring)
+            else:
+                self._reducers = groebner.Reducers.from_engine(
+                    [groebner.as_vector(f) for f in (*self.gens, *self.ring.relations)],
+                    self.ring)
         return self._reducers
 
     @property
@@ -64,7 +71,10 @@ class Ideal:
     def colength(self):
         """lambda(R/I); None when infinite."""
         if self._colength is None:
-            leads = [m for _, m in self.reducers.leads()]
+            if self._reducers is None and self._gb is not None:
+                leads = [g.leading_monomial() for g in self._gb]  # a transported G^[q]
+            else:
+                leads = [m for _, m in self.reducers.leads()]
             self._colength = groebner.staircase_count(leads, self.ring.nvars)
         return self._colength
 
@@ -108,8 +118,9 @@ class Ideal:
         list, memoized per q so each bracket power keeps its cached basis.
 
         On a polynomial ring that list is G, the reduced basis of I, and
-        G^[q] is both the generators and the reduced basis of I^[q].  Over
-        a quotient the generators are powered and Buchberger runs."""
+        G^[q] is both the generators and the reduced basis of I^[q]; no
+        engine runs, and G^[q] is packed only at its first division.
+        Over a quotient the generators are powered and Buchberger runs."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
@@ -124,7 +135,6 @@ class Ideal:
                 # of some lt(g)^q; and x -> x^q keeps the monomial order,
                 # monic leads and reducedness.  G^[q] is the reduced basis.
                 bracket._gb = gq
-                bracket._reducers = groebner.Reducers(gq, self.ring)
             self._brackets[q] = bracket
         return self._brackets[q]
 

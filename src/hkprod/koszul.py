@@ -47,8 +47,7 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     vectors = [groebner.vector_from_polys(v) for v in syz]
     for g in I.gens:
         gq = g.frobenius(q)
-        for pos in range(ell):
-            vectors.append({(pos, m): c for m, c in gq.terms.items()})
+        vectors += [groebner.as_vector(gq, pos) for pos in range(ell)]
     degrees = [max(f.degree(), 0) for f in aq]
     quotient = groebner.module_colength(vectors, ell, ring, degrees)
     if quotient is None:

@@ -21,8 +21,8 @@ monomials its Polynomials report, not from the engine's packed codes.
 from fractions import Fraction
 from itertools import combinations, product
 
-from hkprod import Ideal, InfiniteColengthError
-from hkprod.groebner import s_polynomial, staircase_count
+from hkprod import Ideal, InfiniteColengthError, Polynomial, Ring
+from hkprod.groebner import colon_by_element, s_polynomial, staircase_count
 from hkprod.rings import is_p_power
 
 
@@ -139,6 +139,31 @@ def brute_colength(gens, ring, max_deg=20, slack=4):
     if len(values) >= 3 and values[-1] == values[-2] == values[-3]:
         return values[-1]
     return None
+
+
+def hypersurface_colon_sides(gens, ring, q):
+    """The three lengths of the hypersurface colon identity at level q.
+
+    For a hypersurface R = S/(f) and an m-primary I = (gens) of R, let
+    I_S be the lifted generators plus f, an m-primary ideal of S.  Then
+    (I_S)^[q] + (f) = I^[q] + (f), multiplication by f gives the exact
+    sequence 0 -> S/((I_S)^[q] : f)(-deg f) -> S/(I_S)^[q] -> R/I^[q] -> 0,
+    and Kunz gives lambda(S/(I_S)^[q]) = q^n lambda(S/I_S), so
+
+        lambda(R/I^[q]) + lambda(S/((I_S)^[q] : f)) = q^n lambda(S/I_S)
+
+    at every q.  Returns the three terms in that order.  The first is
+    the ideal engine's colength over R; the colon runs through the
+    module engine's elimination syzygies (colon_by_element), on powered
+    generators of S that the ideal path never sees.
+    """
+    (f,) = ring.relations
+    S = Ring(ring.p, ring.variables, order=ring.order.kind)
+    I_S = [Polynomial(S, g.terms) for g in (*gens, f)]
+    colon = colon_by_element([g.frobenius(q) for g in I_S], I_S[-1], S)
+    return (Ideal(ring, gens).bracket_power(q).colength_strict(),
+            Ideal(S, colon).colength_strict(),
+            q ** S.nvars * Ideal(S, I_S).colength_strict())
 
 
 def brute_membership(f, gens, ring, deg):

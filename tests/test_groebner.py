@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, module_buchberger,
-                             module_colength, module_normal_form, staircase_count,
-                             vector_from_polys)
+from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, as_vector,
+                             module_buchberger, module_colength, module_normal_form,
+                             staircase_count, vector_from_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       colength_of_basis, is_groebner, module_is_groebner, module_order,
@@ -260,8 +260,10 @@ def test_packed_monomials_match_tuple_operations(case, data):
     a, b = data.draw(monos), data.draw(monos)
     ma, mb = lay.monomial(a), lay.monomial(b)
     assert lay.exponents(ma) == a and lay.degree(ma) == sum(a)
-    ka, kb = lay.key(ma, sum(a)), lay.key(mb, sum(b))
-    assert (ka < kb) == (ring.order.key(a) < ring.order.key(b))
+    # the engine sorts monomials by their codes in component 0, the
+    # larger monomial first
+    ka, kb = lay.code(0, ma, sum(a)), lay.code(0, mb, sum(b))
+    assert (ka < kb) == (ring.order.key(a) > ring.order.key(b))
     assert (ka == kb) == (a == b)
     assert lay.divides(ma, mb) == all(x <= y for x, y in zip(a, b))
     assert lay.lcm(ma, mb) == lay.monomial(tuple(map(max, a, b)))
@@ -272,11 +274,11 @@ def test_packed_monomials_match_tuple_operations(case, data):
     ca, cb = lay.code(pa, ma, sum(a)), lay.code(pb, mb, sum(b))
     assert (ca < cb) == (key((pa, a)) > key((pb, b)))
     assert lay.unpack([(ca, 1)]) == {(pa, a): 1}
-    # a product is a sum with a linear key and code, or sets a guard bit
+    # a product is a sum with a linear code, or sets a guard bit
     ab = tuple(x + y for x, y in zip(a, b))
     if max(ab, default=0) <= lay.largest:
         assert ma + mb == lay.monomial(ab)
-        assert lay.key(ma + mb, sum(ab)) == ka + kb
+        assert lay.code(0, ma + mb, sum(ab)) == ka + kb - lay.code(0, 0, 0)
         assert lay.code(pa, ma + mb, sum(ab)) - ca == cb - lay.code(pb, 0, 0)
     else:
         assert (ma + mb) & lay.guard
@@ -423,11 +425,19 @@ def test_graded_and_ungraded_syzygies_generate_one_module(case):
 
 
 @settings(max_examples=40, deadline=None)
-@given(bounded_ideals())
-def test_module_colength_at_rank_one_matches_ideal_path(case):
+@given(bounded_ideals(), st.booleans(), st.integers(0, 6))
+def test_module_colength_at_rank_one_matches_ideal_path(case, elim, degree):
+    """A rank-1 module run is an ideal run, with the coprime criterion:
+    under TOP or ELIM, e_0 in any degree, it gives the colength and the
+    vectors of the ideal's reduced basis, and passes the unpruned check."""
     ring, gens, _ = case
-    vectors = [vector_from_polys([g]) for g in gens]
-    assert module_colength(vectors, 1, ring) == colength_of_basis(buchberger(gens, ring), ring)
+    gb = buchberger(gens, ring)
+    vectors = [as_vector(g) for g in gens]
+    assert module_colength(vectors, 1, ring, [degree]) == colength_of_basis(gb, ring)
+    vectors += [as_vector(f) for f in ring.relations]
+    basis = module_buchberger(vectors, ring, elim, [degree])
+    assert basis == [as_vector(g) for g in gb]
+    assert module_is_groebner(basis, ring, module_order(ring, elim, [degree]))
 
 
 @settings(max_examples=30, deadline=None)

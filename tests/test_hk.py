@@ -13,7 +13,8 @@ from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec, groebner,
                     hk_estimate, hk_table, jacobian_candidates, krull_dim,
                     monomial_hk_volume, random_ideals, star_spread, tc_probe)
 
-from .oracles import subset_volume
+from .oracles import hypersurface_colon_sides, subset_volume
+from .strategies import polys
 
 
 def I_(ring, *gens):
@@ -30,16 +31,16 @@ def test_table_on_fermat_parameter(fermat):
 def test_quotient_table_reads_only_the_engine_leads(monkeypatch):
     # a colength counts the staircase of the engine's packed leading
     # terms: with the ring's dimension known, no basis of the table is
-    # interreduced and no polynomial is unpacked
+    # interreduced and no term is unpacked
     ring = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
     IJ = I_(ring, "x^2+y*z", "y^2", "z^2") * I_(ring, "x+y", "y*z", "z^2")
     krull_dim(ring)
     calls = []
-    interreduce, unpack_poly = groebner.interreduce, groebner._Layout.unpack_poly
+    interreduce, unpack = groebner.interreduce, groebner._Layout.unpack
     monkeypatch.setattr(groebner, "interreduce",
                         lambda *args: calls.append("interreduce") or interreduce(*args))
-    monkeypatch.setattr(groebner._Layout, "unpack_poly",
-                        lambda *args: calls.append("unpack_poly") or unpack_poly(*args))
+    monkeypatch.setattr(groebner._Layout, "unpack",
+                        lambda *args: calls.append("unpack") or unpack(*args))
     assert [r.colength for r in hk_table(IJ, 2).rows] == [17, 229, 2137]
     assert calls == []
 
@@ -48,6 +49,46 @@ def test_table_kunz_scaling(F5xy):
     table = hk_table(I_(F5xy, "x^2", "y^3"), 1)
     assert [(r.q, r.colength) for r in table.rows] == [(1, 6), (5, 150)]
     assert [r.normalized for r in table.rows] == [6, 6]
+
+
+# diagonal hypersurfaces, each with the largest q of its colon identity test
+FERMAT = Ring(2, "xyz", relations=["x^3+y^3+z^3"])
+QUARTIC = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
+CUBIC4 = Ring(2, "xyzw", relations=["x^3+y^3+z^3+w^3"])
+HYPERSURFACES = [(FERMAT, 8), (QUARTIC, 9), (CUBIC4, 2)]
+
+
+@st.composite
+def hypersurface_cases(draw):
+    """(ring, generators, q): a pure power of every variable plus one or
+    two generators without constant term, at a q > 1 up to the ring's
+    bound (at q = 1 the colon is the unit ideal)."""
+    ring, qmax = draw(st.sampled_from(HYPERSURFACES))
+    n = ring.nvars
+    gens = [ring.monomial([draw(st.integers(1, 3)) if j == i else 0 for j in range(n)])
+            for i in range(n)]
+    gens += [g for g in draw(st.lists(polys(ring, min_degree=1), min_size=1, max_size=2))
+             if not g.is_zero()]
+    q = draw(st.sampled_from([q for q in (ring.p, ring.p ** 2, ring.p ** 3) if q <= qmax]))
+    return ring, gens, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(hypersurface_cases())
+def test_hypersurface_colon_identity(case):
+    ring, gens, q = case
+    lam, colon, total = hypersurface_colon_sides(gens, ring, q)
+    assert lam + colon == total
+
+
+@pytest.mark.parametrize("ring, gens, q, sides", [
+    (FERMAT, ["x", "y", "z"], 4, (36, 28, 64)),
+    (FERMAT, ["x", "y", "z"], 8, (144, 368, 512)),
+    (QUARTIC, ["x^2+y*z", "y^2", "z^2"], 9, (968, 4864, 5832)),
+    (CUBIC4, ["x", "y", "z^2", "w"], 2, (24, 8, 32)),
+])
+def test_hypersurface_colon_identity_values(ring, gens, q, sides):
+    assert hypersurface_colon_sides([ring.poly(g) for g in gens], ring, q) == sides
 
 
 def test_table_rejects_infinite_colength(F2xy):

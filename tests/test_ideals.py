@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, TrialSpec,
                     is_parameter_ideal, krull_dim, maximal_ideal,
                     random_ideals)
-from hkprod import buchberger, groebner
+from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
 from .oracles import brute_colength, rescan_normal_form
@@ -86,6 +86,33 @@ def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, m
     built.clear()
     assert J.bracket_power(8).colength() == 3 * 8**2
     assert len(built) == 1
+
+
+def test_transported_bracket_is_packed_only_at_its_first_division(F2xyz, monkeypatch):
+    # the colength of a transported G^[q] reads its leading monomials:
+    # a table of such brackets builds no layout and packs no term, and
+    # the first division packs G^[q] once for every later one
+    I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
+    assert I.colength() == 12
+    I.groebner_basis
+    calls = []
+    init, pack = groebner._Layout.__init__, groebner._Layout.pack
+    monkeypatch.setattr(groebner._Layout, "__init__",
+                        lambda *args: calls.append("layout") or init(*args))
+    monkeypatch.setattr(groebner._Layout, "pack",
+                        lambda *args: calls.append("pack") or pack(*args))
+    assert [r.colength for r in hk_table(I, 3).rows] == [12, 96, 768, 6144]
+    assert calls == []
+    B = I.bracket_power(8)
+    f = F2xyz.poly("x^17*y + y^9*z^8 + x*y*z")
+    assert B.normal_form(f) == rescan_normal_form(f, B.groebner_basis)
+    assert calls.count("layout") == 1
+    reducers = B.reducers
+    g = F2xyz.poly("x^16*z^3 + y^8")
+    assert B.normal_form(g) == rescan_normal_form(g, B.groebner_basis)
+    assert B.reducers is reducers
+    assert calls.count("layout") == 1
+    assert calls.count("pack") == len(B.groebner_basis) + 2
 
 
 def test_bracket_power_on_polynomial_rings_powers_the_basis_once(F2xyz, monkeypatch):
