@@ -76,27 +76,19 @@ def cmd_hk(args) -> int:
     return 0
 
 
-def _named_reports(check, sess, names, args):
-    ideals = [sess.ideal(n) for n in names]
-    mode = _parse_mode(args.mode)
-    spec = V.CHECKS[check]
-    if len(ideals) != spec.arity:
-        raise ConfigError(f"check {check} needs {spec.arity} --ideal argument(s), "
-                          f"got {len(ideals)}")
-    return spec.run(ideals, args.qmax, args.n, mode)
-
-
 def cmd_verify(args) -> int:
     sess = load_session(args.file)
-    if args.check not in V.CHECK_NAMES:
-        raise ConfigError(f"unknown check {args.check!r}; choose from "
-                          f"{', '.join(V.CHECK_NAMES)}")
-    if args.ideal:
-        reports = _named_reports(args.check, sess, args.ideal, args)
-    else:
+    spec = V.check_spec(args.check)
+    ideals = [sess.ideal(n) for n in args.ideal]
+    mode = _parse_mode(args.mode)
+    if not ideals:
         reports = V.run_trials(args.check, sess.ring, args.trials, args.seed,
-                               e_max=args.qmax, n=args.n,
-                               mode=_parse_mode(args.mode))
+                               e_max=args.qmax, n=args.n, mode=mode)
+    elif len(ideals) != spec.arity:
+        raise ConfigError(f"check {args.check} needs {spec.arity} --ideal argument(s), "
+                          f"got {len(ideals)}")
+    else:
+        reports = spec.run(ideals, args.qmax, args.n, mode)
     if args.csv:
         w = csv.writer(sys.stdout)
         w.writerow(V.CSV_HEADER)

@@ -51,14 +51,19 @@ class HKTable:
         return buf.getvalue()
 
 
+def levels(p: int, e_max: int, start: int = 0) -> list[int]:
+    """The Frobenius levels q = p^start ... p^e_max, ascending: the one
+    list every per-q loop (tables, probes, per-q checks) reads."""
+    return [p ** e for e in range(start, e_max + 1)]
+
+
 def hk_table(I: Ideal, e_max: int) -> HKTable:
     """Exact rows for q = p^0 ... p^e_max; raises on infinite colength."""
     if not I.is_m_primary():
         raise InfiniteColengthError("Hilbert-Kunz table needs an m-primary ideal")
     d = krull_dim(I.ring)
     rows = []
-    for e in range(e_max + 1):
-        q = I.ring.p ** e
+    for q in levels(I.ring.p, e_max):
         lam = I.bracket_power(q).colength_strict()
         rows.append(HKRow(q=q, colength=lam, normalized=Fraction(lam, q ** d)))
     return HKTable(ideal=I, d=d, rows=rows)
@@ -210,14 +215,12 @@ def tc_probe(z: Polynomial, I: Ideal, c: Polynomial, e_max: int) -> ProbeVerdict
         raise ValueError("multiplier c must be nonzero")
     if e_max < 1:
         raise ValueError("e_max must be at least 1")
-    p = I.ring.p
-    for e in range(1, e_max + 1):
-        q = p ** e
-        Iq = I.bracket_power(q)
-        nf = Iq.normal_form(c * z.frobenius(q))
+    qs = levels(I.ring.p, e_max, 1)
+    for q in qs:
+        nf = I.bracket_power(q).normal_form(c * z.frobenius(q))
         if not nf.is_zero():
             return ProbeVerdict(consistent=False, q=q, witness=nf)
-    return ProbeVerdict(consistent=True, q=p ** e_max)
+    return ProbeVerdict(consistent=True, q=qs[-1])
 
 
 def jacobian_candidates(ring: Ring) -> list[Polynomial]:

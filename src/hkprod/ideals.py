@@ -234,9 +234,6 @@ def is_parameter_ideal(J: Ideal) -> bool:
 
 # --- seeded random families --------------------------------------------------
 
-FAMILIES = ("monomial", "binomial", "dense", "parameter-powers")
-
-
 @dataclass(frozen=True)
 class TrialSpec:
     """Reproducible ideal stream: same spec, same ideals."""
@@ -314,6 +311,7 @@ _BUILDERS = {
     "dense": _dense_ideal,
     "parameter-powers": _parameter_powers_ideal,
 }
+FAMILIES = tuple(_BUILDERS)
 
 
 def random_ideals(spec: TrialSpec, ring: Ring):

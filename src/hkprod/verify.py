@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hk import jacobian_candidates, star_spread, tc_probe
+from .hk import jacobian_candidates, levels, star_spread, tc_probe
 from .ideals import (Ideal, TrialSpec, is_parameter_ideal, krull_dim,
                      maximal_ideal, random_ideals)
 from .koszul import kernel_length, len_identity_sides
@@ -66,8 +66,8 @@ class VerifyReport:
     caveat: str | None = None
     data: dict = field(default_factory=dict)
 
-    def to_json_line(self) -> str:
-        obj = {
+    def _obj(self) -> dict:
+        return {
             "schema": 1,
             "checker": self.check,
             "fixture": self.fixture,
@@ -79,11 +79,14 @@ class VerifyReport:
             "caveat": self.caveat,
             "data": _ser(self.data),
         }
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    def to_json_line(self) -> str:
+        return json.dumps(self._obj(), sort_keys=True, separators=(",", ":"))
 
     def csv_row(self) -> list:
-        return [self.check, self.fixture, _ser(self.lhs), _ser(self.rhs),
-                self.relation, self.holds, self.q if self.q is not None else ""]
+        """The CSV_HEADER fields of the JSON line; csv writes None as ''."""
+        obj = self._obj()
+        return [obj[k] for k in CSV_HEADER]
 
 
 CSV_HEADER = ["checker", "fixture", "lhs", "rhs", "relation", "holds", "q"]
@@ -95,13 +98,17 @@ def _fixture(*ideals, extra=""):
 
 
 def _parameter_dim(J: Ideal) -> int:
-    """The dimension d, once J is checked to be a parameter ideal, d >= 2."""
-    d = krull_dim(J.ring)
-    if d < 2:
-        raise ValueError("needs dimension at least 2")
+    """The dimension d, once J is checked to be a parameter ideal."""
     if not is_parameter_ideal(J):
         raise ValueError("needs a parameter ideal")
-    return d
+    return krull_dim(J.ring)
+
+
+def _parameter_dim_2(J: Ideal) -> int:
+    """_parameter_dim for the statements that need d >= 2, tested first."""
+    if krull_dim(J.ring) < 2:
+        raise ValueError("needs dimension at least 2")
+    return _parameter_dim(J)
 
 
 # --- length identities (general case) ---------------------------------------
@@ -213,7 +220,7 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
 
 def verify_cor_square(J: Ideal) -> VerifyReport:
     """lambda(R/J^2) = (d+1)*lambda(R/J) for parameter ideals, d >= 2."""
-    d = _parameter_dim(J)
+    d = _parameter_dim_2(J)
     lam_J2 = J.power(2).colength_strict()
     rhs = (d + 1) * J.colength_strict()
     return VerifyReport(
@@ -230,17 +237,14 @@ def verify_eq7_per_q(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     behind the limiting Hilbert-Kunz identity)."""
     a = J.minimal_generators()
     per_q = {}
-    all_hold = True
-    p = I.ring.p
-    for e in range(e_max + 1):
-        q = p ** e
+    for q in levels(I.ring.p, e_max):
         sides = len_identity_sides(I, a, q)
         per_q[str(q)] = {"lhs": sides.lhs, "rhs_kernel": sides.rhs_kernel,
                          "rhs_product": sides.rhs_product, "holds": sides.holds()}
-        all_hold = all_hold and sides.holds()
     return VerifyReport(
-        check=EQ7, fixture=_fixture(I, J), q=p ** e_max,
-        lhs="per-q", rhs="per-q", relation="=", holds=all_hold,
+        check=EQ7, fixture=_fixture(I, J), q=I.ring.p ** e_max,
+        lhs="per-q", rhs="per-q", relation="=",
+        holds=all(row["holds"] for row in per_q.values()),
         data={"per_q": per_q, "ell": len(a)},
     )
 
@@ -328,7 +332,7 @@ def verify_param_lower_bound(I: Ideal, J: Ideal, e_max: int = 1) -> VerifyReport
     equality branch d*e_HK(I) + e_HK(J) when J is contained in I: asserted
     on regular rings, its gap reported elsewhere."""
     ring = I.ring
-    d = _parameter_dim(J)
+    d = _parameter_dim_2(J)
     containment = I.contains_ideal(J)
     hk, q, caveat = _hk_side(ring, e_max)
     lhs = hk(I * J)
@@ -354,7 +358,7 @@ def verify_cor_square_hk(J: Ideal, e_max: int = 1) -> VerifyReport:
     Regular rings reduce to the exact length statement; elsewhere the
     per-q form is checked at every computed q and any gap is reported."""
     ring = J.ring
-    d = _parameter_dim(J)
+    d = _parameter_dim_2(J)
     lam_J = J.colength_strict()  # = e(J) in the Cohen-Macaulay rings handled
     J2 = J.power(2)
     hk, q, _ = _hk_side(ring, e_max)
@@ -363,14 +367,12 @@ def verify_cor_square_hk(J: Ideal, e_max: int = 1) -> VerifyReport:
     holds, caveat = lhs == rhs, None
     if not ring.is_regular:
         per_q = data["per_q"] = {}
-        holds = True
-        for e in range(e_max + 1):
-            qe = ring.p ** e
+        for qe in levels(ring.p, e_max):
             lhs_q = J2.bracket_power(qe).colength_strict()
             rhs_q = (d + 1) * J.bracket_power(qe).colength_strict()
             per_q[str(qe)] = {"lhs": lhs_q, "rhs": rhs_q,
                               "gap_normalized": Fraction(lhs_q - rhs_q, qe ** d)}
-            holds = holds and lhs_q == rhs_q
+        holds = all(row["lhs"] == row["rhs"] for row in per_q.values())
         caveat = f"exact per-q form checked for q <= {q}"
     return VerifyReport(
         check=SQUARE_HK, fixture=_fixture(J), q=q, lhs=lhs, rhs=rhs,
@@ -383,15 +385,10 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     lambda(R/I*J^[q]) = d*lambda(R/I) + lambda(R/J^[q]) for all larger q
     (exact in regular rings via Kunz)."""
     ring = I.ring
-    if not is_parameter_ideal(J):
-        raise ValueError("needs a parameter ideal J")
-    d = krull_dim(ring)
+    d = _parameter_dim(J)
     p = ring.p
-    q0 = None
-    for e in range(e_max + 1):
-        if I.contains_ideal(J.bracket_power(p ** e)):
-            q0 = p ** e
-            break
+    qs = levels(p, e_max)
+    q0 = next((q for q in qs if I.contains_ideal(J.bracket_power(q))), None)
     if q0 is None:
         return VerifyReport(
             check=PROP42, fixture=_fixture(I, J), q=p ** e_max,
@@ -401,16 +398,11 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
         )
     lam_I = I.colength_strict()
     per_q = {}
-    all_equal = True
-    for e in range(e_max + 1):
-        q = p ** e
-        if q < q0:
-            continue
+    for q in qs[qs.index(q0):]:
         Jq = J.bracket_power(q)
-        lhs_q = (I * Jq).colength_strict()
-        rhs_q = d * lam_I + Jq.colength_strict()
-        per_q[str(q)] = {"lhs": lhs_q, "rhs": rhs_q}
-        all_equal = all_equal and lhs_q == rhs_q
+        per_q[str(q)] = {"lhs": (I * Jq).colength_strict(),
+                         "rhs": d * lam_I + Jq.colength_strict()}
+    all_equal = all(row["lhs"] == row["rhs"] for row in per_q.values())
     caveat = None if ring.is_regular else "finite-q report on a non-regular presentation"
     holds = all_equal if ring.is_regular else True
     return VerifyReport(
@@ -428,22 +420,17 @@ def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
     ring = I.ring
     m = maximal_ideal(ring)
     lam_I = I.colength_strict()
-    p = ring.p
-    per_q = {}
-    all_hold = True
-    for e in range(1, e_max + 1):
-        q = p ** e
-        lhs_q = I.bracket_power(q).colength_strict()
-        rhs_q = m.bracket_power(q).colength_strict() * lam_I
-        per_q[str(q)] = {"lhs": lhs_q, "rhs": rhs_q}
-        all_hold = all_hold and lhs_q <= rhs_q
+    per_q = {str(q): {"lhs": I.bracket_power(q).colength_strict(),
+                      "rhs": m.bracket_power(q).colength_strict() * lam_I}
+             for q in levels(ring.p, e_max, 1)}
     data = {"per_q": per_q, "lambda_I": lam_I}
     if ring.is_regular:
         # Kunz: e_HK(R) = 1, so the limit statement is lam_I <= lam_I
         data["limit_equality"] = True
     return VerifyReport(
-        check=HUNEKE_YAO, fixture=_fixture(I), q=p ** e_max,
-        lhs="per-q", rhs="per-q", relation="<=", holds=all_hold, data=data,
+        check=HUNEKE_YAO, fixture=_fixture(I), q=ring.p ** e_max,
+        lhs="per-q", rhs="per-q", relation="<=",
+        holds=all(row["lhs"] <= row["rhs"] for row in per_q.values()), data=data,
     )
 
 
@@ -487,64 +474,60 @@ def _draw_hk_pair(ring, rng, t, bound):
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """`run(ideals, e_max, n, mode)` returns the reports on `arity` ideals
-    in `--ideal` order; `draw(ring, rng, t, bound)` gives trial t's ideals.
-    A run names its verifier as a module global, looked up per call."""
-    run: object
+    """One row of the check table.  `verifier` names a module-global
+    verify_* function, looked up at each call so that a rebound name
+    (the benchmark tracer's wrappers) is the one run.  It takes `arity`
+    ideals in `--ideal` order, then `options` in order, each one of
+    e_max (--qmax), n (-n) and mode (--mode); the option q instead makes
+    one report per Frobenius level q = p^0 ... p^e_max.  `draw(ring,
+    rng, t, bound)` gives trial t's ideals."""
+    verifier: str
+    options: tuple[str, ...]
     draw: object
     arity: int
 
+    def run(self, ideals, e_max, n, mode) -> list[VerifyReport]:
+        verify = globals()[self.verifier]
+        if self.options == ("q",):
+            return [verify(*ideals, q) for q in levels(ideals[0].ring.p, e_max)]
+        given = {"e_max": e_max, "n": n, "mode": mode}
+        return [verify(*ideals, *(given[o] for o in self.options))]
+
 
 CHECKS = {
-    LEN_IDENTITY: CheckSpec(
-        lambda ideals, e_max, n, mode: [
-            verify_len_identity(*ideals, ideals[0].ring.p ** e) for e in range(e_max + 1)],
-        _draw_pair, 2),
-    PROP_INEQ: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_prop_ineq(*ideals)], _draw_pair, 2),
-    COR_POWER: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_cor_power(*ideals, n)], _draw_single, 1),
-    EQCONDS: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_eqconds(*ideals)], _draw_pair, 2),
-    FREENESS: CheckSpec(  # J first, then I
-        lambda ideals, e_max, n, mode: [verify_freeness(*ideals)],
-        lambda *args: _draw_pair(*args)[::-1], 2),
-    SQUARE: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_cor_square(*ideals)], _draw_parameter, 1),
-    EQ7: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_eq7_per_q(*ideals, e_max)], _draw_pair, 2),
-    HK_PRODUCT: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_hk_product_bound(*ideals, mode, e_max)],
-        _draw_hk_pair, 2),
-    COR_POWER_HK: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_cor_power_hk(*ideals, n, mode, e_max)],
-        _draw_single, 1),
-    EQTHENTC: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_eqthentc(*ideals, mode, e_max)],
-        _draw_hk_pair, 2),
-    PARAM_LOWER: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_param_lower_bound(*ideals, e_max)],
-        _draw_parameter_pair, 2),
-    SQUARE_HK: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_cor_square_hk(*ideals, e_max)],
-        _draw_parameter, 1),
-    PROP42: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_prop42(*ideals, e_max)],
-        _draw_parameter_pair, 2),
-    HUNEKE_YAO: CheckSpec(
-        lambda ideals, e_max, n, mode: [verify_huneke_yao_per_q(*ideals, e_max)],
-        _draw_single, 1),
+    LEN_IDENTITY: CheckSpec("verify_len_identity", ("q",), _draw_pair, 2),
+    PROP_INEQ: CheckSpec("verify_prop_ineq", (), _draw_pair, 2),
+    COR_POWER: CheckSpec("verify_cor_power", ("n",), _draw_single, 1),
+    EQCONDS: CheckSpec("verify_eqconds", (), _draw_pair, 2),
+    FREENESS: CheckSpec("verify_freeness", (),  # J first, then I
+                        lambda *args: _draw_pair(*args)[::-1], 2),
+    SQUARE: CheckSpec("verify_cor_square", (), _draw_parameter, 1),
+    EQ7: CheckSpec("verify_eq7_per_q", ("e_max",), _draw_pair, 2),
+    HK_PRODUCT: CheckSpec("verify_hk_product_bound", ("mode", "e_max"), _draw_hk_pair, 2),
+    COR_POWER_HK: CheckSpec("verify_cor_power_hk", ("n", "mode", "e_max"), _draw_single, 1),
+    EQTHENTC: CheckSpec("verify_eqthentc", ("mode", "e_max"), _draw_hk_pair, 2),
+    PARAM_LOWER: CheckSpec("verify_param_lower_bound", ("e_max",), _draw_parameter_pair, 2),
+    SQUARE_HK: CheckSpec("verify_cor_square_hk", ("e_max",), _draw_parameter, 1),
+    PROP42: CheckSpec("verify_prop42", ("e_max",), _draw_parameter_pair, 2),
+    HUNEKE_YAO: CheckSpec("verify_huneke_yao_per_q", ("e_max",), _draw_single, 1),
 }
 CHECK_NAMES = tuple(CHECKS)
+
+
+def check_spec(name: str) -> CheckSpec:
+    """The CHECKS row of `name`; any other name is a ValueError."""
+    try:
+        return CHECKS[name]
+    except KeyError:
+        raise ValueError(f"unknown check {name!r}; choose from "
+                         f"{', '.join(CHECK_NAMES)}") from None
 
 
 def run_trials(check: str, ring: Ring, trials: int, seed: int,
                e_max: int = 1, n: int = 2, mode=None) -> list[VerifyReport]:
     """Seeded randomized suite for one checker; deterministic output.
     Trials outside the check's hypotheses (NotApplicable) are skipped."""
-    spec = CHECKS.get(check)
-    if spec is None:
-        raise ValueError(f"unknown check {check!r}")
+    spec = check_spec(check)
     rng = random.Random(seed)
     bound = 3 if ring.nvars <= 2 else 2
     reports: list[VerifyReport] = []

@@ -16,6 +16,8 @@ over all generator subsets.  The unpruned Buchberger criteria and the
 trivial Koszul syzygies are references for the two Groebner engines,
 and colength_of_basis counts the staircase of a basis from the leading
 monomials its Polynomials report, not from the engine's packed codes.
+diagonal_colength needs no Groebner basis at all: it reads a monomial
+ideal's colength on a diagonal hypersurface off block ranks.
 """
 
 from fractions import Fraction
@@ -68,7 +70,8 @@ class _Gf2Span:
 
 
 class _ModPSpan:
-    """Row space over F_p (odd p); sparse rows keyed by column index."""
+    """Row space over F_p; sparse rows keyed by column index.  The
+    truncated spans take it for odd p, diagonal_colength for every p."""
 
     def __init__(self, index, p):
         self.index = index
@@ -90,7 +93,11 @@ class _ModPSpan:
         return row
 
     def add_poly(self, f):
-        row = self._reduce({self.index[m]: c for m, c in f.terms.items()})
+        self.add_terms(f.terms)
+
+    def add_terms(self, terms):
+        """Add the row {monomial: coefficient}."""
+        row = self._reduce({self.index[m]: c for m, c in terms.items()})
         if row:
             col = max(row)
             inv = pow(row[col], -1, self.p)
@@ -380,6 +387,43 @@ def subset_volume(I):
                 vol *= max(b - j, 0)
             covered += sign * vol
     return Fraction(box - covered)
+
+
+# --- monomial ideals on diagonal hypersurfaces -----------------------------
+
+def diagonal_colength(gens, coeffs, d, p):
+    """lambda(S/(M + f)) for the m-primary monomial ideal M generated by
+    the exponent tuples gens and f = sum_i coeffs[i] x_i^d over F_p.
+
+    It is dim S/M - rank(f.) on S/M, with the standard monomials of M as
+    a basis (Han and Monsky, Math. Z. 1993).  Multiplying x^a by f keeps
+    a mod d in every coordinate and raises the degree by d, so the map is
+    block diagonal over (a mod d, deg a) and its rank is a sum of small
+    block ranks.  No Groebner basis is involved.
+    """
+    n = len(coeffs)
+    bounds = [min((g[i] for g in gens if not any(g[:i] + g[i + 1:])), default=None)
+              for i in range(n)]
+    if None in bounds:
+        raise InfiniteColengthError("monomial ideal is not m-primary")
+    standard = {a for a in product(*(range(b) for b in bounds))
+                if not any(_divides(g, a) for g in gens)}
+    index = {a: i for i, a in enumerate(standard)}
+    blocks = {}
+    for a in standard:
+        blocks.setdefault((tuple(e % d for e in a), sum(a)), []).append(a)
+    rank = 0
+    for block in blocks.values():
+        span = _ModPSpan(index, p)  # plain mod-p elimination, also at p = 2
+        for a in block:
+            image = {}
+            for i, c in enumerate(coeffs):
+                b = a[:i] + (a[i] + d,) + a[i + 1:]
+                if c % p and b in standard:
+                    image[b] = c % p
+            span.add_terms(image)
+        rank += len(span.pivot_columns())
+    return len(standard) - rank
 
 
 # --- Koszul syzygies --------------------------------------------------------

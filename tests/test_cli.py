@@ -283,6 +283,18 @@ def test_verify_named_outside_hypotheses_exit_2(tmp_path, capsys):
     assert "non-principal" in capsys.readouterr().err
 
 
+def test_verify_prop42_needs_a_parameter_ideal_exit_2(tmp_path, capsys):
+    # neither J is a parameter ideal: (x) is not m-primary, and the
+    # m-primary (x^2, x*y, y^2) needs three generators in dimension 2
+    path = tmp_path / "nonparam.hk"
+    path.write_text("ring: p=2 vars=x,y\nideal m = [x, y]\n"
+                    "ideal L = [x]\nideal N = [x^2, x*y, y^2]\n")
+    for J in ("L", "N"):
+        assert main(["verify", str(path), "prop42", "--ideal", "m", "--ideal", J]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: needs a parameter ideal\n"
+
+
 def test_verify_untrimmable_generators_exit_2(tmp_path, capsys):
     # greedy trimming cannot bring J down to mu(J) = 2 generators
     path = tmp_path / "untrim.hk"

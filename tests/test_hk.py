@@ -13,7 +13,7 @@ from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec, groebner,
                     hk_estimate, hk_table, jacobian_candidates, krull_dim,
                     monomial_hk_volume, random_ideals, star_spread, tc_probe)
 
-from .oracles import hypersurface_colon_sides, subset_volume
+from .oracles import diagonal_colength, hypersurface_colon_sides, subset_volume
 from .strategies import polys
 
 
@@ -89,6 +89,65 @@ def test_hypersurface_colon_identity(case):
 ])
 def test_hypersurface_colon_identity_values(ring, gens, q, sides):
     assert hypersurface_colon_sides([ring.poly(g) for g in gens], ring, q) == sides
+
+
+# diagonal hypersurfaces sum_i c_i x_i^d as (ring, d, coefficients, the
+# largest q of the random test), for the Groebner-free oracle
+DIAGONAL = {
+    "fermat": (FERMAT, 3, (1, 1, 1), 4),
+    "quartic": (QUARTIC, 4, (1, 1, 1), 3),
+    "cubic4": (CUBIC4, 3, (1, 1, 1, 1), 2),
+    "fermat5": (Ring(5, "xyz", relations=["x^3+y^3+z^3"]), 3, (1, 1, 1), 5),
+    "fermat7": (Ring(7, "xyz", relations=["x^3+y^3+z^3"]), 3, (1, 1, 1), 1),
+    "skew5": (Ring(5, "xyz", relations=["x^3+2*y^3+4*z^3"]), 3, (1, 2, 4), 5),
+}
+
+
+def _engine_and_oracle(name, gens, q):
+    """lambda(R/M^[q]) by the engine and by diagonal_colength, for the
+    monomial ideal M of the exponent tuples gens."""
+    ring, d, coeffs, _ = DIAGONAL[name]
+    M = Ideal(ring, [ring.monomial(a) for a in gens])
+    powered = [tuple(q * e for e in a) for a in gens]
+    return (M.bracket_power(q).colength(),
+            diagonal_colength(powered, coeffs, d, ring.p))
+
+
+@pytest.mark.parametrize("name, gens, values", [
+    ("fermat", ["x", "y", "z"], {2: 8, 4: 36, 8: 144, 16: 576}),
+    ("fermat", ["x^2", "y", "z^2"], {2: 20, 4: 84, 8: 336}),
+    ("quartic", ["x", "y", "z"], {3: 27, 9: 252, 27: 2268}),
+    ("quartic", ["x^2", "y*z", "y^3", "z^2"], {3: 108, 9: 972}),
+    ("cubic4", ["x", "y", "z", "w"], {2: 16, 4: 136}),
+    ("fermat5", ["x", "y", "z"], {5: 55}),
+    ("fermat7", ["x", "y^2", "z"], {7: 146}),
+])
+def test_diagonal_oracle_values(name, gens, values):
+    ring = DIAGONAL[name][0]
+    exps = [ring.poly(g).leading_monomial() for g in gens]
+    for q, value in values.items():
+        assert _engine_and_oracle(name, exps, q) == (value, value), q
+
+
+@st.composite
+def diagonal_cases(draw):
+    """(ring name, exponent tuples of an m-primary monomial ideal, q): a
+    pure power of every variable plus up to two mixed monomials."""
+    name = draw(st.sampled_from(sorted(DIAGONAL)))
+    ring, _, _, qmax = DIAGONAL[name]
+    n = ring.nvars
+    gens = [tuple(draw(st.integers(1, 3)) if j == i else 0 for j in range(n))
+            for i in range(n)]
+    gens += draw(st.lists(st.tuples(*[st.integers(0, 2)] * n).filter(any), max_size=2))
+    q = draw(st.sampled_from([q for q in (1, ring.p, ring.p ** 2) if q <= qmax]))
+    return name, gens, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_cases())
+def test_diagonal_oracle_matches_the_engine(case):
+    engine, oracle = _engine_and_oracle(*case)
+    assert engine == oracle
 
 
 def test_table_rejects_infinite_colength(F2xy):

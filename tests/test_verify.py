@@ -1,7 +1,10 @@
 """One test per checker, on hand-verified fixtures, plus the trial driver."""
 
 import hashlib
+import inspect
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -232,7 +235,9 @@ def test_run_trials_on_quotient(fermat):
 
 
 def test_run_trials_unknown_check(F2xy):
-    with pytest.raises(ValueError):
+    # the one unknown-check error, shared with the CLI through check_spec
+    with pytest.raises(ValueError, match=re.escape(
+            f"unknown check 'bogus'; choose from {', '.join(V.CHECK_NAMES)}")):
         V.run_trials("bogus", F2xy, 1, seed=0)
 
 
@@ -339,3 +344,24 @@ def test_table_looks_verifiers_up_at_call_time(F2xy, tmp_path, monkeypatch, caps
         assert main(argv) == 0, check
     capsys.readouterr()
     assert all(calls.values()), calls
+
+
+def test_table_options_match_the_verifier_signatures():
+    # a row's options are exactly the verifier's parameters after its ideals
+    for check, spec in V.CHECKS.items():
+        params = list(inspect.signature(getattr(V, spec.verifier)).parameters)
+        assert tuple(params[spec.arity:]) == spec.options, check
+
+
+# the CLI flag of each option a CheckSpec names
+FLAGS = {"e_max": "--qmax", "q": "--qmax", "n": "-n", "mode": "--mode"}
+
+
+def test_readme_checks_table_matches_the_check_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \| ([IJ ]+) \|([^|]*)\|", readme, re.M)
+    assert [name for name, _, _ in rows] == list(V.CHECK_NAMES)
+    for name, ideals, options in rows:
+        spec = V.CHECKS[name]
+        assert len(ideals.split()) == spec.arity, name
+        assert re.findall(r"`([^`]+)`", options) == [FLAGS[o] for o in spec.options], name
