@@ -10,16 +10,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from functools import cache
 
 from . import verify as V
-from .hk import ESTIMATE_METHODS, hk_estimate, hk_table, tc_probe
+from .hk import ESTIMATE_METHODS, exact_text, hk_estimate, hk_table, tc_probe
 from .sessions import load_session
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _parse_mode(text):
@@ -29,7 +26,7 @@ def _parse_mode(text):
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"bad star-spread mode {text!r}") from None
+        raise ValueError(f"bad star-spread mode {text!r}") from None
 
 
 def nonnegative_int(text: str) -> int:
@@ -40,15 +37,13 @@ def nonnegative_int(text: str) -> int:
     return e
 
 
-def cmd_colength(args) -> int:
-    sess = load_session(args.file)
+def cmd_colength(sess, args) -> int:
     lam = sess.ideal(args.ideal).colength()
     print("infinite" if lam is None else lam)
     return 0
 
 
-def cmd_hk(args) -> int:
-    sess = load_session(args.file)
+def cmd_hk(sess, args) -> int:
     ideal = sess.ideal(args.ideal)
     # the estimate first: an inapplicable method fails before any table
     # work, and the sequence methods leave the bracket colengths memoized
@@ -57,16 +52,15 @@ def cmd_hk(args) -> int:
     if args.json:
         obj = table.to_json_obj()
         obj["estimate"] = {
-            "value": f"{est.value.numerator}/{est.value.denominator}",
+            "value": exact_text(est.value),
             "method": est.method,
             "is_limit": est.is_limit,
         }
-        import json
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     elif args.csv:
         sys.stdout.write(table.to_csv())
-        print(f"# estimate,{est.value.numerator}/{est.value.denominator},"
-              f"{est.method},{'limit' if est.is_limit else 'not-a-limit'}")
+        print(f"# estimate,{exact_text(est.value)},{est.method},"
+              f"{'limit' if est.is_limit else 'not-a-limit'}")
     else:
         print(f"{'q':>8} {'colength':>12} normalized")
         for r in table.rows:
@@ -76,8 +70,7 @@ def cmd_hk(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    sess = load_session(args.file)
+def cmd_verify(sess, args) -> int:
     spec = V.check_spec(args.check)
     ideals = [sess.ideal(n) for n in args.ideal]
     mode = _parse_mode(args.mode)
@@ -85,8 +78,8 @@ def cmd_verify(args) -> int:
         reports = V.run_trials(args.check, sess.ring, args.trials, args.seed,
                                e_max=args.qmax, n=args.n, mode=mode)
     elif len(ideals) != spec.arity:
-        raise ConfigError(f"check {args.check} needs {spec.arity} --ideal argument(s), "
-                          f"got {len(ideals)}")
+        raise ValueError(f"check {args.check} needs {spec.arity} --ideal argument(s), "
+                         f"got {len(ideals)}")
     else:
         reports = spec.run(ideals, args.qmax, args.n, mode)
     if args.csv:
@@ -100,8 +93,7 @@ def cmd_verify(args) -> int:
     return 0 if all(r.holds for r in reports) else 1
 
 
-def cmd_probe(args) -> int:
-    sess = load_session(args.file)
+def cmd_probe(sess, args) -> int:
     ring = sess.ring
     z = ring.poly(args.z)
     c = ring.poly(args.c)
@@ -166,7 +158,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(load_session(args.file), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -17,6 +17,15 @@ from .ideals import Ideal, InfiniteColengthError, krull_dim
 from .rings import Polynomial, Ring
 
 
+def exact_text(v) -> str:
+    """The text of an exact value in JSON and CSV output: a Fraction as
+    n/d, whole numbers too (5/1), so a reader parses one form; anything
+    else as str(v)."""
+    if isinstance(v, Fraction):
+        return f"{v.numerator}/{v.denominator}"
+    return str(v)
+
+
 @dataclass
 class HKRow:
     q: int
@@ -38,7 +47,7 @@ class HKTable:
             "d": self.d,
             "ideal": [str(g) for g in self.ideal.gens],
             "rows": [{"q": r.q, "colength": r.colength,
-                      "normalized": f"{r.normalized.numerator}/{r.normalized.denominator}"}
+                      "normalized": exact_text(r.normalized)}
                      for r in self.rows],
         }
 

@@ -258,13 +258,20 @@ def _random_monomial(rng: random.Random, ring: Ring, bound: int) -> Polynomial:
     return ring.monomial(exps)
 
 
-def _monomial_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
-    # pure powers of every variable first, forcing m-primariness
+def _pure_powers(rng: random.Random, ring: Ring, count: int, bound: int) -> list[Polynomial]:
+    """x_i^(a_i) for the first count variables in order, each a_i drawn
+    from 1 ... bound in turn."""
     gens = []
-    for i in range(ring.nvars):
+    for i in range(count):
         exps = [0] * ring.nvars
         exps[i] = rng.randint(1, bound)
         gens.append(ring.monomial(exps))
+    return gens
+
+
+def _monomial_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
+    # pure powers of every variable first, forcing m-primariness
+    gens = _pure_powers(rng, ring, ring.nvars, bound)
     for _ in range(rng.randint(0, ring.nvars)):
         gens.append(_random_monomial(rng, ring, bound))
     return Ideal(ring, gens)
@@ -296,13 +303,7 @@ def _dense_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
 
 
 def _parameter_powers_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
-    d = krull_dim(ring)
-    gens = []
-    for i in range(d):
-        exps = [0] * ring.nvars
-        exps[i] = rng.randint(1, bound)
-        gens.append(ring.monomial(exps))
-    return Ideal(ring, gens)
+    return Ideal(ring, _pure_powers(rng, ring, krull_dim(ring), bound))
 
 
 _BUILDERS = {

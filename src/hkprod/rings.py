@@ -409,4 +409,7 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
     """Parse integer-coefficient polynomial text into canonical form mod p."""
     if not text.strip():
         raise PolynomialParseError("empty polynomial text")
-    return _Parser(text, ring).parse()
+    try:
+        return _Parser(text, ring).parse()
+    except RecursionError:  # each level of parentheses costs four frames
+        raise PolynomialParseError("polynomial text is nested too deeply") from None

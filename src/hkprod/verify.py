@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .hk import jacobian_candidates, levels, star_spread, tc_probe
+from .hk import exact_text, jacobian_candidates, levels, star_spread, tc_probe
 from .ideals import (Ideal, TrialSpec, is_parameter_ideal, krull_dim,
                      maximal_ideal, random_ideals)
 from .koszul import kernel_length, len_identity_sides
@@ -42,18 +42,6 @@ class NotApplicable(ValueError):
     """The ideals miss the check's hypotheses: trials skip, --ideal exits 2."""
 
 
-def _ser(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, dict):
-        return {k: _ser(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_ser(x) for x in v]
-    if isinstance(v, (bool, int, str)) or v is None:
-        return v
-    return str(v)
-
-
 @dataclass
 class VerifyReport:
     check: str
@@ -66,26 +54,17 @@ class VerifyReport:
     caveat: str | None = None
     data: dict = field(default_factory=dict)
 
-    def _obj(self) -> dict:
-        return {
-            "schema": 1,
-            "checker": self.check,
-            "fixture": self.fixture,
-            "lhs": _ser(self.lhs),
-            "rhs": _ser(self.rhs),
-            "relation": self.relation,
-            "holds": self.holds,
-            "q": self.q,
-            "caveat": self.caveat,
-            "data": _ser(self.data),
-        }
-
     def to_json_line(self) -> str:
-        return json.dumps(self._obj(), sort_keys=True, separators=(",", ":"))
+        obj = {"schema": 1, "checker": self.check, "fixture": self.fixture,
+               "lhs": self.lhs, "rhs": self.rhs, "relation": self.relation,
+               "holds": self.holds, "q": self.q, "caveat": self.caveat,
+               "data": self.data}
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          default=exact_text)
 
     def csv_row(self) -> list:
         """The CSV_HEADER fields of the JSON line; csv writes None as ''."""
-        obj = self._obj()
+        obj = json.loads(self.to_json_line())
         return [obj[k] for k in CSV_HEADER]
 
 
@@ -109,6 +88,20 @@ def _parameter_dim_2(J: Ideal) -> int:
     if krull_dim(J.ring) < 2:
         raise ValueError("needs dimension at least 2")
     return _parameter_dim(J)
+
+
+def _product_bound(I: Ideal, J: Ideal, spread, side) -> tuple:
+    """The two sides of the product bound side(IJ) <= spread*side(I) +
+    side(J), with IJ built once: side is Ideal.colength_strict for the
+    length form and _hk_side's hk for the e_HK form."""
+    return side(I * J), spread * side(I) + side(J)
+
+
+def _power_bound(I: Ideal, n: int, spread, side) -> tuple:
+    """The two sides of the power bound side(I^n) <= (1 + spread + ... +
+    spread^(n-1)) * side(I), with side as in _product_bound.  At n = 2
+    and spread d this is the (d+1) of a parameter ideal's square."""
+    return side(I.power(n)), sum(spread ** k for k in range(n)) * side(I)
 
 
 # --- length identities (general case) ---------------------------------------
@@ -148,13 +141,11 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
             data={"mu": 1, "annihilator_in_I": ann_in_I},
         )
     mu = J.min_gens()
-    lam_J = J.colength_strict()
-    lam_IJ = (I * J).colength_strict()
-    rhs = mu * lam_I + lam_J
+    lhs, rhs = _product_bound(I, J, mu, Ideal.colength_strict)
     return VerifyReport(
         check=PROP_INEQ, fixture=_fixture(I, J),
-        lhs=lam_IJ, rhs=rhs, relation="<=", holds=lam_IJ <= rhs,
-        data={"mu": mu, "lambda_I": lam_I, "lambda_J": lam_J},
+        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
+        data={"mu": mu, "lambda_I": lam_I, "lambda_J": J.colength_strict()},
     )
 
 
@@ -163,13 +154,10 @@ def verify_cor_power(I: Ideal, n: int) -> VerifyReport:
     if n < 1:
         raise ValueError("power must be at least 1")
     ell = I.min_gens()
-    coeff = sum(ell ** k for k in range(n))
-    lam_I = I.colength_strict()
-    lam_In = I.power(n).colength_strict()
-    rhs = coeff * lam_I
+    lhs, rhs = _power_bound(I, n, ell, Ideal.colength_strict)
     return VerifyReport(
         check=COR_POWER, fixture=_fixture(I, extra=f"n={n}"),
-        lhs=lam_In, rhs=rhs, relation="<=", holds=lam_In <= rhs,
+        lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs,
         data={"mu": ell, "n": n},
     )
 
@@ -180,8 +168,7 @@ def verify_eqconds(I: Ideal, J: Ideal) -> VerifyReport:
     mu = J.min_gens()
     if mu < 2:
         raise NotApplicable("theorem needs a non-principal J")
-    lam_IJ = (I * J).colength_strict()
-    bound = mu * I.colength_strict() + J.colength_strict()
+    lam_IJ, bound = _product_bound(I, J, mu, Ideal.colength_strict)
     equality = lam_IJ == bound
     containment = I.contains_ideal(J)
     parameter = is_parameter_ideal(J)
@@ -221,11 +208,10 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
 def verify_cor_square(J: Ideal) -> VerifyReport:
     """lambda(R/J^2) = (d+1)*lambda(R/J) for parameter ideals, d >= 2."""
     d = _parameter_dim_2(J)
-    lam_J2 = J.power(2).colength_strict()
-    rhs = (d + 1) * J.colength_strict()
+    lhs, rhs = _power_bound(J, 2, d, Ideal.colength_strict)
     return VerifyReport(
         check=SQUARE, fixture=_fixture(J),
-        lhs=lam_J2, rhs=rhs, relation="=", holds=lam_J2 == rhs,
+        lhs=lhs, rhs=rhs, relation="=", holds=lhs == rhs,
         data={"d": d},
     )
 
@@ -255,7 +241,7 @@ def _hk_side(ring: Ring, e_max: int):
     caveat are None; elsewhere hk(I) is the surrogate lambda(R/I^[q])/q^d
     at q = p^e_max and the caveat says so."""
     if ring.is_regular:
-        return (lambda I: I.colength_strict()), None, None
+        return Ideal.colength_strict, None, None
     d = krull_dim(ring)
     q = ring.p ** e_max
     return ((lambda I: Fraction(I.bracket_power(q).colength_strict(), q ** d)),
@@ -267,8 +253,7 @@ def verify_hk_product_bound(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyR
     is regular, a flagged finite-q surrogate otherwise."""
     ls = star_spread(J, mode)
     hk, q, caveat = _hk_side(I.ring, e_max)
-    lhs = hk(I * J)
-    rhs = ls * hk(I) + hk(J)
+    lhs, rhs = _product_bound(I, J, ls, hk)
     return VerifyReport(
         check=HK_PRODUCT, fixture=_fixture(I, J), q=q,
         lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs, caveat=caveat,
@@ -281,10 +266,8 @@ def verify_cor_power_hk(I: Ideal, n: int, mode, e_max: int = 1) -> VerifyReport:
     if n < 1:
         raise ValueError("power must be at least 1")
     ls = star_spread(I, mode)
-    coeff = sum(ls ** k for k in range(n))
     hk, q, caveat = _hk_side(I.ring, e_max)
-    lhs = hk(I.power(n))
-    rhs = coeff * hk(I)
+    lhs, rhs = _power_bound(I, n, ls, hk)
     return VerifyReport(
         check=COR_POWER_HK, fixture=_fixture(I, extra=f"n={n}"), q=q,
         lhs=lhs, rhs=rhs, relation="<=", holds=lhs <= rhs, caveat=caveat,
@@ -303,8 +286,7 @@ def verify_eqthentc(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyReport:
     if ls < 2:
         raise NotApplicable("theorem needs star spread at least 2")
     hk, q, _ = _hk_side(ring, e_max)
-    lhs = hk(I * J)
-    rhs = ls * hk(I) + hk(J)
+    lhs, rhs = _product_bound(I, J, ls, hk)
     if ring.is_regular:
         equality = lhs == rhs
         containment = I.contains_ideal(J) if equality else None

@@ -1,6 +1,8 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -91,6 +93,7 @@ def test_hk_table_csv(regular_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "q,colength,normalized_num,normalized_den"
     assert lines[1] == "1,6,6,1" and lines[2] == "2,24,6,1"
+    assert lines[-1] == "# estimate,6/1,exact-monomial-volume,limit"  # n/d, whole too
 
 
 def test_hk_infinite_colength_exit_2(regular_file, capsys):
@@ -157,6 +160,19 @@ def test_verify_csv_summary(regular_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "checker,fixture,lhs,rhs,relation,holds,q"
     assert len(lines) == 6
+
+
+def test_verify_csv_fraction_sides(tmp_path, capsys):
+    # every other CSV test runs on a polynomial ring, where sides are integers
+    path = tmp_path / "fermat.hk"
+    path.write_text(FERMAT + "ideal I = [x^2, y, z^2]\n")
+    argv = ["verify", str(path), "hk-product", "--ideal", "I", "--ideal", "m"]
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["lhs"], obj["rhs"]) == ("19/2", "12/1")
+    assert main(argv + ["--csv"]) == 0
+    row = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(row) == 1 and (row[0]["lhs"], row[0]["rhs"]) == ("19/2", "12/1")
 
 
 def test_verify_unknown_check_exit_2(regular_file, capsys):
@@ -335,6 +351,21 @@ def test_probe_refuted(regular_file, capsys):
 
 def test_probe_bad_polynomial_exit_2(regular_file, capsys):
     assert main(["probe", regular_file, "-z", "w^2", "-i", "sq", "-c", "1"]) == 2
+
+
+def test_deeply_nested_polynomial_is_usage_error(tmp_path, capsys):
+    # 300 levels of parentheses overflowed the parser's recursion and
+    # exited 1 with a traceback; 200 levels parse
+    for depth, rc, out in [(300, 2, ""), (200, 0, "1\n")]:
+        path = tmp_path / f"nested{depth}.hk"
+        path.write_text(f"ring: p=2 vars=x,y\nideal I = [{'(' * depth}x{')' * depth}, y]\n")
+        assert main(["colength", str(path), "I"]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == out
+        if rc:
+            assert captured.err == "error: polynomial text is nested too deeply\n"
+    ring = load_session(str(tmp_path / "nested200.hk")).ring
+    assert ring.poly("(" * 200 + "x" + ")" * 200) == ring.var("x")
 
 
 def test_module_entry_point(regular_file):

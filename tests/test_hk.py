@@ -91,6 +91,45 @@ def test_hypersurface_colon_identity_values(ring, gens, q, sides):
     assert hypersurface_colon_sides([ring.poly(g) for g in gens], ring, q) == sides
 
 
+@st.composite
+def m_primary_pairs(draw):
+    """(ring, qs, I, J): two m-primary ideals on the Fermat cubic (q <= 8)
+    or the quartic (q <= 9), each a pure power of every variable plus up
+    to two generators without constant term."""
+    ring, qmax = draw(st.sampled_from(HYPERSURFACES[:2]))
+    n = ring.nvars
+
+    def ideal():
+        gens = [ring.monomial([draw(st.integers(1, 2)) if j == i else 0 for j in range(n)])
+                for i in range(n)]
+        return Ideal(ring, gens + draw(st.lists(polys(ring, min_degree=1), max_size=2)))
+    qs = [q for q in (1, ring.p, ring.p ** 2, ring.p ** 3) if q <= qmax]
+    return ring, qs, ideal(), ideal()
+
+
+@settings(max_examples=60, deadline=None)
+@given(m_primary_pairs())
+def test_mu_form_bounds_at_every_q(case):
+    # lambda(K) >= 0 in the length identity, with mu(J) local generators
+    # of the m-primary J, bounds lambda(R/(IJ)^[q]); with J = I it bounds
+    # the square.  Theorems at every q, so a failure is an engine bug.
+    ring, qs, I, J = case
+    IJ, I2 = I * J, I.power(2)
+    for q in qs:
+        lam_I = I.bracket_power(q).colength()
+        assert (IJ.bracket_power(q).colength()
+                <= J.min_gens() * lam_I + J.bracket_power(q).colength()), q
+        assert I2.bracket_power(q).colength() <= (1 + I.min_gens()) * lam_I, q
+
+
+def test_mu_form_power_bound_on_the_fermat_maximal_ideal():
+    # 112 <= (1 + mu(m)) * 36 = 144; the parameter-mode spread d = 2
+    # would give (1 + d) * 36 = 108 < 112
+    m = I_(FERMAT, "x", "y", "z")
+    assert m.min_gens() == 3 and krull_dim(FERMAT) == 2
+    assert (m.power(2).bracket_power(4).colength(), m.bracket_power(4).colength()) == (112, 36)
+
+
 # diagonal hypersurfaces sum_i c_i x_i^d as (ring, d, coefficients, the
 # largest q of the random test), for the Groebner-free oracle
 DIAGONAL = {
