@@ -387,18 +387,19 @@ class Reducers:
     The basis is ordered by the module order that elim and degrees pick
     (see _Layout); an ideal element is its vector in component 0 (see
     as_vector), at rank 1.  Reducers(basis, ...) packs basis at once,
-    with fields sized from it; from_engine comes packed from the engine
-    and unpacks its basis only when read.  The basis is repacked wider,
-    in place, when a later dividend or reduction does not fit.
+    with fields sized from it and every e_i in degree 0; from_engine,
+    the one that takes degrees, comes packed from the engine and
+    unpacks its basis only when read.  The basis is repacked wider, in
+    place, when a later dividend or reduction does not fit.
     """
 
     __slots__ = ("_basis", "ring", "elim", "degrees", "lay", "rows")
 
-    def __init__(self, basis: list[Vector], ring: Ring, elim: bool = False, degrees=None):
+    def __init__(self, basis: list[Vector], ring: Ring, elim: bool = False):
         self._basis = basis
         self.ring = ring
         self.elim = elim
-        self.degrees = degrees
+        self.degrees = None
         self._repack(())
 
     @classmethod

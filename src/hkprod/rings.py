@@ -7,8 +7,9 @@ arithmetic is exact mod p; there is no floating point anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 Monomial = tuple[int, ...]
 
@@ -296,120 +297,85 @@ class Polynomial:
 
 # --- parsing ---------------------------------------------------------------
 
-_OPS = set("+-*^()")
+_TOKEN = re.compile(r"\s+|(?P<int>\d+)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*^()])|(?P<bad>.)")
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str]]:
-    text = text.replace("−", "-")  # unicode minus
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in _OPS:
-            yield ("op", ch)
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield ("int", text[i:j])
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            yield ("name", text[i:j])
-            i = j
-        else:
-            raise PolynomialParseError(f"unexpected character {ch!r} in {text!r}")
-
-
-class _Parser:
-    """Recursive descent over: expr = term (('+'|'-') term)*,
-    term = factor (('*')? factor)*, factor = base ('^' int)?,
-    base = int | var | '(' expr ')' with optional leading sign."""
-
-    def __init__(self, text: str, ring: Ring):
-        self.tokens = list(_tokenize(text))
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def parse(self) -> Polynomial:
-        result = self.expr()
-        if self.pos != len(self.tokens):
-            raise PolynomialParseError(f"trailing input at token {self.peek()[1]!r}")
-        return result
-
-    def expr(self) -> Polynomial:
-        sign = 1
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            sign = -1 if val == "-" else 1
-        result = self.term() * sign
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                t = self.term()
-                result = result + t if val == "+" else result - t
-            else:
-                return result
-
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val == "*":
-                self.next()
-                result = result * self.factor()
-            elif kind in ("int", "name") or (kind == "op" and val == "("):
-                result = result * self.factor()  # implicit product
-            else:
-                return result
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            kind, val = self.next()
-            if kind != "int":
-                raise PolynomialParseError("exponent must be a natural number")
-            return base ** int(val)
-        return base
-
-    def base(self) -> Polynomial:
-        kind, val = self.next()
-        if kind == "int":
-            return self.ring.monomial((0,) * self.ring.nvars, int(val))
-        if kind == "name":
-            if val not in self.ring._var_index:
-                raise PolynomialParseError(f"unknown variable {val!r}")
-            return self.ring.var(val)
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val = self.next()
-            if (kind, val) != ("op", ")"):
-                raise PolynomialParseError("unbalanced parentheses")
-            return inner
-        raise PolynomialParseError(f"unexpected token {val!r}")
+def _tokenize(text: str) -> list[tuple[str | None, str | None]]:
+    """(kind, text) of each token, then (None, None).  kind is "int",
+    "name", or the operator character itself."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind, tok = m.lastgroup, m[0]
+        # \w also takes digits that int() refuses, such as '²'
+        if kind == "bad" or kind == "name" and not (tok[0].isalpha() or tok[0] == "_"):
+            raise PolynomialParseError(f"unexpected character {tok[0]!r} in {text!r}")
+        if kind:
+            tokens.append((tok if kind == "op" else kind, tok))
+    tokens.append((None, None))
+    return tokens
 
 
 def parse_polynomial(text: str, ring: Ring) -> Polynomial:
-    """Parse integer-coefficient polynomial text into canonical form mod p."""
+    """Parse integer-coefficient polynomial text into canonical form mod p.
+
+    sum = ('+'|'-')? term (('+'|'-') term)*, term = factor ('*'? factor)*,
+    factor = base ('^' int)?, base = int | var | '(' sum ')'.  One loop
+    reads the tokens left to right.  A '(' saves the interrupted (sum,
+    sign, product) on a stack and its ')' restores it, with the group's
+    sum as the next base, so any nesting depth parses.  None is an empty
+    sum or product; sign 0 means no sign yet at the start of a sum.
+    """
     if not text.strip():
         raise PolynomialParseError("empty polynomial text")
-    try:
-        return _Parser(text, ring).parse()
-    except RecursionError:  # each level of parentheses costs four frames
-        raise PolynomialParseError("polynomial text is nested too deeply") from None
+    tokens = _tokenize(text.replace("−", "-"))  # unicode minus
+    stack = []
+    total, sign, product = None, 0, None
+    i = 0
+    while True:
+        kind, val = tokens[i]
+        i += 1
+        if kind in ("+", "-") and sign == 0 and product is None:
+            sign = 1 if kind == "+" else -1
+            kind, val = tokens[i]
+            i += 1
+        if kind == "(":
+            stack.append((total, sign, product))
+            total, sign, product = None, 0, None
+            continue
+        if kind == "int":
+            base = ring.monomial((0,) * ring.nvars, int(val))
+        elif kind == "name":
+            if val not in ring._var_index:
+                raise PolynomialParseError(f"unknown variable {val!r}")
+            base = ring.var(val)
+        else:
+            raise PolynomialParseError(f"unexpected token {val!r}")
+        while True:  # after a base: its power, then the next factor, term or ')'
+            kind, val = tokens[i]
+            if kind == "^":
+                kind, val = tokens[i + 1]
+                if kind != "int":
+                    raise PolynomialParseError("exponent must be a natural number")
+                base = base ** int(val)
+                i += 2
+                kind, val = tokens[i]
+            product = base if product is None else product * base
+            if kind in ("*", "int", "name", "("):  # another factor: '*' is optional
+                i += kind == "*"
+                break
+            if sign < 0:
+                product = -product
+            total = product if total is None else total + product
+            if kind in ("+", "-"):
+                sign, product = (1 if kind == "+" else -1), None
+                i += 1
+                break
+            if not stack:
+                if kind is None:
+                    return total
+                raise PolynomialParseError(f"trailing input at token {val!r}")
+            if kind != ")":
+                raise PolynomialParseError("unbalanced parentheses")
+            i += 1
+            base = total
+            total, sign, product = stack.pop()

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from hkprod import Ring
+
+# Hypothesis' "ci" profile (derandomized, no example database) on every
+# run, so a local run draws the same examples as CI.
+settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
 """Polynomial arithmetic, parsing, monomial orders, Frobenius powers."""
 
+import random
+from functools import reduce
+from operator import mul
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -51,7 +55,7 @@ def test_parse_implicit_products_and_unicode_minus(F5xy):
 
 
 def test_parse_errors(F2xy):
-    for bad in ["", "x +", "w", "x^y", "(x"]:
+    for bad in ["", "x +", "w", "x^y", "(x", "2²", "x^²"]:
         with pytest.raises(PolynomialParseError):
             F2xy.poly(bad)
 
@@ -139,6 +143,61 @@ def test_frobenius_additive(data):
     g = data.draw(_polys(ring))
     assert (f + g).frobenius(3) == f.frobenius(3) + g.frobenius(3)
     assert (f * g).frobenius(9) == f.frobenius(9) * g.frobenius(9)
+
+
+def _blank(rnd) -> str:
+    return rnd.choice(["", " ", "  "])
+
+
+def _factor_text(rnd, ring, depth):
+    r = rnd.randint(0, 2 if depth else 1)
+    if r == 0:
+        n = rnd.randint(0, 20)
+        text, value = str(n), ring.monomial((0,) * ring.nvars, n)
+    elif r == 1:
+        name = rnd.choice(ring.variables)
+        text, value = name, ring.var(name)
+    else:
+        inner, value = _sum_text(rnd, ring, depth - 1)
+        text = "(" + _blank(rnd) + inner + _blank(rnd) + ")"
+    if rnd.random() < 0.3:
+        k = rnd.randint(0, 3)
+        text += _blank(rnd) + "^" + _blank(rnd) + str(k)
+        value = reduce(mul, [value] * k, ring.one())
+    return text, value
+
+
+def _term_text(rnd, ring, depth):
+    text, value = _factor_text(rnd, ring, depth)
+    for _ in range(rnd.randint(0, 2)):
+        factor, f = _factor_text(rnd, ring, depth)
+        if rnd.random() < 0.5:
+            text += _blank(rnd) + "*" + _blank(rnd) + factor
+        else:  # juxtaposed, with a blank where two tokens would merge
+            merge = text[-1].isalnum() and factor[0].isalnum()
+            text += (" " if merge else "") + _blank(rnd) + factor
+        value = value * f
+    return text, value
+
+
+def _sum_text(rnd, ring, depth):
+    """(text, value) of a random sum: the value is built from the same
+    tree by Polynomial arithmetic, never from text."""
+    text, value = "", ring.zero()
+    for k in range(rnd.randint(1, 3)):
+        op = rnd.choice(["+", "-", "−"] if k else ["", "", "+", "-", "−"])
+        term, t = _term_text(rnd, ring, depth)
+        text += (_blank(rnd) if k else "") + op + _blank(rnd) + term
+        value = value + t if op in ("", "+") else value - t
+    return text, value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 101]), st.integers(0, 2**32))
+def test_parsed_text_equals_its_expression_tree(p, seed):
+    ring = Ring(p, ["x", "y", "z1"])
+    text, value = _sum_text(random.Random(seed), ring, 3)
+    assert ring.poly(text) == value, text
 
 
 @settings(max_examples=40, deadline=None)
