@@ -4,9 +4,8 @@ in polynomial rings and hypersurface quotients over prime fields."""
 from .groebner import buchberger, normal_form, syzygies
 from .hk import (HKEstimate, HKTable, ProbeVerdict, hk_estimate, hk_table,
                  jacobian_candidates, monomial_hk_volume, star_spread, tc_probe)
-from .ideals import (Ideal, InfiniteColengthError, TrialSpec,
-                     is_parameter_ideal, krull_dim, maximal_ideal,
-                     random_ideals)
+from .ideals import (Ideal, InfiniteColengthError, is_parameter_ideal,
+                     krull_dim, maximal_ideal, random_ideal)
 from .koszul import kernel_length, len_identity_sides
 from .rings import (MonomialOrder, Polynomial, PolynomialParseError, Ring,
                     RingMismatchError, parse_polynomial)
@@ -16,7 +15,7 @@ __all__ = [
     "Ring", "Polynomial", "MonomialOrder", "parse_polynomial",
     "RingMismatchError", "PolynomialParseError",
     "buchberger", "normal_form", "syzygies",
-    "Ideal", "TrialSpec", "random_ideals", "krull_dim", "maximal_ideal",
+    "Ideal", "random_ideal", "krull_dim", "maximal_ideal",
     "is_parameter_ideal", "InfiniteColengthError",
     "kernel_length", "len_identity_sides",
     "HKTable", "HKEstimate", "ProbeVerdict", "hk_table", "hk_estimate",

@@ -1,11 +1,11 @@
 """Ideal algebra over a Ring: sums, products, powers, bracket powers,
 colons, minimal generator counts, Krull dimension, parameter-ideal
-detection, and seeded random ideal families for randomized trials."""
+detection, and random_ideal, which draws one ideal of a named family
+from the caller's random.Random for randomized trials."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
 
 from . import groebner
@@ -234,22 +234,6 @@ def is_parameter_ideal(J: Ideal) -> bool:
 
 # --- seeded random families --------------------------------------------------
 
-@dataclass(frozen=True)
-class TrialSpec:
-    """Reproducible ideal stream: same spec, same ideals."""
-
-    seed: int
-    family: str
-    degree_bound: int
-    count: int
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.degree_bound < 1 or self.count < 0:
-            raise ValueError("degree bound and count must be positive")
-
-
 def _random_monomial(rng: random.Random, ring: Ring, bound: int) -> Polynomial:
     total = rng.randint(1, bound)
     exps = [0] * ring.nvars
@@ -269,25 +253,21 @@ def _pure_powers(rng: random.Random, ring: Ring, count: int, bound: int) -> list
     return gens
 
 
-def _monomial_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
+def _monomial_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
     # pure powers of every variable first, forcing m-primariness
     gens = _pure_powers(rng, ring, ring.nvars, bound)
     for _ in range(rng.randint(0, ring.nvars)):
         gens.append(_random_monomial(rng, ring, bound))
-    return Ideal(ring, gens)
+    return gens
 
 
-def _binomial_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
-    base = _monomial_ideal(rng, ring, bound)
-    gens = list(base.gens)
+def _binomial_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
+    gens = _monomial_gens(rng, ring, bound)
     for _ in range(rng.randint(1, 2)):
         m1 = _random_monomial(rng, ring, bound)
         m2 = _random_monomial(rng, ring, bound)
-        c = rng.randint(1, ring.p - 1)
-        g = m1 + m2 * c
-        if not g.is_zero():
-            gens.append(g)
-    return Ideal(ring, gens)
+        gens.append(m1 + m2 * rng.randint(1, ring.p - 1))
+    return gens
 
 
 def _dense_poly(rng: random.Random, ring: Ring, bound: int) -> Polynomial:
@@ -297,41 +277,36 @@ def _dense_poly(rng: random.Random, ring: Ring, bound: int) -> Polynomial:
     return f
 
 
-def _dense_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
-    gens = [_dense_poly(rng, ring, bound) for _ in range(ring.nvars + 1)]
-    return Ideal(ring, [g for g in gens if not g.is_zero()])
+def _dense_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
+    return [_dense_poly(rng, ring, bound) for _ in range(ring.nvars + 1)]
 
 
-def _parameter_powers_ideal(rng: random.Random, ring: Ring, bound: int) -> Ideal:
-    return Ideal(ring, _pure_powers(rng, ring, krull_dim(ring), bound))
+def _parameter_powers_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
+    return _pure_powers(rng, ring, krull_dim(ring), bound)
 
 
 _BUILDERS = {
-    "monomial": _monomial_ideal,
-    "binomial": _binomial_ideal,
-    "dense": _dense_ideal,
-    "parameter-powers": _parameter_powers_ideal,
+    "monomial": _monomial_gens,
+    "binomial": _binomial_gens,
+    "dense": _dense_gens,
+    "parameter-powers": _parameter_powers_gens,
 }
 FAMILIES = tuple(_BUILDERS)
 
 
-def random_ideals(spec: TrialSpec, ring: Ring):
-    """Deterministic ideal stream for trials.
-
-    Families that cannot guarantee finite colength by construction
-    (dense, binomial over quotients) are filtered by retrying with the
-    same RNG, preserving determinism.
-    """
-    rng = random.Random(spec.seed)
-    build = _BUILDERS[spec.family]
-    out = []
-    attempts = 0
-    while len(out) < spec.count:
-        ideal = build(rng, ring, spec.degree_bound)
-        attempts += 1
-        if attempts > 100 * (spec.count + 1):
-            raise InfiniteColengthError(
-                "random ideal family keeps producing non-m-primary ideals")
+def random_ideal(rng: random.Random, ring: Ring, family: str, bound: int) -> Ideal:
+    """The next ideal of `family` drawn from `rng`, monomials of degree
+    at most `bound`.  A family that cannot guarantee finite colength by
+    construction (dense, binomial over quotients) is redrawn from the
+    same rng, up to 200 draws, so the stream stays a function of the
+    rng's state."""
+    if family not in _BUILDERS:
+        raise ValueError(f"unknown family {family!r}")
+    if bound < 1:
+        raise ValueError("degree bound must be positive")
+    for _ in range(200):
+        ideal = Ideal(ring, _BUILDERS[family](rng, ring, bound))
         if ideal.gens and ideal.is_m_primary():
-            out.append(ideal)
-    return out
+            return ideal
+    raise InfiniteColengthError(
+        "random ideal family keeps producing non-m-primary ideals")

@@ -91,6 +91,15 @@ class Ring:
             raise ValueError("a ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
+        for v in self.variables:
+            # a name that polynomial text cannot spell could never be used
+            try:
+                ok = _tokenize(v) == [("name", v), (None, None)]
+            except PolynomialParseError:
+                ok = False
+            if not ok:
+                raise ValueError(f"variable name {v!r} is not a single name "
+                                 "token of polynomial text")
         self.order = MonomialOrder(order)
         self._var_index = {v: i for i, v in enumerate(self.variables)}
         rels = []

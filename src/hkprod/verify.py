@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hk import exact_text, jacobian_candidates, levels, star_spread, tc_probe
-from .ideals import (Ideal, TrialSpec, is_parameter_ideal, krull_dim,
-                     maximal_ideal, random_ideals)
+from .ideals import (Ideal, is_parameter_ideal, krull_dim, maximal_ideal,
+                     random_ideal)
 from .koszul import kernel_length, len_identity_sides
 from .rings import Ring
 
@@ -419,7 +419,7 @@ def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
 # --- the check table and the randomized trial driver ------------------------
 
 def _draw(ring: Ring, rng: random.Random, family: str, bound: int) -> Ideal:
-    return random_ideals(TrialSpec(rng.randrange(2 ** 32), family, bound, 1), ring)[0]
+    return random_ideal(random.Random(rng.randrange(2 ** 32)), ring, family, bound)
 
 
 def _draw_parameter(ring, rng, t, bound):

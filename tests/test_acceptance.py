@@ -5,11 +5,12 @@ tolerances anywhere.  Each test prints a single pass/fail line, so
 running this file with `pytest -s` gives an 11-line scoreboard.
 """
 
+import random
 import time
 from fractions import Fraction
 
-from hkprod import (Ideal, Ring, TrialSpec, hk_table, monomial_hk_volume,
-                    random_ideals, tc_probe)
+from hkprod import (Ideal, Ring, hk_table, monomial_hk_volume, random_ideal,
+                    tc_probe)
 from hkprod import verify as V
 from hkprod.cli import main
 
@@ -34,8 +35,8 @@ def test_criterion_01_length_identity_randomized():
 
 def test_criterion_02_parameter_square_colength():
     ring = Ring(5, ["x", "y", "z"])
-    spec = TrialSpec(seed=11, family="parameter-powers", degree_bound=4, count=50)
-    ideals = random_ideals(spec, ring)
+    rng = random.Random(11)
+    ideals = [random_ideal(rng, ring, "parameter-powers", 4) for _ in range(50)]
     ok = len(ideals) == 50 and all(
         J.power(2).colength_strict() == 4 * J.colength_strict() for J in ideals)
     _criterion(2, "lambda(R/J^2) = 4*lambda(R/J) for 50 parameter ideals in "
@@ -59,8 +60,8 @@ def test_criterion_04_kunz_scaling_cross_oracle():
     for p in (2, 3):
         ring = Ring(p, ["x", "y"])
         for seed, family in ((21, "monomial"), (22, "binomial"), (23, "dense")):
-            spec = TrialSpec(seed=seed, family=family, degree_bound=3, count=17)
-            for I in random_ideals(spec, ring):
+            rng = random.Random(seed)
+            for I in [random_ideal(rng, ring, family, 3) for _ in range(17)]:
                 count += 1
                 # Buchberger on the bracket generators, not bracket_power:
                 # on a polynomial ring that takes G^[p], whose staircase is
@@ -73,8 +74,8 @@ def test_criterion_04_kunz_scaling_cross_oracle():
 
 def test_criterion_05_monomial_volume_oracle():
     ring = Ring(2, ["x", "y", "z"])
-    spec = TrialSpec(seed=31, family="monomial", degree_bound=3, count=100)
-    ideals = random_ideals(spec, ring)
+    rng = random.Random(31)
+    ideals = [random_ideal(rng, ring, "monomial", 3) for _ in range(100)]
     ok = len(ideals) == 100 and all(
         monomial_hk_volume(I) == Fraction(I.colength_strict()) for I in ideals)
     _criterion(5, "monomial volume = colength for 100 random monomial ideals "
@@ -123,18 +124,15 @@ def test_criterion_08_stable_bracket_product_values():
 
 def test_criterion_09_product_bound_equality_iff_containment():
     ring = Ring(2, ["x", "y"])
-    import random as _random
-    rng = _random.Random(51)
+    rng = random.Random(51)
     families = ("monomial", "binomial", "dense")
     saw_equality = saw_strict = False
     ok = True
     for t in range(60):
-        J = random_ideals(TrialSpec(seed=rng.randrange(2 ** 32),
-                                    family="parameter-powers",
-                                    degree_bound=3, count=1), ring)[0]
-        I = random_ideals(TrialSpec(seed=rng.randrange(2 ** 32),
-                                    family=families[t % 3],
-                                    degree_bound=3, count=1), ring)[0]
+        J = random_ideal(random.Random(rng.randrange(2 ** 32)), ring,
+                         "parameter-powers", 3)
+        I = random_ideal(random.Random(rng.randrange(2 ** 32)), ring,
+                         families[t % 3], 3)
         if t % 3 == 2:
             I = I + J  # force the containment branch
         lhs = (I * J).colength_strict()

@@ -218,6 +218,17 @@ def test_ring_without_variables_is_usage_error(argv, tmp_path, capsys):
     assert out == "" and err == "error: a ring needs at least one variable\n"
 
 
+def test_variable_name_that_text_cannot_spell_is_usage_error(tmp_path, capsys):
+    # no polynomial text can name 2y, so only the unit ideal of such a
+    # ring has finite colength: colength of [x] printed "infinite", exit 0
+    path = tmp_path / "digit.hk"
+    path.write_text("ring: p=2 vars=x,2y\nideal I = [x]\n")
+    assert main(["colength", str(path), "I"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: variable name '2y' is not a single "
+                                 "name token of polynomial text\n")
+
+
 def test_verify_integer_star_spread_mode(regular_file, capsys):
     assert main(["verify", regular_file, "hk-product", "--ideal", "m",
                  "--ideal", "sq", "--mode", "3"]) == 0

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import (Ideal, InfiniteColengthError, Ring, TrialSpec, groebner,
-                    hk_estimate, hk_table, jacobian_candidates, krull_dim,
-                    monomial_hk_volume, random_ideals, star_spread, tc_probe)
+from hkprod import (Ideal, InfiniteColengthError, Ring, groebner, hk_estimate,
+                    hk_table, jacobian_candidates, krull_dim,
+                    monomial_hk_volume, random_ideal, star_spread, tc_probe)
 
 from .oracles import diagonal_colength, hypersurface_colon_sides, subset_volume
 from .strategies import polys
@@ -247,8 +247,8 @@ def test_monomial_volume_drops_cancelled_join(F2xy):
 
 
 def test_monomial_volume_equals_colength_randomized(F3xy):
-    spec = TrialSpec(seed=17, family="monomial", degree_bound=4, count=25)
-    for I in random_ideals(spec, F3xy):
+    rng = random.Random(17)
+    for I in [random_ideal(rng, F3xy, "monomial", 4) for _ in range(25)]:
         assert monomial_hk_volume(I) == I.colength_strict()
 
 
@@ -324,8 +324,8 @@ def test_probe_refutation(F2xy):
 
 def test_probe_membership_in_ideal_always_consistent(F3xy):
     rng = random.Random(2)
-    spec = TrialSpec(seed=8, family="binomial", degree_bound=3, count=8)
-    for I in random_ideals(spec, F3xy):
+    draws = random.Random(8)
+    for I in [random_ideal(draws, F3xy, "binomial", 3) for _ in range(8)]:
         z = I.gens[rng.randrange(len(I.gens))]
         assert tc_probe(z, I, F3xy.one(), 2).consistent
 

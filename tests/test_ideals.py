@@ -1,13 +1,14 @@
 """Ideal operations: products, bracket powers, colons, minimal
 generators, dimension, parameter detection, random families."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, TrialSpec,
-                    is_parameter_ideal, krull_dim, maximal_ideal,
-                    random_ideals)
+from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring,
+                    is_parameter_ideal, krull_dim, maximal_ideal, random_ideal)
 from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
@@ -271,19 +272,61 @@ def test_fermat_parameter_colength(fermat):
     assert J.power(2).colength() == 9
 
 
+def _gens(ideals):
+    return [[str(g) for g in i.gens] for i in ideals]
+
+
 def test_random_families_deterministic(F2xy):
     for family in FAMILIES:
-        spec = TrialSpec(seed=42, family=family, degree_bound=3, count=5)
-        a = random_ideals(spec, F2xy)
-        b = random_ideals(spec, F2xy)
-        assert [[str(g) for g in i.gens] for i in a] == \
-               [[str(g) for g in i.gens] for i in b]
+        rng_a, rng_b = random.Random(42), random.Random(42)
+        a = [random_ideal(rng_a, F2xy, family, 3) for _ in range(5)]
+        b = [random_ideal(rng_b, F2xy, family, 3) for _ in range(5)]
+        assert _gens(a) == _gens(b)
         assert all(i.is_m_primary() for i in a)
 
 
+# The first three ideals of every family from Random(42).  Every verify
+# trial draws its ideals this way, so a changed stream changes the trial
+# outputs.  The second dense draw on F_2[x,y] has a generator that
+# cancels to zero and is dropped.
+PINNED_STREAMS = {
+    "F2xy": (3, {
+        "monomial": [["x^3", "y"], ["x^3", "y^2"], ["x", "y", "x", "x^2*y"]],
+        "binomial": [["x^3", "y", "x^2*y + x"], ["x^3", "y^3", "x^2*y + x*y^2"],
+                     ["x^2", "y^2", "x^2 + x*y"]],
+        "dense": [["x*y^2 + x*y", "x^3 + x*y + y^2", "x*y + y^2 + x"],
+                  ["y^3 + x", "x^2*y + x"], ["x*y", "x*y^2 + y", "x + y"]],
+        "parameter-powers": [["x^3", "y"], ["x", "y^3"], ["x^2", "y"]],
+    }),
+    "fermat": (2, {
+        "monomial": [["x", "y", "z^2", "x"], ["x", "y", "z^2"],
+                     ["x", "y", "z", "z"]],
+        "binomial": [["x", "y", "z^2", "x", "x^2 + z"],
+                     ["x", "y", "z", "x*y", "y^2 + x", "x + y"],
+                     ["x", "y^2", "z^2", "z", "x*z", "z^2 + z", "x + z"]],
+        "dense": [["x^2 + z", "y*z + z", "x^2 + x + y"],
+                  ["x*z + z^2 + y + z", "x + y", "x*y + y*z + z",
+                   "x^2 + y^2 + y*z + x"],
+                  ["x*z + y*z", "y*z", "x + z", "x*y + y*z + y + z"]],
+        "parameter-powers": [["x", "y"], ["x^2", "y"], ["x", "y"]],
+    }),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(PINNED_STREAMS))
+def test_random_ideal_streams_pinned(ring_name, request):
+    ring = request.getfixturevalue(ring_name)
+    bound, streams = PINNED_STREAMS[ring_name]
+    assert sorted(streams) == sorted(FAMILIES)
+    for family, expected in streams.items():
+        rng = random.Random(42)
+        assert _gens(random_ideal(rng, ring, family, bound)
+                     for _ in range(3)) == expected
+
+
 def test_parameter_powers_family_colength(F5xyz):
-    spec = TrialSpec(seed=3, family="parameter-powers", degree_bound=4, count=10)
-    for J in random_ideals(spec, F5xyz):
+    rng = random.Random(3)
+    for J in [random_ideal(rng, F5xyz, "parameter-powers", 4) for _ in range(10)]:
         exps = [g.leading_monomial() for g in J.gens]
         expected = 1
         for m in exps:
@@ -292,11 +335,11 @@ def test_parameter_powers_family_colength(F5xyz):
         assert is_parameter_ideal(J)
 
 
-def test_trial_spec_validation():
-    with pytest.raises(ValueError):
-        TrialSpec(seed=0, family="nope", degree_bound=2, count=1)
-    with pytest.raises(ValueError):
-        TrialSpec(seed=0, family="monomial", degree_bound=0, count=1)
+def test_random_ideal_validation(F2xy):
+    with pytest.raises(ValueError, match="unknown family"):
+        random_ideal(random.Random(0), F2xy, "nope", 2)
+    with pytest.raises(ValueError, match="degree bound"):
+        random_ideal(random.Random(0), F2xy, "monomial", 0)
 
 
 def test_power_requires_positive_exponent(F2xy):

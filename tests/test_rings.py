@@ -1,6 +1,7 @@
 """Polynomial arithmetic, parsing, monomial orders, Frobenius powers."""
 
 import random
+import re
 from functools import reduce
 from operator import mul
 
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from hkprod import MonomialOrder, PolynomialParseError, Ring
 from hkprod.rings import is_p_power
+
+from .strategies import rings
 
 
 def test_characteristic_must_be_prime():
@@ -22,6 +25,19 @@ def test_characteristic_must_be_prime():
 def test_duplicate_variables_rejected():
     with pytest.raises(ValueError):
         Ring(2, ["x", "x"])
+
+
+@pytest.mark.parametrize("name", ["2y", "x y", "y-1", "(y)", ""])
+def test_variable_names_must_be_name_tokens(name):
+    with pytest.raises(ValueError, match=re.escape(f"variable name {name!r} is not")):
+        Ring(2, ["x", name])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rings())
+def test_variable_text_parses_back(ring):
+    for v in ring.variables:
+        assert ring.poly(str(ring.var(v))) == ring.var(v)
 
 
 def test_ring_needs_a_variable():
