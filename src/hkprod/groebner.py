@@ -173,24 +173,20 @@ class _Layout:
         return {((e >> S) & pmask, exponents(e & mask)): c for e, c in terms}
 
 
-def _monic(work: dict, p: int) -> dict:
-    inv = pow(work[min(work)], -1, p)
-    return work if inv == 1 else {e: (c * inv) % p for e, c in work.items()}
-
-
 def _reducer(work: dict, lay: _Layout) -> tuple:
-    """A nonzero packed element prepared for division: (leading monomial,
-    leading code, inverse leading coefficient, tail), where tail lists
-    (code, coeff) for every other term."""
+    """A nonzero packed element made monic for division: (leading
+    monomial, leading code, tail), where tail lists (code, coeff) for
+    every other term of the element divided by its leading coefficient.
+
+    This is the one place that makes an engine element monic, so every
+    reducer has leading coefficient 1 and is stored without it."""
     lead = min(work)
-    return (lead & lay.mask, lead, pow(work[lead], -1, lay.p),
-            [(e, c) for e, c in work.items() if e != lead])
-
-
-def _terms(r: tuple, p: int):
-    """The (code, coeff) pairs of a reducer, leading term first."""
-    yield r[1], pow(r[2], -1, p)
-    yield from r[3]
+    tail = [(e, c) for e, c in work.items() if e != lead]
+    if work[lead] != 1:
+        p = lay.p
+        inv = pow(work[lead], -1, p)
+        tail = [(e, c * inv % p) for e, c in tail]
+    return lead & lay.mask, lead, tail
 
 
 def _by_position(reducers, lay: _Layout) -> dict[int, list]:
@@ -208,8 +204,10 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
     remaining term comes off a heap of codes; entries whose term has
     cancelled are skipped when popped.  Each term is reduced by the first
     reducer whose leading monomial divides it, else it moves to the
-    remainder, which thus lists its terms from the largest down.  Every new
-    term is checked for overflow.
+    remainder, which thus lists its terms from the largest down.  Every
+    reducer is monic (see _reducer), so the popped coefficient is the
+    factor of the reducer's tail that is subtracted.  Every new term is
+    checked for overflow.
     """
     p, mask, guard, S, pmask = lay.p, lay.mask, lay.guard, lay.S, lay.pmask
     heap = list(work)
@@ -221,9 +219,8 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
         if c is None:
             continue  # cancelled after it was pushed
         mg = (e & mask) | guard
-        for lm, lead, lcinv, tail in rows.get((e >> S) & pmask, ()):
+        for lm, lead, tail in rows.get((e >> S) & pmask, ()):
             if (mg - lm) & guard == guard:
-                factor = (c * lcinv) % p
                 shift = e - lead
                 for t, tc in tail:
                     t += shift
@@ -231,10 +228,10 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
                     if old is None:
                         if t & guard:
                             raise _Overflow
-                        work[t] = (-factor * tc) % p
+                        work[t] = (-c * tc) % p
                         heappush(heap, t)
                     else:
-                        v = (old - factor * tc) % p
+                        v = (old - c * tc) % p
                         if v:
                             work[t] = v
                         else:
@@ -316,7 +313,7 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     reducers.
     """
     p, guard, coprime = lay.p, lay.guard, lay.rank == 1
-    G = sorted((_reducer(_monic(w, p), lay) for w in works if w),
+    G = sorted((_reducer(w, lay) for w in works if w),
                key=itemgetter(1), reverse=True)
     leads = [r[0] for r in G]
     # per component: the reducers of the basis elements whose leading
@@ -348,7 +345,7 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
         if pending[lay.position(lcm_code)].pop((i, j), None) is None:
             continue  # dropped by a later update
         work: dict = {}
-        for (_, lead, _, tail), sign in ((G[i], 1), (G[j], -1)):
+        for (_, lead, tail), sign in ((G[i], 1), (G[j], -1)):
             shift = lcm_code - lead
             for e, c in tail:
                 e += shift
@@ -361,7 +358,7 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
                     del work[e]
         rem = _divide(work, rows, lay)
         if rem:
-            G.append(_reducer(_monic(rem, p), lay))
+            G.append(_reducer(rem, lay))
             leads.append(G[-1][0])
             add_pairs(len(G) - 1)
     return G
@@ -390,7 +387,10 @@ class Reducers:
     with fields sized from it and every e_i in degree 0; from_engine,
     the one that takes degrees, comes packed from the engine and
     unpacks its basis only when read.  The basis is repacked wider, in
-    place, when a later dividend or reduction does not fit.
+    place, when a later dividend or reduction does not fit.  Every
+    packed element is made monic by _reducer, and only there, so a
+    basis given with other leading coefficients divides the same: a
+    unit multiple of a reducer leaves every remainder unchanged.
     """
 
     __slots__ = ("_basis", "ring", "elim", "degrees", "lay", "rows")
@@ -431,7 +431,7 @@ class Reducers:
         if self._basis is None:
             rows = sorted((r for group in self.rows.values() for r in group),
                           key=itemgetter(1), reverse=True)
-            self._basis = [self.lay.unpack(_terms(r, self.ring.p)) for r in rows]
+            self._basis = [self.lay.unpack([(r[1], 1), *r[2]]) for r in rows]
         return self._basis
 
     def leads(self) -> list[tuple[int, Monomial]]:

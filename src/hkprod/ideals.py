@@ -13,7 +13,7 @@ from .rings import Polynomial, Ring, RingMismatchError, is_p_power
 
 
 class InfiniteColengthError(ValueError):
-    """The ideal is not primary to the ideal of all variables."""
+    """The ideal, or module, has infinite colength."""
 
 
 class Ideal:
@@ -200,29 +200,15 @@ def maximal_ideal(ring: Ring) -> Ideal:
 def krull_dim(ring: Ring) -> int:
     """Dimension of S/Q: the largest variable subset meeting no leading
     monomial of GB(Q) (combinatorial dimension of the initial ideal)."""
-    if ring._dim is not None:
-        return ring._dim
-    if not ring.relations:
-        ring._dim = ring.nvars
-        return ring._dim
-    gb = groebner.buchberger([], ring)
-    supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-                for g in gb]
-    if any(not s for s in supports):
-        ring._dim = 0  # unit ideal: the zero ring
-        return 0
-    best = 0
-    indices = range(ring.nvars)
-    for size in range(ring.nvars, -1, -1):
-        for subset in combinations(indices, size):
-            sub = set(subset)
-            if all(not s <= sub for s in supports):
-                best = size
-                break
-        if best == size:
-            break
-    ring._dim = best
-    return best
+    if ring._dim is None:
+        gb = groebner.buchberger([], ring) if ring.relations else []
+        supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
+                    for g in gb]
+        # every subset contains the empty support of a unit: the zero ring
+        ring._dim = next((size for size in range(ring.nvars, -1, -1)
+                          for sub in combinations(range(ring.nvars), size)
+                          if not any(s.issubset(sub) for s in supports)), 0)
+    return ring._dim
 
 
 def is_parameter_ideal(J: Ideal) -> bool:

@@ -3,6 +3,10 @@
 Monomials are exponent tuples, one entry per ring variable.  Polynomials
 are immutable maps monomial -> nonzero coefficient in [1, p).  All
 arithmetic is exact mod p; there is no floating point anywhere.
+
+Polynomial.__init__ is the one place that puts coefficients in that
+canonical form: it reduces each one mod p and drops the zeros.  The
+arithmetic methods and Ring.monomial pass it plain integers.
 """
 
 from __future__ import annotations
@@ -140,8 +144,7 @@ class Ring:
             raise ValueError("exponent tuple has wrong length")
         if any(e < 0 for e in exps):
             raise ValueError("negative exponent")
-        c = coeff % self.p
-        return Polynomial(self, {exps: c} if c else {})
+        return Polynomial(self, {exps: coeff})
 
     def poly(self, text: str) -> "Polynomial":
         return parse_polynomial(text, self)
@@ -167,7 +170,7 @@ class Polynomial:
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         p = ring.p
-        self.terms = {m: c % p for m, c in terms.items() if c % p}
+        self.terms = {m: r for m, c in terms.items() if (r := c % p)}
         self._lm = None
 
     def is_zero(self) -> bool:
@@ -197,31 +200,26 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        p = self.ring.p
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            terms[m] = (terms.get(m, 0) + c) % p
+            terms[m] = terms.get(m, 0) + c
         return Polynomial(self.ring, terms)
 
     def __neg__(self):
-        p = self.ring.p
-        return Polynomial(self.ring, {m: p - c for m, c in self.terms.items()})
+        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            c = other % self.ring.p
-            return Polynomial(self.ring, {m: (v * c) % self.ring.p
-                                          for m, v in self.terms.items()})
+            return Polynomial(self.ring, {m: v * other for m, v in self.terms.items()})
         self._check(other)
-        p = self.ring.p
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = (terms.get(m, 0) + c1 * c2) % p
+                terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -240,11 +238,7 @@ class Polynomial:
 
     def term_mul(self, mono: Monomial, coeff: int) -> "Polynomial":
         """Multiply by a single term, cheaper than building a Polynomial."""
-        p = self.ring.p
-        c = coeff % p
-        if not c:
-            return self.ring.zero()
-        return Polynomial(self.ring, {tuple(a + b for a, b in zip(m, mono)): (v * c) % p
+        return Polynomial(self.ring, {tuple(a + b for a, b in zip(m, mono)): v * coeff
                                       for m, v in self.terms.items()})
 
     def frobenius(self, q: int) -> "Polynomial":
@@ -262,16 +256,12 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative with respect to variable i."""
-        p = self.ring.p
         terms: dict = {}
         for m, c in self.terms.items():
-            if m[i] == 0:
-                continue
-            coeff = (c * m[i]) % p
-            if coeff:
+            if m[i]:
                 mm = list(m)
                 mm[i] -= 1
-                terms[tuple(mm)] = coeff
+                terms[tuple(mm)] = c * m[i]
         return Polynomial(self.ring, terms)
 
     def __eq__(self, other):

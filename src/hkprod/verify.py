@@ -133,7 +133,7 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
         fI = Ideal(I.ring, [f * g for g in I.gens])
         lam_mim = fI.colon(f).colength_strict()  # lambda((f)/(f)I)
         ann = Ideal(I.ring, []).colon(f)  # (0 : f)
-        ann_in_I = all(I.contains(g) for g in ann.gens)
+        ann_in_I = I.contains_ideal(ann)
         holds = lam_mim <= lam_I and ((lam_mim == lam_I) == ann_in_I)
         return VerifyReport(
             check=PROP_INEQ, fixture=_fixture(I, J, extra="[principal]"),

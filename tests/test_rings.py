@@ -219,8 +219,21 @@ def test_parsed_text_equals_its_expression_tree(p, seed):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_canonical_form_no_zero_coefficients(data):
-    ring = Ring(5, ["x", "y"])
+    """Every arithmetic entry returns coefficients in [1, p) and no zero
+    terms, also for multipliers that are negative, >= p or 0 mod p."""
+    p = 5
+    ring = Ring(p, ["x", "y"])
     f = data.draw(_polys(ring))
     g = data.draw(_polys(ring))
-    for m, c in (f * g).terms.items():
-        assert 1 <= c < 5 and len(m) == 2
+    k = data.draw(st.sampled_from([-7, -5, -1, 0, 3, 5, 6, 10, 2**40 + 1]))
+    mono = data.draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+    h = f + ring.monomial((p, 1), 3)  # d/dx of 3*x^p*y is 3p*x^(p-1)*y = 0
+    results = [f + g, -f, f - g, f - f, f * k, k * f, f * g, f * (g * k),
+               f.term_mul(mono, k), h.partial(0), h.partial(1),
+               ring.monomial(mono, k), f.frobenius(p), (f * k).frobenius(p * p)]
+    for r in results:
+        for m, c in r.terms.items():
+            assert 1 <= c < p and len(m) == 2
+    assert (f - f).is_zero() and f.term_mul(mono, p).is_zero()
+    assert h.partial(0) == f.partial(0)
+    assert f * k == f * (k % p) and ring.monomial(mono, k) == ring.monomial(mono, k % p)
