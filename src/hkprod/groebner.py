@@ -434,11 +434,12 @@ class Reducers:
             self._basis = [self.lay.unpack([(r[1], 1), *r[2]]) for r in rows]
         return self._basis
 
-    def leads(self) -> list[tuple[int, Monomial]]:
-        """(component, exponents) of the leading term of each nonzero basis
-        element, read off the packed leading codes."""
+    def leads(self) -> dict[int, list[Monomial]]:
+        """{component: exponents of each leading term in it}, read off the
+        packed leading codes of the minimal basis; a component that holds
+        no leading term is absent."""
         exponents = self.lay.exponents
-        return [(pos, exponents(r[0])) for pos, group in self.rows.items() for r in group]
+        return {pos: [exponents(r[0]) for r in group] for pos, group in self.rows.items()}
 
     def _layout(self, vectors, field_bytes: int = 1) -> _Layout:
         """A layout that the vectors fit, with fields of at least
@@ -650,7 +651,7 @@ def module_interreduce(reducers: Reducers) -> list[Vector]:
     return reduced
 
 
-def _syzygy_basis(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
+def syzygy_vectors(polys: list[Polynomial], modulo, ring: Ring) -> list[Vector]:
     """Syzygies of polys modulo (modulo) + Q, as vectors of rank len(polys).
 
     A syzygy is a tuple s with sum(s_i * a_i) in (modulo) + Q, read off
@@ -677,7 +678,7 @@ def syzygies(polys: list[Polynomial], ring: Ring) -> list[list[Polynomial]]:
     if not polys:
         raise ValueError("syzygies of an empty sequence")
     return [vector_to_polys(v, len(polys), ring)
-            for v in _syzygy_basis(polys, (), ring)]
+            for v in syzygy_vectors(polys, (), ring)]
 
 
 def colon_by_element(gens: list[Polynomial], f: Polynomial, ring: Ring) -> list[Polynomial]:
@@ -685,7 +686,7 @@ def colon_by_element(gens: list[Polynomial], f: Polynomial, ring: Ring) -> list[
     of [f] modulo gens."""
     if f.is_zero():
         raise ValueError("colon by zero")
-    return [vector_to_polys(v, 1, ring)[0] for v in _syzygy_basis([f], gens, ring)]
+    return [vector_to_polys(v, 1, ring)[0] for v in syzygy_vectors([f], gens, ring)]
 
 
 def module_colength(vectors: list[Vector], rank: int, ring: Ring, degrees=None):
@@ -697,16 +698,14 @@ def module_colength(vectors: list[Vector], rank: int, ring: Ring, degrees=None):
     lambda(R^rank / N) under any module order, so degrees change only
     the work: for a graded N, putting e_i in its degree lets the engine
     run degree by degree.  Only leading terms are read (Reducers.leads),
-    so the minimal basis is neither interreduced nor unpacked.
+    so the minimal basis is neither interreduced nor unpacked.  The
+    vectors are read, not copied; the engine skips zero vectors.
     """
-    gens = [dict(v) for v in vectors if v]
-    gens += [as_vector(f, i) for f in ring.relations for i in range(rank)]
-    per_component: list[list[Monomial]] = [[] for _ in range(rank)]
-    for i, m in Reducers.from_engine(gens, ring, degrees=degrees).leads():
-        per_component[i].append(m)
+    gens = [*vectors, *(as_vector(f, i) for f in ring.relations for i in range(rank))]
+    leads = Reducers.from_engine(gens, ring, degrees=degrees).leads()
     total = 0
-    for leads in per_component:
-        c = staircase_count(leads, ring.nvars)
+    for i in range(rank):
+        c = staircase_count(leads.get(i, ()), ring.nvars)
         if c is None:
             return None
         total += c

@@ -74,7 +74,7 @@ class Ideal:
             if self._reducers is None and self._gb is not None:
                 leads = [g.leading_monomial() for g in self._gb]  # a transported G^[q]
             else:
-                leads = [m for _, m in self.reducers.leads()]
+                leads = self.reducers.leads().get(0, ())
             self._colength = groebner.staircase_count(leads, self.ring.nvars)
         return self._colength
 

@@ -8,13 +8,14 @@ the kernel K_{a,I} sits in the exact length bookkeeping
 
 whose two sides are computed along disjoint code paths: the left and the
 product term by ideal staircases, the kernel term by syzygies plus a
-module staircase.  The identity itself is asserted by the verifiers, not
-here.
+module staircase.  LenIdentitySides holds the four lengths once, and
+both sides are derived from them.  The identity itself is asserted by
+the verifiers, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import groebner
 from .ideals import Ideal, InfiniteColengthError
@@ -30,12 +31,13 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     syzygies outside regular rings.  The module side powers a and I.gens
     itself, and reads no basis from the ideal engine, so it stays
     independent of Ideal.bracket_power, which on a polynomial ring takes
-    G^[q] as the generators of I^[q].
+    G^[q] as the generators of I^[q].  The syzygies go from
+    groebner.syzygy_vectors to module_colength as vectors.
 
     e_i sits in degree deg(a_i^q): then K_{a^q} + I^[q] R^l is a graded
-    submodule of the sum of the R(-deg a_i^q) when a, I and the ring are
-    homogeneous, and both module bases are built degree by degree.  The
-    quotient length is the same under any module order.
+    submodule of the sum of the R(-deg a_i^q) when a and I are homogeneous
+    (the ring always is, see Ring), and both module bases are built degree
+    by degree.  The quotient length is the same under any module order.
     """
     if not a:
         raise ValueError("empty generating sequence")
@@ -43,8 +45,7 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     ell = len(a)
     aq = [f.frobenius(q) for f in a]
     lam_Iq = I.bracket_power(q).colength_strict()
-    syz = groebner.syzygies(aq, ring)
-    vectors = [groebner.vector_from_polys(v) for v in syz]
+    vectors = groebner.syzygy_vectors(aq, (), ring)
     for g in I.gens:
         gq = g.frobenius(q)
         vectors += [groebner.as_vector(gq, pos) for pos in range(ell)]
@@ -57,42 +58,40 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
 
 @dataclass
 class LenIdentitySides:
-    """Both sides of the length identity at Frobenius level q.
+    """The four lengths of the identity at Frobenius level q, for a
+    sequence of length ell:
 
-    lhs = l*lambda(R/I^[q]) + lambda(R/J^[q]);
-    rhs_kernel = lambda(K_{a^q, I^[q]}); rhs_product = lambda(R/(IJ)^[q]).
+        lhs = ell*lambda_Iq + lambda_Jq,   rhs = lambda_K + lambda_IJq,
+
+    with lambda_Iq = lambda(R/I^[q]), lambda_Jq = lambda(R/J^[q]),
+    lambda_K = lambda(K_{a^q, I^[q]}) and lambda_IJq = lambda(R/(IJ)^[q]).
     The equality is asserted by the caller.
     """
 
     q: int
     ell: int
-    lhs: int
-    rhs_kernel: int
-    rhs_product: int
-    parts: dict = field(default_factory=dict)
+    lambda_Iq: int
+    lambda_Jq: int
+    lambda_K: int
+    lambda_IJq: int
+
+    @property
+    def lhs(self) -> int:
+        return self.ell * self.lambda_Iq + self.lambda_Jq
 
     @property
     def rhs(self) -> int:
-        return self.rhs_kernel + self.rhs_product
+        return self.lambda_K + self.lambda_IJq
 
     def holds(self) -> bool:
         return self.lhs == self.rhs
 
 
 def len_identity_sides(I: Ideal, a: list[Polynomial], q: int = 1) -> LenIdentitySides:
-    """Compute all three lengths of the identity along independent paths."""
-    ring = I.ring
-    ell = len(a)
-    J = Ideal(ring, a)
+    """Compute the four lengths of the identity along independent paths."""
+    J = Ideal(I.ring, a)
     lam_I = I.bracket_power(q).colength_strict()
     lam_J = J.bracket_power(q).colength_strict()
     lam_K = kernel_length(a, I, q)
     lam_IJ = (I * J).bracket_power(q).colength_strict()
-    return LenIdentitySides(
-        q=q, ell=ell,
-        lhs=ell * lam_I + lam_J,
-        rhs_kernel=lam_K,
-        rhs_product=lam_IJ,
-        parts={"lambda_Iq": lam_I, "lambda_Jq": lam_J,
-               "lambda_K": lam_K, "lambda_IJq": lam_IJ},
-    )
+    return LenIdentitySides(q, len(a), lam_I, lam_J, lam_K, lam_IJ)

@@ -79,8 +79,10 @@ class Ring:
     """A presentation F_p[variables] / (relations) with a fixed monomial order.
 
     With no relations this is the polynomial ring itself (the regular
-    case).  Localness at the ideal of all variables is implicit: every
-    colength downstream is an F_p-vector-space dimension.
+    case).  Every relation is homogeneous of positive degree, so the ring
+    is graded and the ideal m of all variables is its homogeneous maximal
+    ideal: the global dimension is dim R_m, and every colength downstream
+    is an F_p-vector-space dimension.
     """
 
     def __init__(self, p: int, variables: Iterable[str], relations=(),
@@ -111,6 +113,8 @@ class Ring:
             poly = self.poly(r) if isinstance(r, str) else r
             if poly.ring is not self:
                 raise RingMismatchError("relation from a different ring")
+            if len({sum(m) for m in poly.terms}) > 1 or poly.degree() == 0:
+                raise ValueError(f"relation {poly} is not homogeneous of positive degree")
             if not poly.is_zero():
                 rels.append(poly)
         self.relations = tuple(rels)

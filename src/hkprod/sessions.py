@@ -8,6 +8,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .ideals import Ideal
@@ -39,29 +40,17 @@ def _split_bracket_list(text: str) -> list[str]:
 
 
 RING_FIELDS = ("p", "vars", "mod", "order")
+# name=value, where a [...] value may hold blanks; any other run of
+# non-blanks is a bad field
+_RING_FIELD = re.compile(r"(\w+)=(\[[^\[\]]*\]|[^\s\[\]]*)(?!\S)|\S+")
 
 
 def _parse_ring_line(body: str) -> Ring:
-    # split on spaces outside brackets
-    fields, depth, cur = [], 0, []
-    for ch in body:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                fields.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        fields.append("".join(cur))
     kv = {}
-    for f in fields:
-        if "=" not in f:
-            raise SessionError(f"bad ring field {f!r}")
-        k, v = map(str.strip, f.split("=", 1))
+    for f in _RING_FIELD.finditer(body):
+        k, v = f.groups()
+        if k is None:
+            raise SessionError(f"bad ring field {f[0]!r}")
         if k not in RING_FIELDS:
             raise SessionError(f"unknown ring field {k!r} "
                                f"(known: {', '.join(RING_FIELDS)})")
@@ -70,9 +59,14 @@ def _parse_ring_line(body: str) -> Ring:
         kv[k] = v
     if "p" not in kv or "vars" not in kv:
         raise SessionError("ring line needs p= and vars=")
+    if not kv["p"].isdecimal():
+        raise SessionError(f"ring field p={kv['p']} is not a positive integer")
     relations = _split_bracket_list(kv["mod"]) if "mod" in kv else []
-    return Ring(int(kv["p"]), [v for v in kv["vars"].split(",") if v],
-                relations=relations, order=kv.get("order", "grevlex"))
+    try:
+        return Ring(int(kv["p"]), [v for v in kv["vars"].split(",") if v],
+                    relations=relations, order=kv.get("order", "grevlex"))
+    except ValueError as exc:  # a bad prime, variable or relation
+        raise SessionError(str(exc)) from None
 
 
 def parse_session(text: str) -> Session:

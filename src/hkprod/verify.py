@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .hk import exact_text, jacobian_candidates, levels, star_spread, tc_probe
@@ -113,10 +113,11 @@ def verify_len_identity(I: Ideal, J: Ideal, q: int = 1) -> VerifyReport:
     left is the length of the sequence actually used."""
     a = J.minimal_generators()
     sides = len_identity_sides(I, a, q)
+    data = {k: v for k, v in asdict(sides).items() if k != "q"}  # q is the report's own
     return VerifyReport(
         check=LEN_IDENTITY, fixture=_fixture(I, J), q=q,
         lhs=sides.lhs, rhs=sides.rhs, relation="=",
-        holds=sides.holds(), data=dict(sides.parts, ell=sides.ell),
+        holds=sides.holds(), data=data,
     )
 
 
@@ -225,8 +226,8 @@ def verify_eq7_per_q(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     per_q = {}
     for q in levels(I.ring.p, e_max):
         sides = len_identity_sides(I, a, q)
-        per_q[str(q)] = {"lhs": sides.lhs, "rhs_kernel": sides.rhs_kernel,
-                         "rhs_product": sides.rhs_product, "holds": sides.holds()}
+        per_q[str(q)] = {"lhs": sides.lhs, "rhs_kernel": sides.lambda_K,
+                         "rhs_product": sides.lambda_IJq, "holds": sides.holds()}
     return VerifyReport(
         check=EQ7, fixture=_fixture(I, J), q=I.ring.p ** e_max,
         lhs="per-q", rhs="per-q", relation="=",

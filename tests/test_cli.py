@@ -218,6 +218,17 @@ def test_ring_without_variables_is_usage_error(argv, tmp_path, capsys):
     assert out == "" and err == "error: a ring needs at least one variable\n"
 
 
+def test_ungraded_ring_is_usage_error(tmp_path, capsys):
+    # over F_2 this ring is a line through the origin plus a plane that
+    # misses it; hk on m printed a table normalized by q^2, where e_HK = 1
+    path = tmp_path / "ungraded.hk"
+    path.write_text("ring: p=2 vars=x,y,z mod=[x*y+y, x*z+z]\nideal m = [x, y, z]\n")
+    assert main(["hk", str(path), "m"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: relation x*y + y is not homogeneous "
+                                 "of positive degree\n")
+
+
 def test_variable_name_that_text_cannot_spell_is_usage_error(tmp_path, capsys):
     # no polynomial text can name 2y, so only the unit ideal of such a
     # ring has finite colength: colength of [x] printed "infinite", exit 0

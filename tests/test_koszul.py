@@ -4,6 +4,7 @@ import pytest
 
 from hkprod import (Ideal, Ring, buchberger, groebner, kernel_length, len_identity_sides,
                     normal_form)
+from hkprod.koszul import LenIdentitySides
 
 from .oracles import koszul_cells, koszul_vector
 
@@ -68,13 +69,15 @@ def test_len_identity_sides_spec_values(F2xy):
     a = [F2xy.var("x"), F2xy.var("y")]
     I = Ideal(F2xy, ["x^2", "y^2"])
     s1 = len_identity_sides(I, a, 1)
-    assert (s1.lhs, s1.rhs_kernel, s1.rhs_product) == (9, 3, 6)
+    assert s1 == LenIdentitySides(q=1, ell=2, lambda_Iq=4, lambda_Jq=1, lambda_K=3,
+                                  lambda_IJq=6)
+    assert (s1.lhs, s1.rhs) == (9, 9)
     assert s1.holds()
     s2 = len_identity_sides(I, a, 2)
-    assert (s2.lhs, s2.rhs_kernel, s2.rhs_product) == (36, 12, 24)
+    assert (s2.lhs, s2.lambda_K, s2.lambda_IJq) == (36, 12, 24)
     assert s2.holds()
     s3 = len_identity_sides(Ideal(F2xy, a), a, 1)
-    assert (s3.lhs, s3.rhs_kernel, s3.rhs_product) == (3, 0, 3)
+    assert (s3.lhs, s3.lambda_K, s3.lambda_IJq) == (3, 0, 3)
     assert s3.holds()
 
 
@@ -94,7 +97,7 @@ def test_len_identity_on_four_variable_quotient():
     a = [ring.poly(g) for g in ["x+y", "y+z", "z*w+w^2", "w^3"]]
     for q, sides in ((1, (61, 33, 28)), (2, (544, 278, 266))):
         s = len_identity_sides(I, a, q)
-        assert (s.lhs, s.rhs_kernel, s.rhs_product) == sides
+        assert (s.lhs, s.lambda_K, s.lambda_IJq) == sides
         assert s.holds()
 
 
@@ -108,7 +111,7 @@ def test_len_identity_on_the_quartic_at_high_q():
     I, a = _quartic()
     for q, sides in ((27, (31416, 12107, 19309)), (81, (282840, 108983, 173857))):
         s = len_identity_sides(I, a, q)
-        assert (s.lhs, s.rhs_kernel, s.rhs_product) == sides
+        assert (s.lhs, s.lambda_K, s.lambda_IJq) == sides
         assert s.holds()
 
 

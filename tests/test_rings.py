@@ -46,6 +46,16 @@ def test_ring_needs_a_variable():
             Ring(2, variables)
 
 
+@pytest.mark.parametrize("relation", ["x*y + y", "x^2 + y^2 + 1", "1"])
+def test_relations_must_be_homogeneous_of_positive_degree(relation):
+    # with such a relation m is not the homogeneous maximal ideal: the
+    # ring's dimension is not dim R_m, or m is the unit ideal
+    with pytest.raises(ValueError, match=re.escape(f"relation {relation} is not homogeneous")):
+        Ring(2, "xy", relations=[relation])
+    graded = Ring(2, "xy", relations=["x^2 + y^2", "x*y", "0"])  # a zero relation is dropped
+    assert [str(r) for r in graded.relations] == ["x^2 + y^2", "x*y"]
+
+
 def test_square_of_sum_in_char_two(F2xy):
     f = F2xy.poly("(x+y)^2")
     assert f == F2xy.poly("x^2 + y^2")

@@ -1,5 +1,7 @@
 """Session file parsing, serialization round trips, error reporting."""
 
+import re
+
 import pytest
 
 from hkprod import Session, load_session, parse_session
@@ -31,6 +33,12 @@ def test_parse_regular_ring_without_mod():
 def test_parse_bracketed_generators_with_commas_inside_parens():
     sess = parse_session("ring: p=2 vars=x,y\nideal I = [(x+y)^2, y^2]\n")
     assert [str(g) for g in sess.ideal("I").gens] == ["x^2 + y^2", "y^2"]
+
+
+def test_parse_mod_with_blanks_inside_brackets():
+    sess = parse_session("ring: p=3 vars=x,y mod=[x^2 + y^2, x*y] order=lex\n")
+    assert [str(r) for r in sess.ring.relations] == ["x^2 + y^2", "x*y"]
+    assert sess.ring.order.kind == "lex"
 
 
 def serialize(sess: Session) -> str:
@@ -72,10 +80,21 @@ def test_missing_ideal_name():
     "ring: p=2 vars=x,y\nwhat is this\n",        # unrecognized line
     "ring: p=2 vars=x,y,z mdo=[x^3+y^3+z^3]\n",  # unknown ring field
     "ring: p=2 vars=x,y mod=[x^2] mod=[y^2]\n",  # repeated ring field
+    "ring: p=2 vars=x,y mod=[x^3\n",             # unclosed bracket
+    "ring: p=2 vars=x,y mod=[x]]\n",             # stray bracket
+    "ring: p=abc vars=x,y\n",                    # p not an integer
+    "ring: p=2 vars=x,y mod=[x^2+y]\n",          # relation not homogeneous
 ])
 def test_malformed_sessions(text):
     with pytest.raises(SessionError):
         parse_session(text)
+
+
+@pytest.mark.parametrize("field", ["mod=[x^3", "mod=[x]]", "mod=[x]y", "x,y"])
+def test_bad_ring_field_is_named(field):
+    # the field itself is rejected, before its value reaches the ring
+    with pytest.raises(SessionError, match=re.escape(f"bad ring field {field!r}")):
+        parse_session(f"ring: p=2 vars=x,y {field}\n")
 
 
 def test_load_session(tmp_path):
