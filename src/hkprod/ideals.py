@@ -12,6 +12,9 @@ from . import groebner
 from .rings import Polynomial, Ring, RingMismatchError, is_p_power
 
 
+_UNCOUNTED = object()  # Ideal._colength before the first count; None means infinite
+
+
 class InfiniteColengthError(ValueError):
     """The ideal, or module, has infinite colength."""
 
@@ -24,10 +27,10 @@ class Ideal:
     as groebner.Reducers, the engine's packed minimal basis: colengths
     count the staircase of its leading terms, membership tests and
     normal forms divide by it, and only groebner_basis unpacks and
-    interreduces it, at its first read.  A bracket power's transported
-    G^[q] is held as the reduced basis alone: its colength reads the
-    leading monomials of G^[q], and reducers packs G^[q] at the first
-    division.
+    interreduces it, at its first read.  A polynomial-ring bracket
+    power's transported G^[q] is held as the reduced basis alone, with
+    its colength q^n * lambda(R/I) set by bracket_power (Kunz);
+    reducers packs G^[q] at the first division.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -42,7 +45,7 @@ class Ideal:
         self.gens = tuple(polys)
         self._reducers = None
         self._gb = None
-        self._colength = None
+        self._colength = _UNCOUNTED
         self._mu = None
         self._min_gens = None
         self._brackets: dict[int, Ideal] = {}
@@ -70,12 +73,9 @@ class Ideal:
 
     def colength(self):
         """lambda(R/I); None when infinite."""
-        if self._colength is None:
-            if self._reducers is None and self._gb is not None:
-                leads = [g.leading_monomial() for g in self._gb]  # a transported G^[q]
-            else:
-                leads = self.reducers.leads().get(0, ())
-            self._colength = groebner.staircase_count(leads, self.ring.nvars)
+        if self._colength is _UNCOUNTED:
+            self._colength = groebner.staircase_count(self.reducers.leads().get(0, ()),
+                                                      self.ring.nvars)
         return self._colength
 
     def colength_strict(self) -> int:
@@ -119,8 +119,10 @@ class Ideal:
 
         On a polynomial ring that list is G, the reduced basis of I, and
         G^[q] is both the generators and the reduced basis of I^[q]; no
-        engine runs, and G^[q] is packed only at its first division.
-        Over a quotient the generators are powered and Buchberger runs."""
+        engine runs, G^[q] is packed only at its first division, and the
+        colength is q^n * lambda(R/I) (infinite when lambda(R/I) is), so
+        no staircase is counted either.  Over a quotient the generators
+        are powered and Buchberger runs."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
@@ -133,8 +135,11 @@ class Ideal:
                 # Frobenius is flat on S (Kunz): S is free over S^q on the
                 # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
                 # of some lt(g)^q; and x -> x^q keeps the monomial order,
-                # monic leads and reducedness.  G^[q] is the reduced basis.
+                # monic leads and reducedness.  G^[q] is the reduced basis,
+                # and its staircase is q^n copies of the staircase of lt(G).
                 bracket._gb = gq
+                lam = self.colength()
+                bracket._colength = None if lam is None else q ** self.ring.nvars * lam
             self._brackets[q] = bracket
         return self._brackets[q]
 

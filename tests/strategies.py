@@ -1,11 +1,12 @@
 """Hypothesis strategies shared by the differential tests.
 
-Rings: lex or grevlex, p in {2, 3, 5, 2^31-1}, one to four variables or
-the Fermat cubic quotient, with the variables listed in a drawn order
-(which ranks them in that order).  Ideals: a pure power of every
-variable plus non-homogeneous generators.  The pure powers bound the
-quotient, which keeps the bases small and makes the truncated-span
-oracles exact at a degree computed from the input.
+Rings: lex or grevlex, p in {2, 3, 5, 2^31-1} (or a given subset), one
+to four variables or, unless excluded, the Fermat cubic quotient, with
+the variables listed in a drawn order (which ranks them in that order).
+Ideals: a pure power of every variable plus non-homogeneous generators.
+The pure powers bound the quotient, which keeps the bases small and
+makes the truncated-span oracles exact at a degree computed from the
+input.
 """
 
 from hypothesis import strategies as st
@@ -16,13 +17,13 @@ PRIMES = (2, 3, 5, 2**31 - 1)
 
 
 @st.composite
-def rings(draw):
+def rings(draw, primes=PRIMES, quotients=True):
     order = draw(st.sampled_from(["grevlex", "lex"]))
-    if draw(st.integers(0, 4)) == 0:
+    if quotients and draw(st.integers(0, 4)) == 0:
         return Ring(2, draw(st.permutations("xyz")), relations=["x^3+y^3+z^3"],
                     order=order)
     n = draw(st.integers(1, 4))
-    return Ring(draw(st.sampled_from(PRIMES)), draw(st.permutations("wxyz"[:n])),
+    return Ring(draw(st.sampled_from(primes)), draw(st.permutations("wxyz"[:n])),
                 order=order)
 
 
@@ -39,9 +40,10 @@ def polys(draw, ring, max_terms=3, max_degree=3, min_degree=0):
 
 
 @st.composite
-def bounded_ideals(draw, max_extra=4):
-    """(ring, generators, degree at which the span oracles are exact)."""
-    ring = draw(rings())
+def bounded_ideals(draw, max_extra=4, ring=rings()):
+    """(ring, generators, degree at which the span oracles are exact);
+    the ring is drawn from the strategy `ring`."""
+    ring = draw(ring)
     top = 3 if ring.nvars <= 3 else 2
     powers = [draw(st.integers(1, top)) for _ in range(ring.nvars)]
     gens = [ring.monomial([a if j == i else 0 for j in range(ring.nvars)])

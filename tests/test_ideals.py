@@ -13,7 +13,7 @@ from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
 from .oracles import brute_colength, rescan_normal_form
-from .strategies import bounded_ideals, polys
+from .strategies import bounded_ideals, polys, rings
 
 
 def I_(ring, *gens):
@@ -65,6 +65,42 @@ def test_bracket_power_basis_is_buchberger_on_the_bracket_generators(case, squar
     assert buchberger(basis, ring) == basis
 
 
+@settings(max_examples=100, deadline=None)
+@given(bounded_ideals(ring=rings(primes=(2, 3, 5), quotients=False)), st.booleans())
+def test_kunz_scaled_bracket_colength_matches_both_counts(case, square):
+    """A polynomial-ring bracket power takes its colength q^n * lambda(R/I)
+    from Kunz's theorem; Buchberger on the powered generators, and the
+    staircase of the bracket's own reduced basis, each count it anew."""
+    ring, gens, _ = case
+    q = ring.p ** 2 if square else ring.p
+    B = Ideal(ring, gens).bracket_power(q)
+    colength = B.colength()
+    assert colength == Ideal(ring, [g.frobenius(q) for g in gens]).colength()
+    assert colength == groebner.staircase_count(
+        [g.leading_monomial() for g in B.groebner_basis], ring.nvars)
+
+
+def test_kunz_scaled_bracket_colength_pinned(F2xy, F2xyz):
+    for q in (2, 4, 8):
+        assert I_(F2xy, "x").bracket_power(q).colength() is None
+        assert I_(F2xy, "1").bracket_power(q).colength() == 0
+    assert I_(F2xyz, "x^2 + y*z", "y^2", "z^3").bracket_power(8).colength() == 6144
+
+
+def test_table_counts_one_staircase_on_polynomial_rings(F2xyz, fermat, monkeypatch):
+    # a polynomial-ring table scales lambda(R/I) to every level; a
+    # quotient's brackets run Buchberger and count their own staircases
+    calls = []
+    count = groebner.staircase_count
+    monkeypatch.setattr(groebner, "staircase_count",
+                        lambda *args: calls.append(args) or count(*args))
+    assert ([r.colength for r in hk_table(I_(F2xyz, "x^2 + y*z", "y^2", "z^3"), 3).rows]
+            == [12, 96, 768, 6144])
+    assert len(calls) == 1
+    calls.clear()
+    assert len(hk_table(maximal_ideal(fermat), 3).rows) == len(calls) == 4
+
+
 def count_engine_runs(monkeypatch) -> list:
     """Record the arguments of every Groebner engine run from now on."""
     built = []
@@ -90,7 +126,7 @@ def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, m
 
 
 def test_transported_bracket_is_packed_only_at_its_first_division(F2xyz, monkeypatch):
-    # the colength of a transported G^[q] reads its leading monomials:
+    # the colength of a transported G^[q] is scaled from lambda(R/I):
     # a table of such brackets builds no layout and packs no term, and
     # the first division packs G^[q] once for every later one
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
