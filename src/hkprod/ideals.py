@@ -27,10 +27,7 @@ class Ideal:
     as groebner.Reducers, the engine's packed minimal basis: colengths
     count the staircase of its leading terms, membership tests and
     normal forms divide by it, and only groebner_basis unpacks and
-    interreduces it, at its first read.  A polynomial-ring bracket
-    power's transported G^[q] is held as the reduced basis alone, with
-    its colength q^n * lambda(R/I) set by bracket_power (Kunz);
-    reducers packs G^[q] at the first division.
+    interreduces it, at its first read.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -52,16 +49,12 @@ class Ideal:
 
     @property
     def reducers(self) -> groebner.Reducers:
-        """A minimal Groebner basis of I + Q, packed at the first read:
-        a bracket power's G^[q], else the engine's."""
+        """A minimal Groebner basis of I + Q, run by the engine at the
+        first read."""
         if self._reducers is None:
-            if self._gb is not None:
-                self._reducers = groebner.Reducers(
-                    list(map(groebner.as_vector, self._gb)), self.ring)
-            else:
-                self._reducers = groebner.Reducers.from_engine(
-                    [groebner.as_vector(f) for f in (*self.gens, *self.ring.relations)],
-                    self.ring)
+            self._reducers = groebner.Reducers.from_engine(
+                [groebner.as_vector(f) for f in (*self.gens, *self.ring.relations)],
+                self.ring)
         return self._reducers
 
     @property
@@ -114,30 +107,21 @@ class Ideal:
         return result
 
     def bracket_power(self, q: int) -> "Ideal":
-        """I^[q], generated by the q-th Frobenius powers of one generating
-        list, memoized per q so each bracket power keeps its cached basis.
+        """I^[q], generated by the q-th Frobenius powers of I's generators,
+        memoized per q so each bracket power keeps its cached basis.
 
-        On a polynomial ring that list is G, the reduced basis of I, and
-        G^[q] is both the generators and the reduced basis of I^[q]; no
-        engine runs, G^[q] is packed only at its first division, and the
-        colength is q^n * lambda(R/I) (infinite when lambda(R/I) is), so
-        no staircase is counted either.  Over a quotient the generators
-        are powered and Buchberger runs."""
+        On a polynomial ring its colength is set to q^n * lambda(R/I)
+        (infinite when lambda(R/I) is), so no staircase is counted: S is
+        free over S^q on the x^a with 0 <= a_i < q (Kunz 1969).  The
+        engine runs on the powered generators only when the bracket is
+        divided by, or on a quotient, where its staircase is counted."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
             return self
         if q not in self._brackets:
-            regular = self.ring.is_regular
-            gq = [g.frobenius(q) for g in (self.groebner_basis if regular else self.gens)]
-            bracket = Ideal(self.ring, gq)
-            if regular:
-                # Frobenius is flat on S (Kunz): S is free over S^q on the
-                # x^a with 0 <= a_i < q, so every lead of I^[q] is a multiple
-                # of some lt(g)^q; and x -> x^q keeps the monomial order,
-                # monic leads and reducedness.  G^[q] is the reduced basis,
-                # and its staircase is q^n copies of the staircase of lt(G).
-                bracket._gb = gq
+            bracket = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
+            if self.ring.is_regular:
                 lam = self.colength()
                 bracket._colength = None if lam is None else q ** self.ring.nvars * lam
             self._brackets[q] = bracket

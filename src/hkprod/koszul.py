@@ -28,10 +28,9 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     Computed as l * lambda(R/I^[q]) minus lambda(R^l / (K_{a^q} + I^[q] R^l)),
     with the syzygy module K_{a^q} and the module basis recomputed fresh at
     every q on every ring.  That is on purpose: Frobenius does not transport
-    syzygies outside regular rings.  The module side powers a and I.gens
-    itself, and reads no basis from the ideal engine, so it stays
-    independent of Ideal.bracket_power, which on a polynomial ring takes
-    G^[q] as the generators of I^[q].  The syzygies go from
+    syzygies outside regular rings.  The module side reads the generators
+    of I.bracket_power(q), the Frobenius powers of I.gens, and powers a
+    itself; it reads no basis from the ideal engine.  The syzygies go from
     groebner.syzygy_vectors to module_colength as vectors.
 
     e_i sits in degree deg(a_i^q): then K_{a^q} + I^[q] R^l is a graded
@@ -44,10 +43,10 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     ring = I.ring
     ell = len(a)
     aq = [f.frobenius(q) for f in a]
-    lam_Iq = I.bracket_power(q).colength_strict()
+    Iq = I.bracket_power(q)
+    lam_Iq = Iq.colength_strict()
     vectors = groebner.syzygy_vectors(aq, (), ring)
-    for g in I.gens:
-        gq = g.frobenius(q)
+    for gq in Iq.gens:
         vectors += [groebner.as_vector(gq, pos) for pos in range(ell)]
     degrees = [max(f.degree(), 0) for f in aq]
     quotient = groebner.module_colength(vectors, ell, ring, degrees)

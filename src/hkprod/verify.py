@@ -152,8 +152,6 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
 
 def verify_cor_power(I: Ideal, n: int) -> VerifyReport:
     """lambda(R/I^n) <= (1 + l + ... + l^(n-1)) * lambda(R/I), l = mu(I)."""
-    if n < 1:
-        raise ValueError("power must be at least 1")
     ell = I.min_gens()
     lhs, rhs = _power_bound(I, n, ell, Ideal.colength_strict)
     return VerifyReport(
@@ -264,8 +262,6 @@ def verify_hk_product_bound(I: Ideal, J: Ideal, mode, e_max: int = 1) -> VerifyR
 
 def verify_cor_power_hk(I: Ideal, n: int, mode, e_max: int = 1) -> VerifyReport:
     """e_HK(I^n) <= (1 + l + ... + l^(n-1)) * e_HK(I) with l = l*(I)."""
-    if n < 1:
-        raise ValueError("power must be at least 1")
     ls = star_spread(I, mode)
     hk, q, caveat = _hk_side(I.ring, e_max)
     lhs, rhs = _power_bound(I, n, ls, hk)

@@ -64,8 +64,8 @@ def test_criterion_04_kunz_scaling_cross_oracle():
             for I in [random_ideal(rng, ring, family, 3) for _ in range(17)]:
                 count += 1
                 # Buchberger on the bracket generators, not bracket_power:
-                # on a polynomial ring that takes G^[p], whose staircase is
-                # the scaled one by construction
+                # on a polynomial ring that sets the scaled colength
+                # p^n * lambda(R/I) without counting a staircase
                 Ip = Ideal(ring, [g.frobenius(p) for g in I.gens])
                 ok = ok and Ip.colength_strict() == p * p * I.colength_strict()
     _criterion(4, f"Kunz scaling lambda(R/I^[p]) = p^2*lambda(R/I) on {count} "

@@ -371,6 +371,30 @@ def test_probe_refuted(regular_file, capsys):
     assert capsys.readouterr().out.strip().startswith("RefutedAt(2)")
 
 
+DENSE = "ring: p=2 vars=x,y,z\nideal D = [x^2+y*z, y^2+x*z, z^3+x*y]\n"
+
+
+@pytest.mark.parametrize("c, verdict", [
+    ("y^16+x^8", "ConsistentUpTo(8)"),
+    ("y^4+x^2", "RefutedAt(4): normal form y^4*z^8 + x^6*y^4"),
+])
+def test_probe_on_a_dense_polynomial_ideal(tmp_path, capsys, c, verdict):
+    # x*y is not in D; c lies in (D : x*y)^[q] for q = 2, 4, 8 in the first
+    # case, and for q = 2 only in the second
+    path = tmp_path / "dense.hk"
+    path.write_text(DENSE)
+    assert main(["probe", str(path), "-z", "x*y", "-i", "D", "-c", c, "--qmax", "3"]) == 0
+    assert capsys.readouterr().out == verdict + "\n"
+
+
+@pytest.mark.parametrize("check", ["cor-power", "cor-power-hk"])
+def test_power_check_below_one_exit_2(regular_file, capsys, check):
+    assert main(["verify", regular_file, check, "-n", "0", "--ideal", "I"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_probe_bad_polynomial_exit_2(regular_file, capsys):
     assert main(["probe", regular_file, "-z", "w^2", "-i", "sq", "-c", "1"]) == 2
 

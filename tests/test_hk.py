@@ -45,6 +45,21 @@ def test_quotient_table_reads_only_the_engine_leads(monkeypatch):
     assert calls == []
 
 
+def test_polynomial_table_reads_only_the_engine_leads(F2xyz, monkeypatch):
+    # a polynomial-ring bracket power is the ideal of the powered
+    # generators with its colength scaled from lambda(R/I): the table
+    # interreduces no basis and unpacks no term
+    calls = []
+    interreduce, unpack = groebner.interreduce, groebner._Layout.unpack
+    monkeypatch.setattr(groebner, "interreduce",
+                        lambda *args: calls.append("interreduce") or interreduce(*args))
+    monkeypatch.setattr(groebner._Layout, "unpack",
+                        lambda *args: calls.append("unpack") or unpack(*args))
+    I = I_(F2xyz, "x^2+y*z", "y^2", "z^3")
+    assert [r.colength for r in hk_table(I, 3).rows] == [12, 96, 768, 6144]
+    assert calls == []
+
+
 def test_table_kunz_scaling(F5xy):
     table = hk_table(I_(F5xy, "x^2", "y^3"), 1)
     assert [(r.q, r.colength) for r in table.rows] == [(1, 6), (5, 150)]

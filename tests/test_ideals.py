@@ -55,9 +55,9 @@ def test_bracket_power_distributes_over_sums(F3xy):
 @settings(max_examples=150, deadline=None)
 @given(bounded_ideals(), st.booleans())
 def test_bracket_power_basis_is_buchberger_on_the_bracket_generators(case, square):
-    """On polynomial rings bracket_power takes G^[q] for the basis, which
-    must be what Buchberger makes of the q-th powers of the generators;
-    the Fermat cubic draws check that quotients still compute it."""
+    """The basis of a bracket power is what Buchberger makes of the q-th
+    powers of the generators, on polynomial rings and on the Fermat
+    cubic alike, and it is a Groebner basis."""
     ring, gens, _ = case
     q = ring.p ** 2 if square and ring.p < 2**31 - 1 else ring.p
     basis = Ideal(ring, gens).bracket_power(q).groebner_basis
@@ -87,6 +87,29 @@ def test_kunz_scaled_bracket_colength_pinned(F2xy, F2xyz):
     assert I_(F2xyz, "x^2 + y*z", "y^2", "z^3").bracket_power(8).colength() == 6144
 
 
+@settings(max_examples=100, deadline=None)
+@given(bounded_ideals(ring=rings(primes=(2, 3, 5), quotients=False)), st.booleans(),
+       st.data())
+def test_polynomial_bracket_divides_like_the_transported_basis(case, square, data):
+    """A polynomial-ring bracket power is generated by the powered
+    generators, and divides by the engine's basis of them.  By Kunz's
+    theorem G^[q], G the reduced basis of I, is a Groebner basis of I^[q]
+    too, so division by it, the reference here, leaves the same normal
+    forms."""
+    ring, gens, _ = case
+    q = ring.p ** 2 if square else ring.p
+    I = Ideal(ring, gens)
+    B = I.bracket_power(q)
+    powered = [g.frobenius(q) for g in I.gens]
+    assert B.gens == tuple(powered)
+    transported = [g.frobenius(q) for g in buchberger(gens, ring)]
+    for _ in range(3):
+        f = data.draw(polys(ring, max_terms=2, max_degree=2))
+        for g in powered:
+            f = f + data.draw(polys(ring, max_terms=2, max_degree=2)) * g
+        assert B.normal_form(f) == rescan_normal_form(f, transported)
+
+
 def test_table_counts_one_staircase_on_polynomial_rings(F2xyz, fermat, monkeypatch):
     # a polynomial-ring table scales lambda(R/I) to every level; a
     # quotient's brackets run Buchberger and count their own staircases
@@ -110,7 +133,7 @@ def count_engine_runs(monkeypatch) -> list:
     return built
 
 
-def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, monkeypatch):
+def test_polynomial_bracket_colength_runs_no_engine(F2xyz, fermat, monkeypatch):
     built = count_engine_runs(monkeypatch)
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
     assert I.colength() == 12
@@ -125,13 +148,13 @@ def test_bracket_power_basis_is_transported_on_polynomial_rings(F2xyz, fermat, m
     assert len(built) == 1
 
 
-def test_transported_bracket_is_packed_only_at_its_first_division(F2xyz, monkeypatch):
-    # the colength of a transported G^[q] is scaled from lambda(R/I):
-    # a table of such brackets builds no layout and packs no term, and
-    # the first division packs G^[q] once for every later one
+def test_polynomial_bracket_runs_the_engine_at_its_first_division(F2xyz, monkeypatch):
+    # the colength of a polynomial-ring bracket is scaled from
+    # lambda(R/I): a table of such brackets builds no layout and packs no
+    # term, and the first division runs the engine once for every later one
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
     assert I.colength() == 12
-    I.groebner_basis
+    transported = [g.frobenius(8) for g in I.groebner_basis]
     calls = []
     init, pack = groebner._Layout.__init__, groebner._Layout.pack
     monkeypatch.setattr(groebner._Layout, "__init__",
@@ -140,29 +163,31 @@ def test_transported_bracket_is_packed_only_at_its_first_division(F2xyz, monkeyp
                         lambda *args: calls.append("pack") or pack(*args))
     assert [r.colength for r in hk_table(I, 3).rows] == [12, 96, 768, 6144]
     assert calls == []
+    built = count_engine_runs(monkeypatch)
     B = I.bracket_power(8)
     f = F2xyz.poly("x^17*y + y^9*z^8 + x*y*z")
-    assert B.normal_form(f) == rescan_normal_form(f, B.groebner_basis)
-    assert calls.count("layout") == 1
+    assert B.normal_form(f) == rescan_normal_form(f, transported)
+    assert len(built) == 1
     reducers = B.reducers
     g = F2xyz.poly("x^16*z^3 + y^8")
-    assert B.normal_form(g) == rescan_normal_form(g, B.groebner_basis)
+    assert B.normal_form(g) == rescan_normal_form(g, transported)
     assert B.reducers is reducers
-    assert calls.count("layout") == 1
-    assert calls.count("pack") == len(B.groebner_basis) + 2
+    assert len(built) == 1
 
 
-def test_bracket_power_on_polynomial_rings_powers_the_basis_once(F2xyz, monkeypatch):
+def test_bracket_power_on_polynomial_rings_powers_the_generators_once(F2xyz, monkeypatch):
     I = I_(F2xyz, "x^2 + y*z", "y^2 + x*z", "z^3", "x*y*z")
-    G = I.groebner_basis
+    lam = I.colength()
+    built = count_engine_runs(monkeypatch)
     powered = []
     frobenius = Polynomial.frobenius
     monkeypatch.setattr(Polynomial, "frobenius",
                         lambda f, q: powered.append(f) or frobenius(f, q))
     B = I.bracket_power(8)
-    assert powered == list(G)
-    assert list(B.gens) == B.groebner_basis == [g.frobenius(8) for g in G]
-    assert B.colength() == 8**3 * I.colength()
+    assert I.bracket_power(8) is B
+    assert powered == list(I.gens)
+    assert B.colength() == 8**3 * lam
+    assert built == []
 
 
 def test_colon_spec_value(F2xy):
