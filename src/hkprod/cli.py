@@ -2,8 +2,8 @@
 
 Subcommands: colength, hk, verify, probe.  Exit codes: 0 all checks
 pass, 1 a verified claim was violated, 2 usage/parse/configuration
-errors.  All randomness flows from --seed; identical invocations give
-byte-identical output.
+errors, 3 an internal error (a bug, never a verdict).  All randomness
+flows from --seed; identical invocations give byte-identical output.
 """
 
 from __future__ import annotations
@@ -162,6 +162,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        import traceback  # only a bug gets here; keeps it out of startup
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

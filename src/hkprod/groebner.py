@@ -21,8 +21,6 @@ only for a caller that reads it.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from itertools import groupby
-from math import prod
 from operator import itemgetter
 
 from .rings import Monomial, Polynomial, Ring
@@ -538,10 +536,11 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
 
     Returns None when infinite.  Finiteness is decided combinatorially:
     the complement is infinite iff some variable has no pure power among
-    the leading monomials.  The finite count is exact recursion on the
-    last variable (Bayer-Stillman): the box bounded by the pure powers
-    is cut only at that variable's distinct exponents, and each slab is
-    counted one variable down.  The cost depends on the generators, not
+    the leading monomials.  The finite count cuts the box bounded by the
+    pure powers into slabs (Bayer-Stillman): a slab with last variable
+    x_k is cut only at the distinct x_k exponents of its generators, and
+    each piece is pushed as a slab one variable down, seeing exactly the
+    generators entered so far.  The cost depends on the generators, not
     on the size of the box.
     """
     if nvars == 0:
@@ -557,34 +556,24 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
                 bounds[i] = m[i]
     if any(b is None for b in bounds):
         return None
-    return _box_count(lead_monos, bounds)
-
-
-def _box_count(gens: list[Monomial], bounds: list[int]) -> int:
-    """Monomials of the box prod(range(b)) divisible by none of gens.
-
-    Only the first len(bounds) exponents of a generator are read.  Each
-    bound is the exponent of a pure power among gens, so every slab from
-    the one where that pure power enters counts 0: generators outside
-    the box change nothing.
-    """
-    n = len(bounds) - 1
-    if n == 0:
-        return min([bounds[0], *(g[0] for g in gens)])
-    inner = bounds[:n]
-    last = itemgetter(n)
-    # the slab at last exponent a sees exactly the generators with
-    # last exponent <= a; the count changes only where a generator enters
-    total, start, below = 0, 0, prod(inner)
-    active: list[Monomial] = []
-    for a, group in groupby(sorted(gens, key=last), key=last):
-        total += (a - start) * below
-        active.extend(group)
-        below = _box_count(active, inner)
-        start = a
-        if not below:
-            return total
-    return total + (bounds[n] - start) * below
+    # Each slab holds the pure powers of x_0 .. x_k, so its first
+    # generators have x_k exponent 0 and some generator free of
+    # x_0 .. x_{k-1} enters: from there on every slab counts 0.
+    total, stack = 0, [(1, lead_monos, nvars - 1)]
+    while stack:
+        width, gens, k = stack.pop()
+        if not k:
+            total += width * min([bounds[0], *(g[0] for g in gens)])
+            continue
+        start, active = 0, []
+        for g in sorted(gens, key=itemgetter(k)):
+            if g[k] != start:
+                stack.append(((g[k] - start) * width, active[:], k - 1))
+                start = g[k]
+            active.append(g)
+            if not any(g[:k]):
+                break
+    return total
 
 
 # --- modules ----------------------------------------------------------------

@@ -68,8 +68,6 @@ def levels(p: int, e_max: int, start: int = 0) -> list[int]:
 
 def hk_table(I: Ideal, e_max: int) -> HKTable:
     """Exact rows for q = p^0 ... p^e_max; raises on infinite colength."""
-    if not I.is_m_primary():
-        raise InfiniteColengthError("Hilbert-Kunz table needs an m-primary ideal")
     d = krull_dim(I.ring)
     rows = []
     for q in levels(I.ring.p, e_max):

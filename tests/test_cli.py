@@ -64,6 +64,17 @@ def test_unreadable_file_is_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_internal_error_exit_3(regular_file, capsys, monkeypatch):
+    def broken(path):
+        raise RuntimeError("broken loader")
+
+    monkeypatch.setattr("hkprod.cli.load_session", broken)
+    assert main(["colength", regular_file, "I"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "RuntimeError" in captured.err
+
+
 def test_hk_table_human(fermat_file, capsys):
     assert main(["hk", fermat_file, "J", "--qmax", "3"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,8 @@
 """Groebner bases, staircase counts, syzygies, module colengths."""
 
+import inspect
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,13 +60,26 @@ def test_staircase_count_at_large_q_needs_no_box():
     assert staircase_count(leads, 3) == q ** 3 - (q - 3) * (q - 5) * (q - 7)
 
 
+def test_staircase_count_needs_no_stack_frame_per_variable():
+    n = 200
+    leads = [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
+    leads.append((1, 1) + (0,) * (n - 2))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        count = staircase_count(leads, n)
+    finally:
+        sys.setrecursionlimit(old)
+    assert count == 3 * 2 ** (n - 2)  # the box 2^n less the multiples of x_0*x_1
+
+
 @st.composite
 def staircase_cases(draw):
     """(lead monomials, nvars): pure powers that may be missing or
     repeated, generators inside and outside the box, duplicates and
     sometimes the unit monomial."""
-    n = draw(st.integers(1, 4))
-    top = {1: 9, 2: 7, 3: 5, 4: 4}[n]
+    n = draw(st.integers(1, 5))
+    top = {1: 9, 2: 7, 3: 5, 4: 4, 5: 3}[n]
     leads = []
     for i in range(n):
         for a in draw(st.lists(st.integers(1, top), max_size=2)):
