@@ -1,5 +1,5 @@
 """Exact colength and Hilbert-Kunz computations for products of ideals
-in polynomial rings and hypersurface quotients over prime fields."""
+in polynomial rings and their graded quotients over prime fields."""
 
 from .groebner import buchberger, normal_form, syzygies
 from .hk import (HKEstimate, HKTable, ProbeVerdict, hk_estimate, hk_table,

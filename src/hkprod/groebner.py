@@ -362,18 +362,17 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     return G
 
 
-def _minimal(G: list[tuple], lay: _Layout) -> list[tuple]:
-    """The minimal part of a basis given by its reducers, sorted by
-    leading term: an element is dropped when the leading term of an
-    earlier kept one divides its own."""
-    kept: list[tuple] = []
-    leads: list[tuple[int, int]] = []  # (component, monomial) of the kept
+def _minimal(G: list[tuple], lay: _Layout) -> dict[int, list]:
+    """The minimal part of a basis given by its reducers, as rows (see
+    _divide), each sorted by leading term: an element is dropped when
+    the leading monomial of an earlier kept one in its component divides
+    its own."""
+    rows: dict[int, list] = {}
     for r in sorted(G, key=itemgetter(1), reverse=True):
-        pos, lm = lay.position(r[1]), r[0]
-        if not any(p == pos and lay.divides(m, lm) for p, m in leads):
+        kept = rows.setdefault(lay.position(r[1]), [])
+        if not any(lay.divides(k[0], r[0]) for k in kept):
             kept.append(r)
-            leads.append((pos, lm))
-    return kept
+    return rows
 
 
 class Reducers:
@@ -421,7 +420,7 @@ class Reducers:
                 break
             except _Overflow:
                 lay = self._layout(elements, 2 * lay.field_bytes)
-        self.lay, self.rows = lay, _by_position(_minimal(G, lay), lay)
+        self.lay, self.rows = lay, _minimal(G, lay)
         return self
 
     @property

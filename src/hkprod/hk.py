@@ -62,7 +62,10 @@ class HKTable:
 
 def levels(p: int, e_max: int, start: int = 0) -> list[int]:
     """The Frobenius levels q = p^start ... p^e_max, ascending: the one
-    list every per-q loop (tables, probes, per-q checks) reads."""
+    list every per-q loop (tables, probes, per-q checks) reads.  An
+    empty range would check nothing and is refused."""
+    if e_max < start:
+        raise ValueError(f"needs e_max at least {start}, got {e_max}")
     return [p ** e for e in range(start, e_max + 1)]
 
 
@@ -220,8 +223,6 @@ def tc_probe(z: Polynomial, I: Ideal, c: Polynomial, e_max: int) -> ProbeVerdict
     """Check c * z^q in I^[q] for q = p^1 ... p^e_max."""
     if c.is_zero():
         raise ValueError("multiplier c must be nonzero")
-    if e_max < 1:
-        raise ValueError("e_max must be at least 1")
     qs = levels(I.ring.p, e_max, 1)
     for q in qs:
         nf = I.bracket_power(q).normal_form(c * z.frobenius(q))

@@ -6,7 +6,6 @@ from the caller's random.Random for randomized trials."""
 from __future__ import annotations
 
 import random
-from itertools import combinations
 
 from . import groebner
 from .rings import Polynomial, Ring, RingMismatchError, is_p_power
@@ -186,17 +185,48 @@ def maximal_ideal(ring: Ring) -> Ideal:
     return Ideal(ring, [ring.var(i) for i in range(ring.nvars)])
 
 
+def _lead_supports(ring: Ring) -> list[frozenset[int]]:
+    """The variables of each leading monomial of GB(Q)."""
+    gb = groebner.buchberger([], ring) if ring.relations else []
+    return [frozenset(i for i, e in enumerate(g.leading_monomial()) if e) for g in gb]
+
+
+def _cover_number(supports: list[frozenset[int]]) -> int:
+    """The fewest variables that meet every support, all nonempty.
+
+    Depth-first over partial covers: a cover branches on the smallest
+    support it misses, one child per variable of it, and is pruned when
+    its size plus a greedy count of pairwise disjoint missed supports,
+    each of which needs a variable of its own, reaches the best cover
+    found so far."""
+    supports = sorted(set(supports), key=len)
+    best = len(frozenset().union(*supports))
+    stack = [frozenset()]
+    while stack:
+        cover = stack.pop()
+        missed = [s for s in supports if not s & cover]
+        if not missed:
+            best = len(cover)  # below best, or the bound had pruned it
+            continue
+        used, bound = set(), len(cover)
+        for s in missed:
+            if not s & used:
+                used |= s
+                bound += 1
+        if bound < best:
+            stack.extend(cover | {v} for v in missed[0])
+    return best
+
+
 def krull_dim(ring: Ring) -> int:
-    """Dimension of S/Q: the largest variable subset meeting no leading
-    monomial of GB(Q) (combinatorial dimension of the initial ideal)."""
+    """Dimension of S/Q: n minus the fewest variables that meet every
+    leading monomial of GB(Q) (combinatorial dimension of the initial
+    ideal: the complement of such a cover is a largest variable subset
+    that contains no leading monomial)."""
     if ring._dim is None:
-        gb = groebner.buchberger([], ring) if ring.relations else []
-        supports = [frozenset(i for i, e in enumerate(g.leading_monomial()) if e)
-                    for g in gb]
-        # every subset contains the empty support of a unit: the zero ring
-        ring._dim = next((size for size in range(ring.nvars, -1, -1)
-                          for sub in combinations(range(ring.nvars), size)
-                          if not any(s.issubset(sub) for s in supports)), 0)
+        supports = _lead_supports(ring)
+        # the empty support of a unit meets no cover: the zero ring
+        ring._dim = 0 if frozenset() in supports else ring.nvars - _cover_number(supports)
     return ring._dim
 
 
@@ -217,11 +247,11 @@ def _random_monomial(rng: random.Random, ring: Ring, bound: int) -> Polynomial:
     return ring.monomial(exps)
 
 
-def _pure_powers(rng: random.Random, ring: Ring, count: int, bound: int) -> list[Polynomial]:
-    """x_i^(a_i) for the first count variables in order, each a_i drawn
-    from 1 ... bound in turn."""
+def _pure_powers(rng: random.Random, ring: Ring, variables, bound: int) -> list[Polynomial]:
+    """x_i^(a_i) for the variables i in order, each a_i drawn from
+    1 ... bound in turn."""
     gens = []
-    for i in range(count):
+    for i in variables:
         exps = [0] * ring.nvars
         exps[i] = rng.randint(1, bound)
         gens.append(ring.monomial(exps))
@@ -230,7 +260,7 @@ def _pure_powers(rng: random.Random, ring: Ring, count: int, bound: int) -> list
 
 def _monomial_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
     # pure powers of every variable first, forcing m-primariness
-    gens = _pure_powers(rng, ring, ring.nvars, bound)
+    gens = _pure_powers(rng, ring, range(ring.nvars), bound)
     for _ in range(rng.randint(0, ring.nvars)):
         gens.append(_random_monomial(rng, ring, bound))
     return gens
@@ -256,8 +286,23 @@ def _dense_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
     return [_dense_poly(rng, ring, bound) for _ in range(ring.nvars + 1)]
 
 
+def _parameter_variables(ring: Ring) -> list[int]:
+    """d = dim R variables whose powers form parameters: the first d
+    when they and Q give an m-primary ideal, else the d variables that
+    have no pure power among the leading monomials of GB(Q), whose
+    powers and Q then hold a power of every variable."""
+    d = krull_dim(ring)
+    if Ideal(ring, map(ring.var, range(d))).is_m_primary():
+        return list(range(d))
+    powered = {i for s in _lead_supports(ring) if len(s) == 1 for i in s}
+    free = [i for i in range(ring.nvars) if i not in powered]
+    if len(free) != d:
+        raise InfiniteColengthError(f"no powers of the variables form parameters in {ring}")
+    return free
+
+
 def _parameter_powers_gens(rng: random.Random, ring: Ring, bound: int) -> list[Polynomial]:
-    return _pure_powers(rng, ring, krull_dim(ring), bound)
+    return _pure_powers(rng, ring, _parameter_variables(ring), bound)
 
 
 _BUILDERS = {
@@ -271,10 +316,12 @@ FAMILIES = tuple(_BUILDERS)
 
 def random_ideal(rng: random.Random, ring: Ring, family: str, bound: int) -> Ideal:
     """The next ideal of `family` drawn from `rng`, monomials of degree
-    at most `bound`.  A family that cannot guarantee finite colength by
-    construction (dense, binomial over quotients) is redrawn from the
-    same rng, up to 200 draws, so the stream stays a function of the
-    rng's state."""
+    at most `bound`.  Monomial and binomial draws hold a pure power of
+    every variable, and parameter-powers draws take the powers of
+    _parameter_variables, which raises at once on a ring where none
+    fit; a draw of infinite colength, which only the dense family can
+    make, is redrawn from the same rng, up to 200 draws, so the stream
+    stays a function of the rng's state."""
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}")
     if bound < 1:

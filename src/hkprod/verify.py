@@ -76,18 +76,15 @@ def _fixture(*ideals, extra=""):
     return desc + (f" {extra}" if extra else "")
 
 
-def _parameter_dim(J: Ideal) -> int:
-    """The dimension d, once J is checked to be a parameter ideal."""
+def _parameter_dim(J: Ideal, least: int = 0) -> int:
+    """The dimension d, once it is checked to be at least least and J to
+    be a parameter ideal."""
+    d = krull_dim(J.ring)
+    if d < least:
+        raise ValueError(f"needs dimension at least {least}")
     if not is_parameter_ideal(J):
         raise ValueError("needs a parameter ideal")
-    return krull_dim(J.ring)
-
-
-def _parameter_dim_2(J: Ideal) -> int:
-    """_parameter_dim for the statements that need d >= 2, tested first."""
-    if krull_dim(J.ring) < 2:
-        raise ValueError("needs dimension at least 2")
-    return _parameter_dim(J)
+    return d
 
 
 def _product_bound(I: Ideal, J: Ideal, spread, side) -> tuple:
@@ -206,7 +203,7 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
 
 def verify_cor_square(J: Ideal) -> VerifyReport:
     """lambda(R/J^2) = (d+1)*lambda(R/J) for parameter ideals, d >= 2."""
-    d = _parameter_dim_2(J)
+    d = _parameter_dim(J, least=2)
     lhs, rhs = _power_bound(J, 2, d, Ideal.colength_strict)
     return VerifyReport(
         check=SQUARE, fixture=_fixture(J),
@@ -311,7 +308,7 @@ def verify_param_lower_bound(I: Ideal, J: Ideal, e_max: int = 1) -> VerifyReport
     equality branch d*e_HK(I) + e_HK(J) when J is contained in I: asserted
     on regular rings, its gap reported elsewhere."""
     ring = I.ring
-    d = _parameter_dim_2(J)
+    d = _parameter_dim(J, least=2)
     containment = I.contains_ideal(J)
     hk, q, caveat = _hk_side(ring, e_max)
     lhs = hk(I * J)
@@ -337,7 +334,7 @@ def verify_cor_square_hk(J: Ideal, e_max: int = 1) -> VerifyReport:
     Regular rings reduce to the exact length statement; elsewhere the
     per-q form is checked at every computed q and any gap is reported."""
     ring = J.ring
-    d = _parameter_dim_2(J)
+    d = _parameter_dim(J, least=2)
     lam_J = J.colength_strict()  # = e(J) in the Cohen-Macaulay rings handled
     J2 = J.power(2)
     hk, q, _ = _hk_side(ring, e_max)
@@ -394,8 +391,6 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
 def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
     """lambda(R/I^[q]) <= lambda(R/m^[q]) * lambda(R/I) for every
     q = p^1 ... p^e_max; e_max < 1 would check nothing and is refused."""
-    if e_max < 1:
-        raise ValueError(f"{HUNEKE_YAO} needs e_max at least 1")
     ring = I.ring
     m = maximal_ideal(ring)
     lam_I = I.colength_strict()

@@ -17,7 +17,10 @@ trivial Koszul syzygies are references for the two Groebner engines,
 and colength_of_basis counts the staircase of a basis from the leading
 monomials its Polynomials report, not from the engine's packed codes.
 diagonal_colength needs no Groebner basis at all: it reads a monomial
-ideal's colength on a diagonal hypersurface off block ranks.
+ideal's colength on a diagonal hypersurface off block ranks, and
+toric_colength counts lattice points for a monomial ideal on a rational
+normal curve cone, a quotient by several relations.  subset_dim is the
+exhaustive reference for krull_dim's bounded cover search.
 """
 
 from fractions import Fraction
@@ -424,6 +427,51 @@ def diagonal_colength(gens, coeffs, d, p):
             span.add_terms(image)
         rank += len(span.pivot_columns())
     return len(standard) - rank
+
+
+# --- Krull dimension and toric quotients ------------------------------------
+
+def subset_dim(ring):
+    """dim S/Q for Q generated by monomials, by trying every variable
+    subset from the largest down until one contains no relation's
+    support.  Monomials are their own Groebner basis, so the supports are
+    read off the relations as given."""
+    if any(len(r.terms) != 1 for r in ring.relations):
+        raise ValueError("subset_dim needs monomial relations")
+    supports = [frozenset(i for i, e in enumerate(r.leading_monomial()) if e)
+                for r in ring.relations]
+    return next(size for size in range(ring.nvars, -1, -1)
+                for sub in combinations(range(ring.nvars), size)
+                if not any(s <= set(sub) for s in supports))
+
+
+def rational_normal_curve(n, p, order="grevlex"):
+    """R_n = F_p[a_0..a_n] modulo the 2x2 minors of
+    [[a_0 ... a_{n-1}], [a_1 ... a_n]]: the cone over the rational normal
+    curve of degree n, a normal semigroup ring of dimension 2."""
+    minors = [f"a{i}*a{j + 1} - a{i + 1}*a{j}" for i in range(n) for j in range(i + 1, n)]
+    return Ring(p, [f"a{i}" for i in range(n + 1)], relations=minors, order=order)
+
+
+def toric_colength(n, exps, q):
+    """lambda(R_n/I^[q]) for the monomial ideal I of R_n (see
+    rational_normal_curve) generated by the exponent tuples exps, which
+    must hold a power of a_0 and one of a_n.
+
+    The monomial prod a_i^(e_i) is the point (sum e_i(n-i), sum e_i*i) of
+    S = {(u, v) in N^2 : n | u+v}.  S is normal, so a point lies in
+    I^[q] iff it lies in q*point + N^2 for a generator's point; the
+    colength counts the points of S in no such quadrant.  No Groebner
+    basis is involved.
+    """
+    corners = [(q * sum(e * (n - i) for i, e in enumerate(x)),
+                q * sum(e * i for i, e in enumerate(x))) for x in exps]
+    width = min(u for u, v in corners if v == 0)  # a power of a_0
+    total = 0
+    for u in range(width):
+        top = min(v for cu, v in corners if cu <= u)  # a power of a_n has cu = 0
+        total += len(range(-u % n, top, n))
+    return total
 
 
 # --- Koszul syzygies --------------------------------------------------------

@@ -5,8 +5,11 @@ import csv
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,6 +278,16 @@ def test_verify_trials_without_m_primary_ideals_exit_2(tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("ring_line", ["ring: p=2 vars=x,y,z mod=[x^2]",
+                                       "ring: p=2 vars=a,b,c mod=[a*c - b^2]"])
+def test_verify_square_trials_off_the_first_variables_exit_0(ring_line, tmp_path, capsys):
+    # d = 2, but the first two variables are no parameters on either ring
+    path = tmp_path / "ring.hk"
+    path.write_text(ring_line + "\n")
+    assert main(["verify", str(path), "square", "--trials", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 # check -> (--ideal names on REGULAR, the verifier calls on those ideals
 # with the CLI defaults --qmax 1, -n 2 and the regular star-spread mode)
 NAMED = {
@@ -495,3 +508,33 @@ def test_cli_import_builds_no_parser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=SUBPROCESS_ENV)
     assert proc.returncode == 0 and proc.stdout.strip() == "0"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_lines_do_what_their_comments_say(tmp_path, monkeypatch, capsys):
+    # each hkprod line of README's CLI block runs on its fermat.hk block:
+    # "prints X" means exit 0 with X on stdout, "exits N" exit N, and a
+    # line that states neither exits 0
+    blocks = re.findall(r"^```(\w+)\n(.*?)^```", README.read_text(), re.M | re.S)
+    session = next(body for kind, body in blocks
+                   if kind == "text" and body.startswith("# fermat.hk\n"))
+    commands = next(body for kind, body in blocks
+                    if kind == "sh" and body.startswith("hkprod "))
+    (tmp_path / "fermat.hk").write_text(session)
+    monkeypatch.chdir(tmp_path)
+    for line in commands.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "hkprod", line
+        try:
+            rc = main(argv[1:])
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+        out = capsys.readouterr().out
+        exits = re.search(r"exits (\d)", comment)
+        assert rc == (int(exits[1]) if exits else 0), line
+        printed = re.search(r"prints (\S+)", comment)
+        if printed:
+            assert out.strip() == printed[1], line

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hkprod import (Ideal, InfiniteColengthError, Ring, groebner, hk_estimate,
                     hk_table, jacobian_candidates, krull_dim,
                     monomial_hk_volume, random_ideal, star_spread, tc_probe)
+from hkprod.hk import levels
 
 from .oracles import diagonal_colength, hypersurface_colon_sides, subset_volume
 from .strategies import polys
@@ -349,8 +350,14 @@ def test_probe_validation(F2xy):
     I = I_(F2xy, "x", "y")
     with pytest.raises(ValueError):
         tc_probe(F2xy.poly("x"), I, F2xy.zero(), 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="needs e_max at least 1, got 0"):
         tc_probe(F2xy.poly("x"), I, F2xy.one(), 0)
+
+
+def test_levels_refuse_an_empty_range():
+    assert levels(3, 2, 1) == [3, 9]
+    with pytest.raises(ValueError, match="needs e_max at least 0, got -1"):
+        levels(3, -1)
 
 
 def test_jacobian_candidates(fermat):

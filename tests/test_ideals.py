@@ -2,6 +2,7 @@
 generators, dimension, parameter detection, random families."""
 
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,8 @@ from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring,
 from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
-from .oracles import brute_colength, rescan_normal_form
+from .oracles import (brute_colength, rational_normal_curve, rescan_normal_form,
+                      subset_dim, toric_colength)
 from .strategies import bounded_ideals, polys, rings
 
 
@@ -321,6 +323,66 @@ def test_krull_dim(F2xy, fermat):
     assert krull_dim(Ring(2, ["x"], relations=["x^2"])) == 0
 
 
+@st.composite
+def monomial_quotients(draw):
+    """Rings with up to 8 variables modulo up to 6 monomial relations."""
+    n = draw(st.integers(1, 8))
+    names = [f"x{i}" for i in range(n)]
+    relations = []
+    for _ in range(draw(st.integers(0, 6))):
+        support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+        relations.append("*".join(names[i] for i in support))
+    return Ring(2, names, relations=relations, order=draw(st.sampled_from(["grevlex", "lex"])))
+
+
+@given(monomial_quotients())
+def test_krull_dim_matches_subset_enumeration(ring):
+    assert krull_dim(ring) == subset_dim(ring)
+
+
+def test_krull_dim_of_a_long_path_ring_is_fast():
+    # F_2[x_0..x_39]/(x_i x_{i+1}): an exhaustive subset search takes 44 s
+    # at 26 variables, and 4x more for every two variables added
+    def too_slow(signum, frame):
+        raise TimeoutError("krull_dim took more than 5 s")
+
+    ring = Ring(2, [f"x{i}" for i in range(40)],
+                relations=[f"x{i}*x{i + 1}" for i in range(39)])
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        assert krull_dim(ring) == 20
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _toric_exponents(rng, n):
+    """A power of a_0, a power of a_n and up to three random monomials."""
+    exps = [tuple(rng.randint(1, 2) if i == end else 0 for i in range(n + 1))
+            for end in (0, n)]
+    for _ in range(rng.randint(0, 3)):
+        e = [0] * (n + 1)
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(n + 1)] += 1
+        exps.append(tuple(e))
+    return exps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_bracket_colength_on_rational_normal_curves_matches_lattice_count(n, p):
+    # C(n, 2) quadric relations: the only rings with several relations
+    ring = rational_normal_curve(n, p)
+    assert len(ring.relations) == n * (n - 1) // 2 and krull_dim(ring) == 2
+    rng = random.Random(100 * n + p)
+    for _ in range(6):
+        exps = _toric_exponents(rng, n)
+        I = I_(ring, *(ring.monomial(e) for e in exps))
+        for q in (1, p, p * p):
+            assert I.bracket_power(q).colength() == toric_colength(n, exps, q), (exps, q)
+
+
 def test_is_parameter_ideal(F3xy, fermat):
     assert is_parameter_ideal(I_(F3xy, "x^2", "y^5"))
     assert not is_parameter_ideal(I_(F3xy, "x^2", "x*y", "y^2"))
@@ -395,6 +457,23 @@ def test_parameter_powers_family_colength(F5xyz):
             expected *= sum(m)
         assert J.colength_strict() == expected
         assert is_parameter_ideal(J)
+
+
+@pytest.mark.parametrize("relation, variables", [("x^2", ["y", "z"]),
+                                                  ("x*z + y^2", ["x", "z"])])
+def test_parameter_powers_off_the_first_variables(relation, variables):
+    # the first d = 2 variables are no parameters here: (x, y) misses z
+    ring = Ring(2, ["x", "y", "z"], relations=[relation])
+    rng = random.Random(0)
+    for J in [random_ideal(rng, ring, "parameter-powers", 3) for _ in range(5)]:
+        assert [str(g).split("^")[0] for g in J.gens] == variables
+        assert is_parameter_ideal(J)
+
+
+def test_parameter_powers_refused_at_once_when_no_powers_fit():
+    ring = Ring(2, ["x", "y"], relations=["x*y"])
+    with pytest.raises(InfiniteColengthError, match="no powers of the variables"):
+        random_ideal(random.Random(0), ring, "parameter-powers", 3)
 
 
 def test_random_ideal_validation(F2xy):
