@@ -74,7 +74,7 @@ def hk_table(I: Ideal, e_max: int) -> HKTable:
     d = krull_dim(I.ring)
     rows = []
     for q in levels(I.ring.p, e_max):
-        lam = I.bracket_power(q).colength_strict()
+        lam = I.bracket_colength(q)
         rows.append(HKRow(q=q, colength=lam, normalized=Fraction(lam, q ** d)))
     return HKTable(ideal=I, d=d, rows=rows)
 

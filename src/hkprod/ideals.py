@@ -107,24 +107,27 @@ class Ideal:
 
     def bracket_power(self, q: int) -> "Ideal":
         """I^[q], generated by the q-th Frobenius powers of I's generators,
-        memoized per q so each bracket power keeps its cached basis.
-
-        On a polynomial ring its colength is set to q^n * lambda(R/I)
-        (infinite when lambda(R/I) is), so no staircase is counted: S is
-        free over S^q on the x^a with 0 <= a_i < q (Kunz 1969).  The
-        engine runs on the powered generators only when the bracket is
-        divided by, or on a quotient, where its staircase is counted."""
+        memoized per q so each bracket power keeps its cached basis."""
         if not is_p_power(q, self.ring.p):
             raise ValueError(f"{q} is not a power of the characteristic")
         if q == 1:
             return self
         if q not in self._brackets:
-            bracket = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
-            if self.ring.is_regular:
-                lam = self.colength()
-                bracket._colength = None if lam is None else q ** self.ring.nvars * lam
-            self._brackets[q] = bracket
+            self._brackets[q] = Ideal(self.ring, [g.frobenius(q) for g in self.gens])
         return self._brackets[q]
+
+    def bracket_colength(self, q: int) -> int:
+        """lambda(R/I^[q]); raises InfiniteColengthError when infinite.
+
+        On a polynomial ring this is q^n * lambda(R/I) and no bracket is
+        built: S is free over S^q on the x^a with 0 <= a_i < q (Kunz
+        1969).  On a quotient the staircase of bracket_power(q) is
+        counted."""
+        if not self.ring.is_regular:
+            return self.bracket_power(q).colength_strict()
+        if not is_p_power(q, self.ring.p):
+            raise ValueError(f"{q} is not a power of the characteristic")
+        return q ** self.ring.nvars * self.colength_strict()
 
     def colon(self, f: Polynomial) -> "Ideal":
         """(I : f) = {g : g*f in I}, computed by module elimination."""
@@ -290,8 +293,11 @@ def _parameter_variables(ring: Ring) -> list[int]:
     """d = dim R variables whose powers form parameters: the first d
     when they and Q give an m-primary ideal, else the d variables that
     have no pure power among the leading monomials of GB(Q), whose
-    powers and Q then hold a power of every variable."""
+    powers and Q then hold a power of every variable.  A ring of
+    dimension 0 has only the empty parameter sequence and is refused."""
     d = krull_dim(ring)
+    if d == 0:
+        raise ValueError(f"parameter-powers needs dim R >= 1, but dim R = 0 in {ring}")
     if Ideal(ring, map(ring.var, range(d))).is_m_primary():
         return list(range(d))
     powered = {i for s in _lead_supports(ring) if len(s) == 1 for i in s}
@@ -318,10 +324,10 @@ def random_ideal(rng: random.Random, ring: Ring, family: str, bound: int) -> Ide
     """The next ideal of `family` drawn from `rng`, monomials of degree
     at most `bound`.  Monomial and binomial draws hold a pure power of
     every variable, and parameter-powers draws take the powers of
-    _parameter_variables, which raises at once on a ring where none
-    fit; a draw of infinite colength, which only the dense family can
-    make, is redrawn from the same rng, up to 200 draws, so the stream
-    stays a function of the rng's state."""
+    _parameter_variables, which raises at once on a ring of dimension
+    0 or where none fit; a draw of infinite colength, which only the
+    dense family can make, is redrawn from the same rng, up to 200
+    draws, so the stream stays a function of the rng's state."""
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}")
     if bound < 1:

@@ -42,11 +42,10 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
         raise ValueError("empty generating sequence")
     ring = I.ring
     ell = len(a)
+    lam_Iq = I.bracket_colength(q)
     aq = [f.frobenius(q) for f in a]
-    Iq = I.bracket_power(q)
-    lam_Iq = Iq.colength_strict()
     vectors = groebner.syzygy_vectors(aq, (), ring)
-    for gq in Iq.gens:
+    for gq in I.bracket_power(q).gens:
         vectors += [groebner.as_vector(gq, pos) for pos in range(ell)]
     degrees = [max(f.degree(), 0) for f in aq]
     quotient = groebner.module_colength(vectors, ell, ring, degrees)
@@ -89,8 +88,8 @@ class LenIdentitySides:
 def len_identity_sides(I: Ideal, a: list[Polynomial], q: int = 1) -> LenIdentitySides:
     """Compute the four lengths of the identity along independent paths."""
     J = Ideal(I.ring, a)
-    lam_I = I.bracket_power(q).colength_strict()
-    lam_J = J.bracket_power(q).colength_strict()
+    lam_I = I.bracket_colength(q)
+    lam_J = J.bracket_colength(q)
     lam_K = kernel_length(a, I, q)
-    lam_IJ = (I * J).bracket_power(q).colength_strict()
+    lam_IJ = (I * J).bracket_colength(q)
     return LenIdentitySides(q, len(a), lam_I, lam_J, lam_K, lam_IJ)

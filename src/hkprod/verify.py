@@ -240,7 +240,7 @@ def _hk_side(ring: Ring, e_max: int):
         return Ideal.colength_strict, None, None
     d = krull_dim(ring)
     q = ring.p ** e_max
-    return ((lambda I: Fraction(I.bracket_power(q).colength_strict(), q ** d)),
+    return ((lambda I: Fraction(I.bracket_colength(q), q ** d)),
             q, f"finite-q surrogate at q={q}")
 
 
@@ -344,8 +344,8 @@ def verify_cor_square_hk(J: Ideal, e_max: int = 1) -> VerifyReport:
     if not ring.is_regular:
         per_q = data["per_q"] = {}
         for qe in levels(ring.p, e_max):
-            lhs_q = J2.bracket_power(qe).colength_strict()
-            rhs_q = (d + 1) * J.bracket_power(qe).colength_strict()
+            lhs_q = J2.bracket_colength(qe)
+            rhs_q = (d + 1) * J.bracket_colength(qe)
             per_q[str(qe)] = {"lhs": lhs_q, "rhs": rhs_q,
                               "gap_normalized": Fraction(lhs_q - rhs_q, qe ** d)}
         holds = all(row["lhs"] == row["rhs"] for row in per_q.values())
@@ -375,9 +375,8 @@ def verify_prop42(I: Ideal, J: Ideal, e_max: int) -> VerifyReport:
     lam_I = I.colength_strict()
     per_q = {}
     for q in qs[qs.index(q0):]:
-        Jq = J.bracket_power(q)
-        per_q[str(q)] = {"lhs": (I * Jq).colength_strict(),
-                         "rhs": d * lam_I + Jq.colength_strict()}
+        per_q[str(q)] = {"lhs": (I * J.bracket_power(q)).colength_strict(),
+                         "rhs": d * lam_I + J.bracket_colength(q)}
     all_equal = all(row["lhs"] == row["rhs"] for row in per_q.values())
     caveat = None if ring.is_regular else "finite-q report on a non-regular presentation"
     holds = all_equal if ring.is_regular else True
@@ -394,8 +393,8 @@ def verify_huneke_yao_per_q(I: Ideal, e_max: int) -> VerifyReport:
     ring = I.ring
     m = maximal_ideal(ring)
     lam_I = I.colength_strict()
-    per_q = {str(q): {"lhs": I.bracket_power(q).colength_strict(),
-                      "rhs": m.bracket_power(q).colength_strict() * lam_I}
+    per_q = {str(q): {"lhs": I.bracket_colength(q),
+                      "rhs": m.bracket_colength(q) * lam_I}
              for q in levels(ring.p, e_max, 1)}
     data = {"per_q": per_q, "lambda_I": lam_I}
     if ring.is_regular:

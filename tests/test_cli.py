@@ -357,6 +357,16 @@ def test_verify_prop42_needs_a_parameter_ideal_exit_2(tmp_path, capsys):
         assert out == "" and err == "error: needs a parameter ideal\n"
 
 
+def test_verify_parameter_trials_on_a_zero_dimensional_ring_exit_2(tmp_path, capsys):
+    # dim R = 0: the only parameter sequence is empty, so none is drawn
+    path = tmp_path / "artinian.hk"
+    path.write_text("ring: p=2 vars=x mod=[x^2]\n")
+    assert main(["verify", str(path), "prop42", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: parameter-powers needs dim R >= 1, but dim R = 0 in F_2[x]/(x^2)\n"
+
+
 def test_verify_untrimmable_generators_exit_2(tmp_path, capsys):
     # greedy trimming cannot bring J down to mu(J) = 2 generators
     path = tmp_path / "untrim.hk"

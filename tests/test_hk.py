@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import (Ideal, InfiniteColengthError, Ring, groebner, hk_estimate,
+from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, groebner, hk_estimate,
                     hk_table, jacobian_candidates, krull_dim,
                     monomial_hk_volume, random_ideal, star_spread, tc_probe)
 from hkprod.hk import levels
@@ -47,9 +47,8 @@ def test_quotient_table_reads_only_the_engine_leads(monkeypatch):
 
 
 def test_polynomial_table_reads_only_the_engine_leads(F2xyz, monkeypatch):
-    # a polynomial-ring bracket power is the ideal of the powered
-    # generators with its colength scaled from lambda(R/I): the table
-    # interreduces no basis and unpacks no term
+    # a polynomial-ring table scales lambda(R/I) to every level and
+    # builds no bracket: it interreduces no basis and unpacks no term
     calls = []
     interreduce, unpack = groebner.interreduce, groebner._Layout.unpack
     monkeypatch.setattr(groebner, "interreduce",
@@ -59,6 +58,16 @@ def test_polynomial_table_reads_only_the_engine_leads(F2xyz, monkeypatch):
     I = I_(F2xyz, "x^2+y*z", "y^2", "z^3")
     assert [r.colength for r in hk_table(I, 3).rows] == [12, 96, 768, 6144]
     assert calls == []
+
+
+def test_polynomial_table_powers_no_generator(F2xyz, monkeypatch):
+    powered = []
+    frobenius = Polynomial.frobenius
+    monkeypatch.setattr(Polynomial, "frobenius",
+                        lambda f, q: powered.append(f) or frobenius(f, q))
+    I = I_(F2xyz, "x^2+y*z", "y^2", "z^3")
+    assert hk_table(I, 7).rows[-1].colength == 128**3 * 12
+    assert powered == []
 
 
 def test_table_kunz_scaling(F5xy):

@@ -3,6 +3,8 @@ generators, dimension, parameter detection, random families."""
 
 import random
 import signal
+from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
 from .oracles import (brute_colength, rational_normal_curve, rescan_normal_form,
-                      subset_dim, toric_colength)
+                      subset_dim, toric_colength, toric_hk)
 from .strategies import bounded_ideals, polys, rings
 
 
@@ -70,23 +72,30 @@ def test_bracket_power_basis_is_buchberger_on_the_bracket_generators(case, squar
 @settings(max_examples=100, deadline=None)
 @given(bounded_ideals(ring=rings(primes=(2, 3, 5), quotients=False)), st.booleans())
 def test_kunz_scaled_bracket_colength_matches_both_counts(case, square):
-    """A polynomial-ring bracket power takes its colength q^n * lambda(R/I)
-    from Kunz's theorem; Buchberger on the powered generators, and the
-    staircase of the bracket's own reduced basis, each count it anew."""
+    """On a polynomial ring bracket_colength takes q^n * lambda(R/I) from
+    Kunz's theorem; the bracket power, Buchberger on the powered
+    generators, and the staircase of its reduced basis each count it
+    anew."""
     ring, gens, _ = case
     q = ring.p ** 2 if square else ring.p
-    B = Ideal(ring, gens).bracket_power(q)
-    colength = B.colength()
-    assert colength == Ideal(ring, [g.frobenius(q) for g in gens]).colength()
-    assert colength == groebner.staircase_count(
+    I = Ideal(ring, gens)
+    B = I.bracket_power(q)
+    assert I.bracket_colength(q) == B.colength() == groebner.staircase_count(
         [g.leading_monomial() for g in B.groebner_basis], ring.nvars)
 
 
 def test_kunz_scaled_bracket_colength_pinned(F2xy, F2xyz):
     for q in (2, 4, 8):
         assert I_(F2xy, "x").bracket_power(q).colength() is None
+        with pytest.raises(InfiniteColengthError):
+            I_(F2xy, "x").bracket_colength(q)
         assert I_(F2xy, "1").bracket_power(q).colength() == 0
-    assert I_(F2xyz, "x^2 + y*z", "y^2", "z^3").bracket_power(8).colength() == 6144
+        assert I_(F2xy, "1").bracket_colength(q) == 0
+    I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
+    assert I.bracket_colength(8) == I.bracket_power(8).colength() == 6144
+    assert I.bracket_colength(1) == 12
+    with pytest.raises(ValueError, match="not a power"):
+        I.bracket_colength(6)
 
 
 @settings(max_examples=100, deadline=None)
@@ -140,20 +149,21 @@ def test_polynomial_bracket_colength_runs_no_engine(F2xyz, fermat, monkeypatch):
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
     assert I.colength() == 12
     built.clear()
-    assert I.bracket_power(8).colength() == 8**3 * 12
+    assert I.bracket_colength(8) == 8**3 * 12
     assert built == []
-    # over a quotient the bracket power runs Buchberger
+    # over a quotient the bracket power runs Buchberger, once
     J = I_(fermat, "y", "z")
     assert J.colength() == 3
     built.clear()
-    assert J.bracket_power(8).colength() == 3 * 8**2
+    assert J.bracket_colength(8) == 3 * 8**2
+    assert J.bracket_colength(8) == 3 * 8**2
     assert len(built) == 1
 
 
 def test_polynomial_bracket_runs_the_engine_at_its_first_division(F2xyz, monkeypatch):
-    # the colength of a polynomial-ring bracket is scaled from
-    # lambda(R/I): a table of such brackets builds no layout and packs no
-    # term, and the first division runs the engine once for every later one
+    # a polynomial-ring table scales lambda(R/I) and builds no bracket,
+    # so it builds no layout and packs no term; the bracket's first
+    # division runs the engine once for every later one
     I = I_(F2xyz, "x^2 + y*z", "y^2", "z^3")
     assert I.colength() == 12
     transported = [g.frobenius(8) for g in I.groebner_basis]
@@ -178,6 +188,8 @@ def test_polynomial_bracket_runs_the_engine_at_its_first_division(F2xyz, monkeyp
 
 
 def test_bracket_power_on_polynomial_rings_powers_the_generators_once(F2xyz, monkeypatch):
+    # bracket_colength powers nothing and runs no engine; bracket_power
+    # powers each generator once, and its colength is Buchberger's count
     I = I_(F2xyz, "x^2 + y*z", "y^2 + x*z", "z^3", "x*y*z")
     lam = I.colength()
     built = count_engine_runs(monkeypatch)
@@ -185,11 +197,13 @@ def test_bracket_power_on_polynomial_rings_powers_the_generators_once(F2xyz, mon
     frobenius = Polynomial.frobenius
     monkeypatch.setattr(Polynomial, "frobenius",
                         lambda f, q: powered.append(f) or frobenius(f, q))
+    assert I.bracket_colength(8) == 8**3 * lam
+    assert powered == [] and built == []
     B = I.bracket_power(8)
     assert I.bracket_power(8) is B
     assert powered == list(I.gens)
     assert B.colength() == 8**3 * lam
-    assert built == []
+    assert len(built) == 1
 
 
 def test_colon_spec_value(F2xy):
@@ -381,6 +395,29 @@ def test_bracket_colength_on_rational_normal_curves_matches_lattice_count(n, p):
         I = I_(ring, *(ring.monomial(e) for e in exps))
         for q in (1, p, p * p):
             assert I.bracket_power(q).colength() == toric_colength(n, exps, q), (exps, q)
+
+
+def test_toric_hk_product_bound_and_its_equality_case():
+    # e_HK(IJ) <= mu(J) e_HK(I) + e_HK(J), and equality forces J inside I,
+    # on about 200 random monomial pairs: e_HK from exact staircase areas,
+    # mu(J) and the containment from the engine
+    for n in (2, 3, 4):
+        ring = rational_normal_curve(n, 2)
+        m = [tuple(int(i == j) for i in range(n + 1)) for j in range(n + 1)]
+        assert toric_hk(n, m) == Fraction(n + 1, 2)
+        rng = random.Random(n)
+        equalities = 0
+        for _ in range(67):
+            e_I, e_J = _toric_exponents(rng, n), _toric_exponents(rng, n)
+            e_IJ = [tuple(map(add, a, b)) for a in e_I for b in e_J]
+            I, J = (I_(ring, *(ring.monomial(e) for e in exps)) for exps in (e_I, e_J))
+            lhs = toric_hk(n, e_IJ)
+            rhs = J.min_gens() * toric_hk(n, e_I) + toric_hk(n, e_J)
+            assert lhs <= rhs, (e_I, e_J)
+            if lhs == rhs:
+                equalities += 1
+                assert I.contains_ideal(J), (e_I, e_J)
+        assert equalities > 0, n
 
 
 def test_is_parameter_ideal(F3xy, fermat):
