@@ -83,7 +83,7 @@ def cmd_verify(sess, args) -> int:
     else:
         reports = spec.run(ideals, args.qmax, args.n, mode)
     if args.csv:
-        w = csv.writer(sys.stdout)
+        w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(V.CSV_HEADER)
         for r in reports:
             w.writerow(r.csv_row())

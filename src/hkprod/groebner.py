@@ -240,45 +240,49 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
     return remainder
 
 
-def _update_pairs(t: int, leads: list[int], earlier, pending: dict,
+def _update_pairs(t: int, leads: list[int], bare: set[int], earlier, pending: dict,
                   coprime_criterion: bool, lay: _Layout) -> list:
     """Gebauer-Moeller update of the pair set for a new basis element t
     (Gebauer and Moeller, "On an installation of Buchberger's
     algorithm", J. Symbolic Comput. 6, 1988).
 
-    leads are the packed leading monomials of the basis, earlier the
-    indices of the elements that t pairs with, pending maps each queued
-    pair (i, j) to its lcm.  Criterion B drops the pending pairs that t
-    makes redundant: lead(t) divides lcm(i, j), and lcm(i, t) and
-    lcm(j, t) both differ from it.  The new pairs (i, t) are then taken
-    in one pass sorted by lcm, and a pair is dropped when the lcm of a
-    pair kept before it divides its own (criteria M and F).  The sort
-    is by the packed lcm, which puts every divisor before its
-    multiples: a divisor's fields are each no larger, so it is the
-    smaller int.  Each of these drops is the chain criterion: S(i, j)
-    is covered by the S-polynomials of a chain i - k - j whose leads
-    divide lcm(i, j).  With coprime_criterion, pairs with coprime
-    leading monomials (Buchberger's first criterion, valid for
-    polynomials but not for module vectors) sort first among equal
-    lcms and are kept but not returned, so they drop every pair whose
-    lcm is a multiple of theirs.  Returns the new pairs to queue, as
-    (i, lcm).
+    leads are the packed leading monomials of the basis, bare the
+    indices of its elements with no tail, earlier the indices of the
+    elements that t pairs with, pending maps each queued pair (i, j) to
+    its lcm.  Criterion B drops the pending pairs that t makes
+    redundant: lead(t) divides lcm(i, j), and lcm(i, t) and lcm(j, t)
+    both differ from it.  The new pairs (i, t) are then taken in one
+    pass sorted by lcm, and a pair is dropped when the lcm of a pair
+    kept before it divides its own (criteria M and F).  The sort is by
+    the packed lcm, which puts every divisor before its multiples: a
+    divisor's fields are each no larger, so it is the smaller int.
+    Each of these drops is the chain criterion: S(i, j) is covered by
+    the S-polynomials of a chain i - k - j whose leads divide
+    lcm(i, j).  A pair whose S-polynomial is known to reduce to 0 is
+    kept but not returned, and sorts first among equal lcms, so it
+    drops every pair whose lcm is a multiple of its own: a pair of two
+    bare elements, whose S-vector is 0 at every rank, and, with
+    coprime_criterion, a pair with coprime leading monomials
+    (Buchberger's first criterion, valid for polynomials but not for
+    module vectors).  Returns the new pairs to queue, as (i, lcm).
     """
     guard, bits, lcm_of = lay.guard, lay.bits, lay.lcm
     lt = leads[t]
+    t_bare = t in bare
     dead = [pair for pair, lcm in pending.items()
             if ((lcm | guard) - lt) & guard == guard
             and lcm_of(leads[pair[0]], lt) != lcm and lcm_of(leads[pair[1]], lt) != lcm]
     for pair in dead:
         del pending[pair]
-    new = []  # (lcm << 1 | to queue, i): coprime pairs sort first among equal lcms
+    new = []  # (lcm << 1 | to queue, i): pairs known to reduce to 0 sort first among equal lcms
     for i in earlier:
         a = leads[i]
         ge = ((a | guard) - lt) & guard  # lay.lcm, inline
         lcm = lt ^ ((a ^ lt) & (ge - (ge >> bits)))
-        new.append(((lcm << 1) | (not coprime_criterion or lcm != a + lt), i))
+        zero = (coprime_criterion and lcm == a + lt) or (t_bare and i in bare)
+        new.append(((lcm << 1) | (not zero), i))
     new.sort()
-    kept = []  # lcms of the kept pairs, coprime ones included
+    kept = []  # lcms of the kept pairs, those not queued included
     queued = []
     for code, i in new:
         lcm = code >> 1
@@ -295,69 +299,83 @@ def _update_pairs(t: int, leads: list[int], earlier, pending: dict,
 
 def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     """Groebner basis, not yet reduced, of the nonzero packed elements in
-    works: monic reducers, the inputs sorted by leading term, then the
-    new elements in the order they were found.
+    works, which are consumed: monic reducers, in the order they entered
+    the basis.
 
-    Normal selection strategy: S-pairs ordered by the degree of the lcm
-    term, deg(lcm) + d_i in component i (see _Layout), then by the term
-    order on the lcm, then by index.  Only elements whose
-    leading terms share a component form pairs.  Each new element
+    Normal selection strategy on one queue that holds the inputs and the
+    S-pairs (Giovini et al., "One sugar cube, please", ISSAC 1991).  An
+    S-pair is keyed by the degree of its lcm term, deg(lcm) + d_i in
+    component i (see _Layout), then by the term order on the lcm, then
+    by index; an input is keyed by its leading term in the same way, and
+    comes before the pairs with its key.  An input is reduced when it is
+    popped, by the basis found so far: a nonzero remainder enters the
+    basis, a zero one is dropped and makes no pairs.  Only elements
+    whose leading terms share a component form pairs.  Each new element
     updates its component's pairs in Gebauer-Moeller's form: criterion
     B on the queued pairs, then one pass over its new pairs sorted by
-    lcm for criteria M and F and, at rank 1, where a vector is a
-    polynomial, Buchberger's first criterion (see _update_pairs).  A
-    queued pair that a later update drops is skipped when popped.  An
-    S-polynomial is built in the division's work dict from the two
-    reducers.
+    lcm for criteria M and F (see _update_pairs).  A pair of two bare
+    elements, which have no tail, and at rank 1, where a vector is a
+    polynomial, a pair with coprime leads are kept for those criteria
+    but not queued.  A queued pair that a later update drops is skipped
+    when popped.  An S-polynomial is built in the division's work dict
+    from the two reducers.
     """
-    p, guard, coprime = lay.p, lay.guard, lay.rank == 1
-    G = sorted((_reducer(w, lay) for w in works if w),
-               key=itemgetter(1), reverse=True)
-    leads = [r[0] for r in G]
+    p, guard, mask, coprime = lay.p, lay.guard, lay.mask, lay.rank == 1
+    degree, code, position = lay.degree, lay.code, lay.position
+    G: list[tuple] = []
+    leads: list[int] = []
+    bare: set[int] = set()
     # per component: the reducers of the basis elements whose leading
     # term lies in it, their indices, and its queued pairs with their lcms
     rows: dict[int, list] = {}
     members: dict[int, list[int]] = {}
     pending: dict[int, dict] = {}
-    queue: list = []
-
-    degree, code = lay.degree, lay.code
+    # (degree, -code, i, j): an S-pair (i, j) has i >= 0, input k is (-1, k)
+    queue = []
+    for k, w in enumerate(works):
+        if w:
+            lead = min(w)
+            queue.append((degree(lead & mask) + lay.degrees[position(lead)], -lead, -1, k))
+    heapify(queue)
 
     def add_pairs(t):
-        pos = lay.position(G[t][1])
+        pos = position(G[t][1])
         shift = lay.degrees[pos]
         earlier = members.setdefault(pos, [])
         in_pos = pending.setdefault(pos, {})
-        for i, lcm in _update_pairs(t, leads, earlier, in_pos, coprime, lay):
+        for i, lcm in _update_pairs(t, leads, bare, earlier, in_pos, coprime, lay):
             in_pos[i, t] = lcm
             deg = degree(lcm)
             heappush(queue, (deg + shift, -code(pos, lcm, deg), i, t))
         earlier.append(t)
         rows.setdefault(pos, []).append(G[t])
 
-    for t in range(len(G)):
-        add_pairs(t)
     while queue:
         _, lcm_code, i, j = heappop(queue)
-        lcm_code = -lcm_code
-        if pending[lay.position(lcm_code)].pop((i, j), None) is None:
-            continue  # dropped by a later update
-        work: dict = {}
-        for (_, lead, tail), sign in ((G[i], 1), (G[j], -1)):
-            shift = lcm_code - lead
-            for e, c in tail:
-                e += shift
-                if e & guard:
-                    raise _Overflow
-                v = (work.get(e, 0) + sign * c) % p
-                if v:
-                    work[e] = v
-                else:
-                    del work[e]
+        if i < 0:
+            work = works[j]
+        else:
+            lcm_code = -lcm_code
+            if pending[position(lcm_code)].pop((i, j), None) is None:
+                continue  # dropped by a later update
+            work = {}
+            for (_, lead, tail), sign in ((G[i], 1), (G[j], -1)):
+                shift = lcm_code - lead
+                for e, c in tail:
+                    e += shift
+                    if e & guard:
+                        raise _Overflow
+                    v = (work.get(e, 0) + sign * c) % p
+                    if v:
+                        work[e] = v
+                    else:
+                        del work[e]
         rem = _divide(work, rows, lay)
         if rem:
             G.append(_reducer(rem, lay))
             leads.append(G[-1][0])
+            if not G[-1][2]:
+                bare.add(len(G) - 1)
             add_pairs(len(G) - 1)
     return G
 

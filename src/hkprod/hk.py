@@ -53,7 +53,7 @@ class HKTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        w = csv.writer(buf)
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(["q", "colength", "normalized_num", "normalized_den"])
         for r in self.rows:
             w.writerow([r.q, r.colength, r.normalized.numerator, r.normalized.denominator])

@@ -460,6 +460,20 @@ def _toric_points(n, exps):
             for x in exps]
 
 
+def toric_exponents(rng, n):
+    """Exponent tuples of a random monomial ideal of R_n with finite
+    colength: a power of a_0, a power of a_n and up to three random
+    monomials, drawn from the random.Random rng."""
+    exps = [tuple(rng.randint(1, 2) if i == end else 0 for i in range(n + 1))
+            for end in (0, n)]
+    for _ in range(rng.randint(0, 3)):
+        e = [0] * (n + 1)
+        for _ in range(rng.randint(1, 3)):
+            e[rng.randrange(n + 1)] += 1
+        exps.append(tuple(e))
+    return exps
+
+
 def toric_colength(n, exps, q):
     """lambda(R_n/I^[q]) for the monomial ideal I of R_n (see
     rational_normal_curve) generated by the exponent tuples exps, which

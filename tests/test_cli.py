@@ -189,6 +189,17 @@ def test_verify_csv_fraction_sides(tmp_path, capsys):
     assert len(row) == 1 and (row[0]["lhs"], row[0]["rhs"]) == ("19/2", "12/1")
 
 
+def test_csv_stdout_ends_every_line_with_a_bare_newline(regular_file, capsys):
+    # the table rows and the estimate line that hk prints after them share
+    # one line ending, as do verify's header and rows
+    for argv in (["hk", regular_file, "I", "--qmax", "1", "--csv"],
+                 ["verify", regular_file, "cor-power", "--trials", "2", "--seed", "1",
+                  "--csv"]):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "\r" not in out and out.endswith("\n"), argv
+
+
 def test_verify_unknown_check_exit_2(regular_file, capsys):
     assert main(["verify", regular_file, "no-such-check"]) == 2
 

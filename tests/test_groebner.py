@@ -7,10 +7,11 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import Ideal, Polynomial, Ring, buchberger, normal_form, syzygies
-from hkprod.groebner import (_field_bytes, _Layout, _update_pairs, as_vector,
-                             module_buchberger, module_colength, module_normal_form,
-                             staircase_count, vector_from_polys)
+from hkprod import Ideal, Polynomial, Ring, buchberger, groebner, normal_form, syzygies
+from hkprod.groebner import (Reducers, _buchberger, _field_bytes, _Layout, _update_pairs,
+                             as_vector, module_buchberger, module_colength,
+                             module_normal_form, staircase_count, vector_from_polys,
+                             vector_to_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       colength_of_basis, is_groebner, module_is_groebner, module_order,
@@ -313,18 +314,21 @@ def test_update_pairs_is_the_gebauer_moeller_update(case, coprime, data):
     pairs = [(i, j) for j in earlier for i in range(j)]
     drawn = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     pending = {(i, j): lay.lcm(leads[i], leads[j]) for i, j in drawn}
+    bare = set(data.draw(st.lists(st.sampled_from(range(t + 1)), unique=True)))
     before = dict(pending)
-    queued = _update_pairs(t, leads, earlier, pending, coprime, lay)
+    queued = _update_pairs(t, leads, bare, earlier, pending, coprime, lay)
 
     assert all(lcm[i] == m for i, m in queued)
     returned = [i for i, _ in queued]
     assert len(set(returned)) == len(returned)
-    coprimes = [i for i in earlier
-                if coprime and not any(a and b for a, b in zip(exps[i], exps[t]))]
-    assert not set(coprimes) & set(returned)
-    kept = returned + coprimes
+    zeros = [i for i in earlier
+             if (coprime and not any(a and b for a, b in zip(exps[i], exps[t])))
+             or {i, t} <= bare]
+    assert not set(zeros) & set(returned)
+    kept = returned + zeros
     # no kept lcm divides a queued one: queued lcms are pairwise
-    # non-dividing, and none is a multiple of a coprime pair's lcm
+    # non-dividing, and none is a multiple of the lcm of a pair that
+    # reduces to 0 (coprime, or two bare elements)
     for i in returned:
         assert not any(lay.divides(lcm[j], lcm[i]) for j in kept if j != i)
     # every pair not queued is covered by a kept pair whose lcm divides its own
@@ -342,6 +346,37 @@ def test_update_pairs_is_the_gebauer_moeller_update(case, coprime, data):
 def test_empty_input(F2xy):
     assert buchberger([], F2xy) == []
     assert colength_of_basis([], F2xy) is None
+
+
+def test_engine_divides_each_monomial_input_once_and_no_pair(F2xyz, monkeypatch):
+    # every pair of two monomials has S-polynomial 0, so the only
+    # divisions are the inputs', each reduced once when it is popped;
+    # x^3*z reduces to 0 by x^3 and does not enter the basis
+    divisions = []
+    divide = groebner._divide
+
+    def counting(work, rows, lay):
+        divisions.append(dict(work))
+        return divide(work, rows, lay)
+
+    monkeypatch.setattr(groebner, "_divide", counting)
+    gens = ["x^3", "x^2*y", "x*y*z", "y^2*z", "z^4", "x*y^2", "x^3*z"]
+    reducers = Reducers.from_engine([as_vector(F2xyz.poly(f)) for f in gens], F2xyz)
+    assert len(divisions) == len(gens)
+    assert all(len(work) == 1 for work in divisions)
+    assert sorted(reducers.leads()[0]) == sorted(
+        F2xyz.poly(f).leading_monomial() for f in gens[:-1])
+
+
+def test_engine_drops_an_input_that_reduces_to_zero(F2xyz):
+    # x^3 + x*y = x*(x^2 + y) is reduced when it is popped, after
+    # x^2 + y, and leaves no element with lead x^3 in the unreduced basis
+    gens = [F2xyz.poly(f) for f in ("x^2 + y", "x^3 + x*y", "y^3")]
+    lay = _Layout(F2xyz, 1)
+    G = _buchberger([lay.pack(as_vector(f)) for f in gens], lay)
+    assert (3, 0, 0) not in [lay.exponents(r[0]) for r in G]
+    gb = buchberger(gens, F2xyz)
+    assert is_groebner(gb) and [str(g) for g in gb] == ["x^2 + y", "y^3"]
 
 
 # --- differential tests against the oracles ---------------------------------
@@ -519,3 +554,42 @@ def test_module_buchberger_passes_unpruned_criterion(case, rank, elim, data):
     assert module_is_groebner(basis, ring, key)
     for v in vectors:
         assert not rescan_module_normal_form(v, basis, ring, key)
+
+
+def _rearranged(items, multiple, data):
+    """items in a drawn order, with one of them repeated and a multiple of
+    another inserted at drawn places."""
+    items = list(data.draw(st.permutations(items)))
+    for extra in (data.draw(st.sampled_from(items)),
+                  multiple(data.draw(st.sampled_from(items)))):
+        items.insert(data.draw(st.integers(0, len(items))), extra)
+    return items
+
+
+@settings(max_examples=80, deadline=None)
+@given(bounded_ideals(), st.data())
+def test_buchberger_is_independent_of_input_order_and_redundancy(case, data):
+    ring, gens, _ = case
+    gb = buchberger(gens, ring)
+    f = data.draw(polys(ring))
+    again = buchberger(_rearranged(gens, lambda g: g * f, data), ring)
+    assert [g.terms for g in again] == [g.terms for g in gb]
+    assert is_groebner(again)
+
+
+@settings(max_examples=40, deadline=None)
+@given(bounded_ideals(max_extra=2), st.integers(1, 3), st.booleans(), st.data())
+def test_module_buchberger_is_independent_of_input_order_and_redundancy(case, rank, elim,
+                                                                         data):
+    ring, gens, _ = case
+    degrees = _degrees(data, rank)
+    vectors = _bounded_vectors(ring, gens, rank)
+    basis = module_buchberger(vectors, ring, elim, degrees)
+    f = data.draw(polys(ring))
+
+    def times_f(v):
+        return vector_from_polys([h * f for h in vector_to_polys(v, rank, ring)])
+
+    again = module_buchberger(_rearranged(vectors, times_f, data), ring, elim, degrees)
+    assert [list(v.items()) for v in again] == [list(v.items()) for v in basis]
+    assert module_is_groebner(again, ring, module_order(ring, elim, degrees))

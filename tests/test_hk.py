@@ -14,7 +14,8 @@ from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, groebner, hk
                     monomial_hk_volume, random_ideal, star_spread, tc_probe)
 from hkprod.hk import levels
 
-from .oracles import diagonal_colength, hypersurface_colon_sides, subset_volume
+from .oracles import (diagonal_colength, hypersurface_colon_sides, rational_normal_curve,
+                      subset_volume, toric_colength, toric_exponents)
 from .strategies import polys
 
 
@@ -27,6 +28,22 @@ def test_table_on_fermat_parameter(fermat):
     assert [r.colength for r in table.rows] == [3, 12, 48, 192]
     assert all(r.normalized == 3 for r in table.rows)
     assert table.d == 2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_table_on_rational_normal_curves_matches_lattice_count(n, p):
+    # C(n, 2) quadric relations, p up to 5: each row against the lattice
+    # count, which needs no Groebner basis
+    ring = rational_normal_curve(n, p)
+    rng = random.Random(1000 + 10 * n + p)
+    for _ in range(4):
+        exps = toric_exponents(rng, n)
+        table = hk_table(I_(ring, *(ring.monomial(e) for e in exps)), 2)
+        lengths = {q: toric_colength(n, exps, q) for q in (1, p, p * p)}
+        assert table.d == 2
+        assert [(r.q, r.colength, r.normalized) for r in table.rows] == [
+            (q, lam, Fraction(lam, q * q)) for q, lam in lengths.items()], exps
 
 
 def test_quotient_table_reads_only_the_engine_leads(monkeypatch):

@@ -16,7 +16,7 @@ from hkprod import buchberger, groebner, hk_table
 from hkprod.ideals import FAMILIES
 
 from .oracles import (brute_colength, rational_normal_curve, rescan_normal_form,
-                      subset_dim, toric_colength, toric_hk)
+                      subset_dim, toric_colength, toric_exponents, toric_hk)
 from .strategies import bounded_ideals, polys, rings
 
 
@@ -371,18 +371,6 @@ def test_krull_dim_of_a_long_path_ring_is_fast():
         signal.signal(signal.SIGALRM, previous)
 
 
-def _toric_exponents(rng, n):
-    """A power of a_0, a power of a_n and up to three random monomials."""
-    exps = [tuple(rng.randint(1, 2) if i == end else 0 for i in range(n + 1))
-            for end in (0, n)]
-    for _ in range(rng.randint(0, 3)):
-        e = [0] * (n + 1)
-        for _ in range(rng.randint(1, 3)):
-            e[rng.randrange(n + 1)] += 1
-        exps.append(tuple(e))
-    return exps
-
-
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_bracket_colength_on_rational_normal_curves_matches_lattice_count(n, p):
@@ -391,7 +379,7 @@ def test_bracket_colength_on_rational_normal_curves_matches_lattice_count(n, p):
     assert len(ring.relations) == n * (n - 1) // 2 and krull_dim(ring) == 2
     rng = random.Random(100 * n + p)
     for _ in range(6):
-        exps = _toric_exponents(rng, n)
+        exps = toric_exponents(rng, n)
         I = I_(ring, *(ring.monomial(e) for e in exps))
         for q in (1, p, p * p):
             assert I.bracket_power(q).colength() == toric_colength(n, exps, q), (exps, q)
@@ -408,7 +396,7 @@ def test_toric_hk_product_bound_and_its_equality_case():
         rng = random.Random(n)
         equalities = 0
         for _ in range(67):
-            e_I, e_J = _toric_exponents(rng, n), _toric_exponents(rng, n)
+            e_I, e_J = toric_exponents(rng, n), toric_exponents(rng, n)
             e_IJ = [tuple(map(add, a, b)) for a in e_I for b in e_J]
             I, J = (I_(ring, *(ring.monomial(e) for e in exps)) for exps in (e_I, e_J))
             lhs = toric_hk(n, e_IJ)
