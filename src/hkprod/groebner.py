@@ -20,8 +20,9 @@ only for a caller that reads it.
 
 from __future__ import annotations
 
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .rings import Monomial, Polynomial, Ring
 
@@ -127,8 +128,6 @@ class _Layout:
     def monomial(self, mono: Monomial) -> int:
         if max(mono, default=0) > self.largest:
             raise _Overflow
-        if self.field_bytes == 1:
-            return int.from_bytes(bytes(mono), self.byteorder)
         return sum(map(int.__lshift__, mono, self.shifts))
 
     def exponents(self, m: int) -> Monomial:
@@ -162,8 +161,28 @@ class _Layout:
         return b ^ ((a ^ b) & (ge - (ge >> self.bits)))
 
     def pack(self, v: Vector) -> dict:
-        """{code: coeff} of a vector; raises _Overflow if it does not fit."""
-        return {self.code(pos, self.monomial(m), sum(m)): c for (pos, m), c in v.items()}
+        """{code: coeff} of a vector; raises _Overflow if it does not fit.
+
+        One-byte fields take one pass, code written out; the guard bits,
+        which are the low bits of every code, are then tested once."""
+        if self.field_bytes != 1:
+            return {self.code(pos, self.monomial(m), sum(m)): c for (pos, m), c in v.items()}
+        base, key_shift, order = self.base, self.key_shift, self.byteorder
+        try:  # bytes() refuses an exponent above 255
+            if self.grevlex:
+                degree_shift = self.degree_shift
+                packed = {base[pos] + (m << key_shift) + m - (sum(mono) << degree_shift): c
+                          for (pos, mono), c in v.items()
+                          for m in (int.from_bytes(bytes(mono), order),)}
+            else:
+                packed = {base[pos] - (m << key_shift) + m: c
+                          for (pos, mono), c in v.items()
+                          for m in (int.from_bytes(bytes(mono), order),)}
+        except ValueError:
+            raise _Overflow from None
+        if reduce(or_, packed, 0) & self.guard:
+            raise _Overflow
+        return packed
 
     def unpack(self, terms) -> Vector:
         """The vector of the (code, coeff) pairs, in their order."""
@@ -302,11 +321,14 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     works, which are consumed: monic reducers, in the order they entered
     the basis.
 
-    Normal selection strategy on one queue that holds the inputs and the
-    S-pairs (Giovini et al., "One sugar cube, please", ISSAC 1991).  An
-    S-pair is keyed by the degree of its lcm term, deg(lcm) + d_i in
-    component i (see _Layout), then by the term order on the lcm, then
-    by index; an input is keyed by its leading term in the same way, and
+    Input made only of terms skips the loop: it is its own Groebner
+    basis, since the S-vector of two terms in one component is 0, so
+    its reducers come back at once, with no heap, no division and no
+    pair update.  Any other input: normal selection strategy on one
+    queue that holds the inputs and the S-pairs (Giovini et al., "One
+    sugar cube, please", ISSAC 1991).  An S-pair is keyed by the degree
+    of its lcm term, deg(lcm) + d_i in component i (see _Layout), then
+    by the term order on the lcm, then by index; an input is keyed by its leading term in the same way, and
     comes before the pairs with its key.  An input is reduced when it is
     popped, by the basis found so far: a nonzero remainder enters the
     basis, a zero one is dropped and makes no pairs.  Only elements
@@ -320,6 +342,8 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     when popped.  An S-polynomial is built in the division's work dict
     from the two reducers.
     """
+    if all(len(w) <= 1 for w in works):
+        return [_reducer(w, lay) for w in works if w]
     p, guard, mask, coprime = lay.p, lay.guard, lay.mask, lay.rank == 1
     degree, code, position = lay.degree, lay.code, lay.position
     G: list[tuple] = []
@@ -385,10 +409,15 @@ def _minimal(G: list[tuple], lay: _Layout) -> dict[int, list]:
     _divide), each sorted by leading term: an element is dropped when
     the leading monomial of an earlier kept one in its component divides
     its own."""
+    guard, S, pmask = lay.guard, lay.S, lay.pmask
     rows: dict[int, list] = {}
     for r in sorted(G, key=itemgetter(1), reverse=True):
-        kept = rows.setdefault(lay.position(r[1]), [])
-        if not any(lay.divides(k[0], r[0]) for k in kept):
+        kept = rows.setdefault((r[1] >> S) & pmask, [])
+        mg = r[0] | guard
+        for k in kept:
+            if (mg - k[0]) & guard == guard:  # lay.divides, inline
+                break
+        else:
             kept.append(r)
     return rows
 
@@ -424,10 +453,12 @@ class Reducers:
         kept in the engine's layout.
 
         The one entry to the packed engine (_buchberger): fields sized
-        from elements, rerun twice as wide while a term overflows.
-        degrees puts e_i in degree degrees[i] (see _Layout).  .basis, at
-        its first read, unpacks the minimal part: monic, sorted by
-        leading term, each vector listing its leading term first.
+        from elements, rerun twice as wide while a term overflows, in a
+        layout that the ring builds once per shape (see _layout); input
+        made only of terms skips the engine's loop.  degrees puts e_i in
+        degree degrees[i] (see _Layout).  .basis, at its first read,
+        unpacks the minimal part: monic, sorted by leading term, each
+        vector listing its leading term first.
         """
         self = cls.__new__(cls)
         self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
@@ -458,12 +489,17 @@ class Reducers:
 
     def _layout(self, vectors, field_bytes: int = 1) -> _Layout:
         """A layout that the vectors fit, with fields of at least
-        field_bytes: room for twice their largest total degree."""
+        field_bytes: room for twice their largest total degree.  The ring
+        keeps one layout per shape, built at its first use."""
         terms = [t for v in vectors for t in v]
         degree = max(map(sum, map(itemgetter(1), terms)), default=0)
         rank = max(1 + max(map(itemgetter(0), terms), default=0), len(self.degrees or ()))
-        return _Layout(self.ring, max(field_bytes, _field_bytes(degree)), rank, self.elim,
-                       self.degrees)
+        shape = (max(field_bytes, _field_bytes(degree)), rank, self.elim,
+                 tuple(self.degrees or ()))
+        lay = self.ring._layouts.get(shape)
+        if lay is None:
+            lay = self.ring._layouts[shape] = _Layout(self.ring, *shape)
+        return lay
 
     def _repack(self, vectors, field_bytes: int = 1):
         """Pack the basis in a layout that the dividends vectors fit too,

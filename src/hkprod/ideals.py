@@ -45,6 +45,7 @@ class Ideal:
         self._mu = None
         self._min_gens = None
         self._brackets: dict[int, Ideal] = {}
+        self._products: dict[tuple, tuple[Ideal, Ideal]] = {}
 
     @property
     def reducers(self) -> groebner.Reducers:
@@ -92,6 +93,16 @@ class Ideal:
         self._check(other)
         gens = dict.fromkeys(f * g for f in self.gens for g in other.gens)
         return Ideal(self.ring, gens)
+
+    def sequence_product(self, a) -> tuple["Ideal", "Ideal"]:
+        """(J, I*J) for the ideal J of the sequence a, memoized per
+        generator tuple of a, so each keeps its cached basis across
+        Frobenius levels."""
+        key = tuple(a)
+        if key not in self._products:
+            J = Ideal(self.ring, key)
+            self._products[key] = (J, self * J)
+        return self._products[key]
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check(other)

@@ -86,10 +86,12 @@ class LenIdentitySides:
 
 
 def len_identity_sides(I: Ideal, a: list[Polynomial], q: int = 1) -> LenIdentitySides:
-    """Compute the four lengths of the identity along independent paths."""
-    J = Ideal(I.ring, a)
+    """Compute the four lengths of the identity along independent paths.
+    J and IJ are built once per (I, a), for every level (see
+    Ideal.sequence_product)."""
+    J, IJ = I.sequence_product(a)
     lam_I = I.bracket_colength(q)
     lam_J = J.bracket_colength(q)
     lam_K = kernel_length(a, I, q)
-    lam_IJ = (I * J).bracket_colength(q)
+    lam_IJ = IJ.bracket_colength(q)
     return LenIdentitySides(q, len(a), lam_I, lam_J, lam_K, lam_IJ)

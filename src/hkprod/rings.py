@@ -119,6 +119,7 @@ class Ring:
                 rels.append(poly)
         self.relations = tuple(rels)
         self._dim = None  # filled lazily by ideals.krull_dim
+        self._layouts = {}  # groebner's packings of this ring, one per shape
 
     @property
     def nvars(self) -> int:

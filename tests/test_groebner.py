@@ -3,13 +3,15 @@
 import inspect
 import random
 import sys
+from operator import add
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hkprod import Ideal, Polynomial, Ring, buchberger, groebner, normal_form, syzygies
-from hkprod.groebner import (Reducers, _buchberger, _field_bytes, _Layout, _update_pairs,
-                             as_vector, module_buchberger, module_colength,
+from hkprod.groebner import (Reducers, _buchberger, _field_bytes, _Layout, _Overflow,
+                             _update_pairs, as_vector, module_buchberger, module_colength,
                              module_normal_form, staircase_count, vector_from_polys,
                              vector_to_polys)
 
@@ -290,6 +292,13 @@ def test_packed_monomials_match_tuple_operations(case, data):
     ca, cb = lay.code(pa, ma, sum(a)), lay.code(pb, mb, sum(b))
     assert (ca < cb) == (key((pa, a)) > key((pb, b)))
     assert lay.unpack([(ca, 1)]) == {(pa, a): 1}
+    c = data.draw(st.integers(1, 10))
+    assert lay.pack({(pa, a): c}) == {ca: c}
+    # an exponent one above the field, or twice that (128 and 256 in
+    # one-byte fields, past what bytes() takes), does not pack
+    for e in (lay.largest + 1, 2 * (lay.largest + 1)):
+        with pytest.raises(_Overflow):
+            lay.pack({(pa, a): 1, (pb, (e, *b[1:])): c})
     # a product is a sum with a linear code, or sets a guard bit
     ab = tuple(x + y for x, y in zip(a, b))
     if max(ab, default=0) <= lay.largest:
@@ -348,24 +357,51 @@ def test_empty_input(F2xy):
     assert colength_of_basis([], F2xy) is None
 
 
-def test_engine_divides_each_monomial_input_once_and_no_pair(F2xyz, monkeypatch):
-    # every pair of two monomials has S-polynomial 0, so the only
-    # divisions are the inputs', each reduced once when it is popped;
-    # x^3*z reduces to 0 by x^3 and does not enter the basis
-    divisions = []
-    divide = groebner._divide
-
-    def counting(work, rows, lay):
-        divisions.append(dict(work))
-        return divide(work, rows, lay)
-
-    monkeypatch.setattr(groebner, "_divide", counting)
+def test_engine_takes_monomial_inputs_without_division_or_pair(F2xyz, monkeypatch):
+    # an ideal generated by monomials is its own Groebner basis, since
+    # every S-polynomial of two monomials is 0: the engine divides no
+    # input and updates no pair; x^3*z, a multiple of x^3, is not minimal
+    calls = []
+    for name in ("_divide", "_update_pairs"):
+        monkeypatch.setattr(groebner, name, lambda *args, name=name, f=getattr(groebner, name):
+                            calls.append(name) or f(*args))
     gens = ["x^3", "x^2*y", "x*y*z", "y^2*z", "z^4", "x*y^2", "x^3*z"]
     reducers = Reducers.from_engine([as_vector(F2xyz.poly(f)) for f in gens], F2xyz)
-    assert len(divisions) == len(gens)
-    assert all(len(work) == 1 for work in divisions)
+    assert calls == []
     assert sorted(reducers.leads()[0]) == sorted(
         F2xyz.poly(f).leading_monomial() for f in gens[:-1])
+
+
+@st.composite
+def term_vectors(draw):
+    """Vectors of one term each over F_5, in 1 to 3 variables, rank 1 to
+    3, TOP or ELIM, each e_i in a degree from 0 to 4: drawn terms, their
+    multiples and repeats, with coefficients 1 to 4."""
+    ring = Ring(5, "xyz"[:draw(st.integers(1, 3))],
+                order=draw(st.sampled_from(["grevlex", "lex"])))
+    rank = draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(0, 4), min_size=rank, max_size=rank))
+    monos = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    terms = draw(st.lists(st.tuples(st.integers(0, rank - 1), monos), min_size=1, max_size=8))
+    for (pos, m), shift in draw(st.lists(st.tuples(st.sampled_from(terms), monos), max_size=4)):
+        terms.append((pos, tuple(map(add, m, shift))))
+    terms += draw(st.lists(st.sampled_from(terms), max_size=3))
+    vectors = [{t: draw(st.integers(1, 4))} for t in terms]
+    return ring, draw(st.booleans()), degrees, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_vectors())
+def test_term_generated_input_keeps_its_minimal_terms(case):
+    ring, elim, degrees, vectors = case
+    reducers = Reducers.from_engine(vectors, ring, elim, degrees)
+    terms = {t for v in vectors for t in v}
+    minimal = [(pos, m) for pos, m in terms
+               if not any(i == pos and n != m and all(map(int.__le__, n, m)) for i, n in terms)]
+    assert sorted((pos, m) for pos, ms in reducers.leads().items() for m in ms) == sorted(minimal)
+    basis = reducers.basis
+    assert all(list(v.values()) == [1] for v in basis)
+    assert module_is_groebner(basis, ring, module_order(ring, elim, degrees))
 
 
 def test_engine_drops_an_input_that_reduces_to_zero(F2xyz):

@@ -371,6 +371,23 @@ def test_krull_dim_of_a_long_path_ring_is_fast():
         signal.signal(signal.SIGALRM, previous)
 
 
+def test_colength_of_a_wide_maximal_ideal_is_fast():
+    # m is generated by terms, so the engine returns its generators
+    # without a pair update; the Gebauer-Moeller update over its 600
+    # coprime leads took 8 s
+    def too_slow(signum, frame):
+        raise TimeoutError("colength took more than 5 s")
+
+    ring = Ring(2, [f"x{i}" for i in range(600)])
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(5)
+    try:
+        assert maximal_ideal(ring).colength() == 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_bracket_colength_on_rational_normal_curves_matches_lattice_count(n, p):
