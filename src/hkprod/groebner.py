@@ -12,10 +12,10 @@ run, with Buchberger's coprime criterion.  Inside the engine every term
 is one int (see _Layout), whose order on module terms is the one term
 order.  The public functions take and return Polynomials and vectors:
 they convert and pack on entry and unpack on exit.  Every Groebner
-basis is computed by Reducers.from_engine, which keeps the packed
-minimal basis.  A colength reads only its leading terms
-(Reducers.leads); the basis is unpacked, and reduced by interreduce,
-only for a caller that reads it.
+basis is computed by Reducers.from_engine (or times_maximal), which
+keeps the packed minimal basis.  A colength reads only its leading
+terms (Reducers.leads); the basis is unpacked, and reduced by
+interreduce, only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ class Reducers:
         self.ring = ring
         self.elim = elim
         self.degrees = None
-        self._repack(())
+        self._repack(self._layout(basis))
 
     @classmethod
     def from_engine(cls, elements: list[Vector], ring: Ring, elim: bool = False,
@@ -452,23 +452,48 @@ class Reducers:
         """Reducers of the minimal Groebner basis of the vectors elements,
         kept in the engine's layout.
 
-        The one entry to the packed engine (_buchberger): fields sized
-        from elements, rerun twice as wide while a term overflows, in a
-        layout that the ring builds once per shape (see _layout); input
-        made only of terms skips the engine's loop.  degrees puts e_i in
-        degree degrees[i] (see _Layout).  .basis, at its first read,
-        unpacks the minimal part: monic, sorted by leading term, each
-        vector listing its leading term first.
+        The engine (_buchberger) runs in fields sized from elements,
+        widened by _run, in a layout that the ring builds once per shape
+        (see _layout); input made only of terms skips the engine's loop.
+        degrees puts e_i in degree degrees[i] (see _Layout).  .basis, at
+        its first read, unpacks the minimal part: monic, sorted by
+        leading term, each vector listing its leading term first.
         """
         self = cls.__new__(cls)
         self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
-        lay = self._layout(elements)
+        return self._run(self._layout(elements), lambda lay: [lay.pack(v) for v in elements])
+
+    def times_maximal(self) -> "Reducers":
+        """Reducers of m(I + Q) + Q = mI + Q for these of I + Q, m the
+        ideal of the variables: the engine runs on the relations and this
+        packed basis times each x_i, which adds one shift to every code
+        (codes are linear).  A wider rerun repacks this basis in place."""
+        out = Reducers.__new__(Reducers)
+        out._basis, out.ring, out.elim, out.degrees = None, self.ring, self.elim, self.degrees
+        relations = [as_vector(f) for f in self.ring.relations]
+
+        def inputs(lay):
+            if lay is not self.lay:
+                self._repack(lay)
+            zero = lay.code(0, 0, 0)
+            works = [{e + s: c for e, c in ((lead, 1), *tail)}
+                     for s in [lay.code(0, 1 << v, 1) - zero for v in lay.shifts]
+                     for group in self.rows.values() for _, lead, tail in group]
+            if reduce(or_, [e for w in works for e in w], 0) & lay.guard:
+                raise _Overflow
+            return works + [lay.pack(v) for v in relations]
+
+        return out._run(self.lay, inputs)
+
+    def _run(self, lay: _Layout, inputs) -> "Reducers":
+        """Keep the minimal basis of inputs(lay), the packed input in
+        the layout lay, rerun twice as wide while a term overflows."""
         while True:
             try:
-                G = _buchberger([lay.pack(v) for v in elements], lay)
+                G = _buchberger(inputs(lay), lay)
                 break
             except _Overflow:
-                lay = self._layout(elements, 2 * lay.field_bytes)
+                lay = self._layout((), 2 * lay.field_bytes, lay.rank)
         self.lay, self.rows = lay, _minimal(G, lay)
         return self
 
@@ -487,13 +512,15 @@ class Reducers:
         exponents = self.lay.exponents
         return {pos: [exponents(r[0]) for r in group] for pos, group in self.rows.items()}
 
-    def _layout(self, vectors, field_bytes: int = 1) -> _Layout:
-        """A layout that the vectors fit, with fields of at least
-        field_bytes: room for twice their largest total degree.  The ring
-        keeps one layout per shape, built at its first use."""
+    def _layout(self, vectors, field_bytes: int = 1, rank: int = 1) -> _Layout:
+        """A layout that the vectors fit, with at least rank components
+        and fields of at least field_bytes: room for twice their largest
+        total degree.  The ring keeps one layout per shape, built at its
+        first use."""
         terms = [t for v in vectors for t in v]
         degree = max(map(sum, map(itemgetter(1), terms)), default=0)
-        rank = max(1 + max(map(itemgetter(0), terms), default=0), len(self.degrees or ()))
+        rank = max(rank, 1 + max(map(itemgetter(0), terms), default=0),
+                   len(self.degrees or ()))
         shape = (max(field_bytes, _field_bytes(degree)), rank, self.elim,
                  tuple(self.degrees or ()))
         lay = self.ring._layouts.get(shape)
@@ -501,23 +528,21 @@ class Reducers:
             lay = self.ring._layouts[shape] = _Layout(self.ring, *shape)
         return lay
 
-    def _repack(self, vectors, field_bytes: int = 1):
-        """Pack the basis in a layout that the dividends vectors fit too,
-        with fields of at least field_bytes."""
-        basis = self.basis  # an engine basis unpacks from the old layout
-        lay = self.lay = self._layout([*basis, *vectors], field_bytes)
-        self.rows = _by_position([_reducer(w, lay) for w in map(lay.pack, basis) if w], lay)
+    def _repack(self, lay: _Layout):
+        """Pack the basis, unpacked from the old layout, in lay."""
+        rows = _by_position([_reducer(w, lay) for w in map(lay.pack, self.basis) if w], lay)
+        self.lay, self.rows = lay, rows
 
     def remainder(self, v: Vector) -> Vector:
         """The remainder of the vector v, from the largest term down."""
         if max((pos for pos, _ in v), default=0) >= self.lay.rank:
-            self._repack([v])
+            self._repack(self._layout([*self.basis, v]))
         while True:
             lay = self.lay
             try:
                 rem = _divide(lay.pack(v), self.rows, lay)
             except _Overflow:
-                self._repack([v], 2 * lay.field_bytes)
+                self._repack(self._layout([*self.basis, v], 2 * lay.field_bytes))
                 continue
             return lay.unpack(rem.items())
 

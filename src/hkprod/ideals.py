@@ -67,8 +67,7 @@ class Ideal:
     def colength(self):
         """lambda(R/I); None when infinite."""
         if self._colength is _UNCOUNTED:
-            self._colength = groebner.staircase_count(self.reducers.leads().get(0, ()),
-                                                      self.ring.nvars)
+            self._colength = _staircase(self.reducers)
         return self._colength
 
     def colength_strict(self) -> int:
@@ -145,10 +144,11 @@ class Ideal:
         return Ideal(self.ring, groebner.colon_by_element(list(self.gens), f, self.ring))
 
     def min_gens(self) -> int:
-        """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables."""
+        """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables;
+        mI comes from I's packed basis (Reducers.times_maximal)."""
         if self._mu is None:
             lam = self.colength_strict()
-            self._mu = (maximal_ideal(self.ring) * self).colength_strict() - lam
+            self._mu = _staircase(self.reducers.times_maximal()) - lam
         return self._mu
 
     def _greedy_trim(self, gens) -> list[Polynomial]:
@@ -193,6 +193,11 @@ class Ideal:
 
     def __repr__(self):
         return f"Ideal({self})"
+
+
+def _staircase(reducers: groebner.Reducers):
+    """lambda(R/I) for the Reducers of I + Q, None when infinite."""
+    return groebner.staircase_count(reducers.leads().get(0, ()), reducers.ring.nvars)
 
 
 def maximal_ideal(ring: Ring) -> Ideal:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -223,7 +224,7 @@ class Polynomial:
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
+                m = tuple(map(add, m1, m2))
                 terms[m] = terms.get(m, 0) + c1 * c2
         return Polynomial(self.ring, terms)
 
@@ -243,7 +244,7 @@ class Polynomial:
 
     def term_mul(self, mono: Monomial, coeff: int) -> "Polynomial":
         """Multiply by a single term, cheaper than building a Polynomial."""
-        return Polynomial(self.ring, {tuple(a + b for a, b in zip(m, mono)): v * coeff
+        return Polynomial(self.ring, {tuple(map(add, m, mono)): v * coeff
                                       for m, v in self.terms.items()})
 
     def frobenius(self, q: int) -> "Polynomial":

@@ -121,10 +121,11 @@ def verify_len_identity(I: Ideal, J: Ideal, q: int = 1) -> VerifyReport:
 def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
     """lambda(R/IJ) <= mu(J)*lambda(R/I) + lambda(R/J); principal J gets
     the regular-element branch lambda(M/IM) <= lambda(R/I) with the
-    annihilator criterion reported."""
-    a = J.minimal_generators()
+    annihilator criterion reported.  J is trimmed only if it might be
+    principal: not m-primary, or mu(J) = 1."""
+    a = None if J.is_m_primary() and J.min_gens() >= 2 else J.minimal_generators()
     lam_I = I.colength_strict()
-    if len(a) == 1:
+    if a is not None and len(a) == 1:
         # principal J needs no colength of its own: the bound reduces to
         # lambda(M/IM) <= lambda(R/I) for the rank-1 module M = (f)
         f = a[0]

@@ -241,6 +241,68 @@ def test_min_gens_is_cached(F2xy, monkeypatch):
     assert built
 
 
+@settings(max_examples=60, deadline=None)
+@given(bounded_ideals())
+def test_min_gens_matches_the_oracle_on_the_written_out_product(case):
+    """mu(I) from the packed basis times each variable against the
+    truncated-span oracle on the products x_i * g written out.  The
+    pure powers times m bound the quotient by mI one degree above I's,
+    and its generators are one degree higher: two more degrees keep the
+    oracle exact."""
+    ring, gens, exact = case
+    mI = [ring.var(i) * g for i in range(ring.nvars) for g in gens]
+    lam = brute_colength(gens, ring, max_deg=exact, slack=0)
+    assert Ideal(ring, gens).min_gens() == brute_colength(mI, ring, max_deg=exact + 2,
+                                                          slack=0) - lam
+
+
+def test_min_gens_of_the_unit_and_the_zero_ideal():
+    assert I_(Ring(2, "xy"), "1").min_gens() == 1
+    # (0) of F_2[x]/(x^2): m(0) + Q = Q, so lambda(R/mI) = lambda(R/I) = 2
+    assert Ideal(Ring(2, "x", relations=["x^2"]), []).min_gens() == 0
+
+
+def test_min_gens_widens_when_a_shifted_term_overflows(monkeypatch):
+    # the basis of I holds z^127, the largest exponent of a one-byte
+    # field, so z times it overflows and the run is widened once
+    ring = Ring(2, "xyz", order="lex")
+    I = I_(ring, "x + z^63", "y + z^63", "x*y*z")
+    assert I.colength() == 127 and I.reducers.lay.field_bytes == 1
+    widened, runs = [], []
+    layout, engine = groebner.Reducers._layout, groebner._buchberger
+    monkeypatch.setattr(groebner.Reducers, "_layout",
+                        lambda self, *args: widened.append(args) or layout(self, *args))
+    # no term reaches the engine with a guard bit set
+    monkeypatch.setattr(groebner, "_buchberger", lambda works, lay: runs.append(
+        (lay.field_bytes, any(e & lay.guard for w in works for e in w))) or engine(works, lay))
+    assert I.min_gens() == 3
+    assert widened == [((), 2, 1)] and runs == [(2, False)]
+    monkeypatch.undo()
+    # the basis was repacked wider in place and still divides
+    assert I.reducers.lay.field_bytes == 2
+    assert I.contains(ring.poly("z^127")) and not I.contains(ring.poly("z^126"))
+    assert (maximal_ideal(ring) * I).colength() - 127 == 3
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_min_gens_builds_no_product_from_cached_reducers(quotient, monkeypatch):
+    ring = (Ring(2, "xyz", relations=["x^3+y^3+z^3"]) if quotient
+            else Ring(3, "xyz"))
+    I = I_(ring, "x^2 + y*z", "y^2", "z^3 + x*y")
+    I.colength()
+    calls = []
+    for owner, name in [(Polynomial, "__mul__"), (Ideal, "__init__"),
+                        (groebner.Reducers, "_repack"), (groebner, "as_vector")]:
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, original=original, name=name:
+                            calls.append(name) or original(*args))
+    mu = I.min_gens()
+    monkeypatch.undo()
+    # only the relation enters as a vector
+    assert calls == (["as_vector"] if quotient else [])
+    assert mu == (maximal_ideal(ring) * I).colength() - I.colength()
+
+
 def test_minimal_generators_trims(F2xy):
     gens = I_(F2xy, "x", "x + y", "y").minimal_generators()
     assert len(gens) == 2

@@ -41,6 +41,29 @@ def test_prop_ineq_principal_branch(F2xy):
     assert r.data["mu"] == 1 and r.data["annihilator_in_I"]
 
 
+def test_prop_ineq_reads_mu_before_it_trims(fermat, monkeypatch):
+    # an m-primary J with mu(J) = 2 has no generating sequence of length 1
+    trims = []
+    trim = Ideal.minimal_generators
+    monkeypatch.setattr(Ideal, "minimal_generators",
+                        lambda self: trims.append(self) or trim(self))
+    r = V.verify_prop_ineq(I_(fermat, "x^2", "y", "z^2"), I_(fermat, "y + x*z", "z^2", "y^2"))
+    assert trims == []
+    assert r.to_json_line() == (
+        '{"caveat":null,"checker":"prop-ineq","data":{"lambda_I":4,"lambda_J":6,"mu":2},'
+        '"fixture":"(x^2, y, z^2); (x*z + y, z^2, y^2)","holds":true,"lhs":13,"q":null,'
+        '"relation":"<=","rhs":14,"schema":1}')
+
+
+def test_prop_ineq_principal_branch_of_an_m_primary_J():
+    line = Ring(2, ["x"])
+    r = V.verify_prop_ineq(I_(line, "x^3"), I_(line, "x^2"))
+    assert r.to_json_line() == (
+        '{"caveat":null,"checker":"prop-ineq","data":{"annihilator_in_I":true,"mu":1},'
+        '"fixture":"(x^3); (x^2) [principal]","holds":true,"lhs":3,"q":null,'
+        '"relation":"<=","rhs":3,"schema":1}')
+
+
 def test_cor_power_fixtures(F2xy):
     r = V.verify_cor_power(I_(F2xy, "x", "y"), 2)
     assert r.holds and r.lhs == r.rhs == 3
