@@ -12,7 +12,7 @@ run, with Buchberger's coprime criterion.  Inside the engine every term
 is one int (see _Layout), whose order on module terms is the one term
 order.  The public functions take and return Polynomials and vectors:
 they convert and pack on entry and unpack on exit.  Every Groebner
-basis is computed by Reducers.from_engine (or times_maximal), which
+basis is computed by Reducers.from_engine (or times), which
 keeps the packed minimal basis.  A colength reads only its leading
 terms (Reducers.leads); the basis is unpacked, and reduced by
 interreduce, only for a caller that reads it.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import itemgetter, or_
+from operator import attrgetter, itemgetter, or_
 
 from .rings import Monomial, Polynomial, Ring
 
@@ -463,27 +463,45 @@ class Reducers:
         self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
         return self._run(self._layout(elements), lambda lay: [lay.pack(v) for v in elements])
 
-    def times_maximal(self) -> "Reducers":
-        """Reducers of m(I + Q) + Q = mI + Q for these of I + Q, m the
-        ideal of the variables: the engine runs on the relations and this
-        packed basis times each x_i, which adds one shift to every code
-        (codes are linear).  A wider rerun repacks this basis in place."""
+    def times(self, other: "Reducers") -> "Reducers":
+        """Reducers of (I + Q)(J + Q) + Q = IJ + Q, other being J's: one run
+        on the relations and the products of the packed bases (each pair
+        once if other is self), coded e1 + e2 - code(1) as codes are
+        linear.  A factor outside the run's layout is repacked in place."""
         out = Reducers.__new__(Reducers)
         out._basis, out.ring, out.elim, out.degrees = None, self.ring, self.elim, self.degrees
         relations = [as_vector(f) for f in self.ring.relations]
 
         def inputs(lay):
-            if lay is not self.lay:
-                self._repack(lay)
-            zero = lay.code(0, 0, 0)
-            works = [{e + s: c for e, c in ((lead, 1), *tail)}
-                     for s in [lay.code(0, 1 << v, 1) - zero for v in lay.shifts]
-                     for group in self.rows.values() for _, lead, tail in group]
+            for factor in (self, other):
+                if factor.lay is not lay:
+                    factor._repack(lay)
+            p, one = lay.p, lay.code(0, 0, 0)
+            mine, theirs = ([((lead, 1), *tail) for group in r.rows.values()
+                             for _, lead, tail in group] for r in (self, other))
+            works = []
+            for j, f in enumerate(mine):
+                for g in mine[j:] if other is self else theirs:
+                    w = {}
+                    for e, c in f:
+                        for e2, c2 in g:
+                            t = e + e2 - one
+                            w[t] = (w.get(t, 0) + c * c2) % p
+                    works.append({t: c for t, c in w.items() if c})
             if reduce(or_, [e for w in works for e in w], 0) & lay.guard:
                 raise _Overflow
             return works + [lay.pack(v) for v in relations]
 
-        return out._run(self.lay, inputs)
+        return out._run(max(self.lay, other.lay, key=attrgetter("field_bytes")), inputs)
+
+    def variables(self) -> "Reducers":
+        """Reducers of m + Q = m, the ideal of the variables, in this
+        layout and with no engine run (Q lies in m: see Ring)."""
+        out = Reducers.__new__(Reducers)
+        out._basis, out.ring, out.elim, out.degrees = None, self.ring, self.elim, self.degrees
+        lay = out.lay = self.lay
+        out.rows = {0: [(1 << s, lay.code(0, 1 << s, 1), []) for s in lay.shifts]}
+        return out
 
     def _run(self, lay: _Layout, inputs) -> "Reducers":
         """Keep the minimal basis of inputs(lay), the packed input in

@@ -26,7 +26,9 @@ class Ideal:
     as groebner.Reducers, the engine's packed minimal basis: colengths
     count the staircase of its leading terms, membership tests and
     normal forms divide by it, and only groebner_basis unpacks and
-    interreduces it, at its first read.
+    interreduces it, at its first read.  A product keeps its factors:
+    its basis comes from theirs, and its generators f*g are built only
+    when read.
     """
 
     def __init__(self, ring: Ring, gens):
@@ -38,7 +40,8 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
             if not f.is_zero():
                 polys.append(f)
-        self.gens = tuple(polys)
+        self._gens = tuple(polys)
+        self._factors = None
         self._reducers = None
         self._gb = None
         self._colength = _UNCOUNTED
@@ -48,10 +51,26 @@ class Ideal:
         self._products: dict[tuple, tuple[Ideal, Ideal]] = {}
 
     @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        if self._gens is None:
+            A, B = self._factors
+            self._gens = tuple(dict.fromkeys(f * g for f in A.gens for g in B.gens))
+            if self._reducers is not None:
+                self._factors = None  # as in reducers
+        return self._gens
+
+    @property
     def reducers(self) -> groebner.Reducers:
         """A minimal Groebner basis of I + Q, run by the engine at the
-        first read."""
-        if self._reducers is None:
+        first read, on a product's factors' bases (Reducers.times)."""
+        if self._reducers is None and self._factors:
+            A, B = self._factors
+            self._reducers = A.reducers.times(B.reducers)
+            if self._gens is not None:
+                # both built: let the factors go, so that a product kept by
+                # its factor (sequence_product) leaves no reference cycle
+                self._factors = None
+        elif self._reducers is None:
             self._reducers = groebner.Reducers.from_engine(
                 [groebner.as_vector(f) for f in (*self.gens, *self.ring.relations)],
                 self.ring)
@@ -90,8 +109,9 @@ class Ideal:
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)
-        gens = dict.fromkeys(f * g for f in self.gens for g in other.gens)
-        return Ideal(self.ring, gens)
+        product = Ideal(self.ring, ())
+        product._gens, product._factors = None, (self, other)
+        return product
 
     def sequence_product(self, a) -> tuple["Ideal", "Ideal"]:
         """(J, I*J) for the ideal J of the sequence a, memoized per
@@ -145,10 +165,10 @@ class Ideal:
 
     def min_gens(self) -> int:
         """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables;
-        mI comes from I's packed basis (Reducers.times_maximal)."""
+        mI comes from I's packed basis (Reducers.times)."""
         if self._mu is None:
             lam = self.colength_strict()
-            self._mu = _staircase(self.reducers.times_maximal()) - lam
+            self._mu = _staircase(self.reducers.times(self.reducers.variables())) - lam
         return self._mu
 
     def _greedy_trim(self, gens) -> list[Polynomial]:

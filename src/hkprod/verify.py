@@ -129,7 +129,7 @@ def verify_prop_ineq(I: Ideal, J: Ideal) -> VerifyReport:
         # principal J needs no colength of its own: the bound reduces to
         # lambda(M/IM) <= lambda(R/I) for the rank-1 module M = (f)
         f = a[0]
-        fI = Ideal(I.ring, [f * g for g in I.gens])
+        fI = Ideal(I.ring, [f]) * I
         lam_mim = fI.colon(f).colength_strict()  # lambda((f)/(f)I)
         ann = Ideal(I.ring, []).colon(f)  # (0 : f)
         ann_in_I = I.contains_ideal(ann)

@@ -51,11 +51,16 @@ def bounded_ideals(draw, max_extra=4, ring=rings()):
     # no constant terms: the ideal stays inside the maximal ideal
     gens += [g for g in draw(st.lists(polys(ring, min_degree=1), max_size=max_extra))
              if not g.is_zero()]
+    return ring, gens, exact_degree(ring, powers, gens)
+
+
+def exact_degree(ring, powers, gens):
+    """The degree at which the span oracles are exact for an ideal that
+    holds gens and the pure powers x_i^powers[i], each power at least 1."""
     # every monomial of degree >= d0 is a multiple of a pure power, so the
     # span of generator multiples of degree <= D holds every ideal member of
     # degree <= D once D >= d0 - 1 + (largest generator degree); D >= d0 + 1
     # gives brute_colength three degrees >= d0 - 1, where the count is stable
     d0 = sum(a - 1 for a in powers) + 1
     max_gen_deg = max(g.degree() for g in list(gens) + list(ring.relations))
-    exact = max(d0 + 1, d0 - 1 + max_gen_deg)
-    return ring, gens, exact
+    return max(d0 + 1, d0 - 1 + max_gen_deg)

@@ -1,8 +1,10 @@
 """Ideal operations: products, bracket powers, colons, minimal
 generators, dimension, parameter detection, random families."""
 
+import gc
 import random
 import signal
+import weakref
 from fractions import Fraction
 from operator import add
 
@@ -17,7 +19,7 @@ from hkprod.ideals import FAMILIES
 
 from .oracles import (brute_colength, rational_normal_curve, rescan_normal_form,
                       subset_dim, toric_colength, toric_exponents, toric_hk)
-from .strategies import bounded_ideals, polys, rings
+from .strategies import bounded_ideals, exact_degree, polys, rings
 
 
 def I_(ring, *gens):
@@ -34,6 +36,145 @@ def test_product_of_maximal_ideal(F2xy):
 def test_product_mixed(F2xy):
     prod = I_(F2xy, "x^2", "y^2") * maximal_ideal(F2xy)
     assert prod.equals(I_(F2xy, "x^3", "x^2*y", "x*y^2", "y^3"))
+
+
+def test_product_generators_are_the_written_out_products(F3xy):
+    # the order of f*g over f in I, then g in J, each product once
+    I = I_(F3xy, "x + y", "y")
+    J = I_(F3xy, "x^2", "x*y + y^2", "x")
+    assert (I * J).gens == tuple(dict.fromkeys(f * g for f in I.gens for g in J.gens))
+    assert str(I * J) == "x^3 + x^2*y, x^2*y + 2*x*y^2 + y^3, x^2 + x*y, x^2*y, x*y^2 + y^3, x*y"
+    assert str(J.power(2)) == "x^4, x^3*y + x^2*y^2, x^3, x^2*y^2 + 2*x*y^3 + y^4, x^2*y + x*y^2, x^2"
+    assert (I * J).colength() == 4 and I.power(2).colength() == 3
+
+
+@st.composite
+def product_cases(draw):
+    """(ring, (powers, gens) of I, (powers, gens) of J): rings over F_2,
+    F_3 and F_5, lex or grevlex, the Fermat cubic among them.  I holds
+    the pure powers x_i^powers[i]; J is drawn the same way, or is I
+    itself, the unit ideal (powers 0) or the zero ideal (powers None).
+    Degrees are kept low enough for the span oracle to see IJ."""
+    ring = draw(rings(primes=(2, 3, 5)))
+    top = 2 if ring.nvars <= 3 else 1
+
+    def ideal():
+        powers = [draw(st.integers(1, top)) for _ in range(ring.nvars)]
+        gens = [ring.monomial([a if j == i else 0 for j in range(ring.nvars)])
+                for i, a in enumerate(powers)]
+        extra = st.lists(polys(ring, max_terms=2, max_degree=2, min_degree=1), max_size=2)
+        return powers, gens + [g for g in draw(extra) if not g.is_zero()]
+
+    I = ideal()
+    kind = draw(st.sampled_from(["drawn", "same", "unit", "zero"]))
+    J = {"drawn": ideal, "same": lambda: I, "unit": lambda: ([0] * ring.nvars, [ring.one()]),
+         "zero": lambda: (None, [])}[kind]()
+    return ring, I, J
+
+
+@settings(max_examples=40, deadline=None)
+@given(product_cases())
+def test_products_match_the_oracle_and_the_written_out_product(case):
+    """(I*J).colength() and I.power(2).colength(), from the factors'
+    packed bases, against brute_colength and the engine on the products
+    f*g written out.  IJ holds x_i^(a_i + b_i) when I and J hold x_i^a_i
+    and x_i^b_i, which sets the oracle's degree; the zero product is
+    infinite at any degree.  Leaving the relations out of the product's
+    engine input fails this test on the Fermat cubic, and so does taking
+    each unordered pair without its diagonal, mine[j + 1:], for I*I."""
+    ring, (a, gens_I), (b, gens_J) = case
+    I, J = Ideal(ring, gens_I), Ideal(ring, gens_J)
+    I.colength(), J.colength()  # the factors' bases first, as a caller's would be
+    for product, gens, powers in [(I * J, gens_J, b), (I.power(2), gens_I, a)]:
+        written = [f * g for f in gens_I for g in gens]
+        degree = 4 if powers is None else exact_degree(ring, list(map(add, a, powers)), written)
+        expected = brute_colength(written, ring, max_deg=degree, slack=0)
+        assert product.colength() == Ideal(ring, written).colength() == expected
+
+
+def record_layouts_and_runs(monkeypatch) -> tuple[list, list]:
+    """Record from now on the arguments of every Reducers._layout call,
+    and every engine run as (field bytes, whether a term with a guard
+    bit set reached it)."""
+    layouts, runs = [], []
+    layout, engine = groebner.Reducers._layout, groebner._buchberger
+    monkeypatch.setattr(groebner.Reducers, "_layout",
+                        lambda self, *args: layouts.append(args) or layout(self, *args))
+    monkeypatch.setattr(groebner, "_buchberger", lambda works, lay: runs.append(
+        (lay.field_bytes, any(e & lay.guard for w in works for e in w))) or engine(works, lay))
+    return layouts, runs
+
+
+def record_calls(monkeypatch, targets) -> list:
+    """Record from now on the name of each call to the (owner, name)
+    targets."""
+    calls = []
+    for owner, name in targets:
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, original=original, name=name:
+                            calls.append(name) or original(*args))
+    return calls
+
+
+def test_product_widens_when_a_product_term_overflows(monkeypatch):
+    # the basis of I holds z^127, the largest exponent of a one-byte
+    # field, so z^127 * z overflows and the product's run is widened once
+    ring = Ring(2, "xyz", order="lex")
+    I, m = I_(ring, "x + z^63", "y + z^63", "x*y*z"), maximal_ideal(ring)
+    assert I.colength() == 127 and m.colength() == 1
+    assert I.reducers.lay.field_bytes == m.reducers.lay.field_bytes == 1
+    layouts, runs = record_layouts_and_runs(monkeypatch)
+    mI = m * I
+    assert mI.colength() == 130
+    assert layouts == [((), 2, 1)] and runs == [(2, False)]
+    monkeypatch.undo()
+    # both factors were repacked wider in place and still divide
+    assert I.reducers.lay.field_bytes == m.reducers.lay.field_bytes == 2
+    assert I.contains(ring.poly("z^127")) and not I.contains(ring.poly("z^126"))
+    assert m.contains(ring.poly("z")) and not m.contains(ring.one())
+    assert Ideal(ring, list(mI.gens)).colength() == 130
+
+
+@pytest.mark.parametrize("quotient", [False, True])
+def test_product_builds_no_generator_from_cached_reducers(quotient, monkeypatch):
+    ring = (Ring(2, "xyz", relations=["x^3+y^3+z^3"]) if quotient
+            else Ring(3, "xyz"))
+    I = I_(ring, "x^2 + y*z", "y^2", "z^3 + x*y")
+    J = I_(ring, "x + y", "y*z", "z^2")
+    I.colength(), J.colength()
+    calls = record_calls(monkeypatch, [(Polynomial, "__mul__"), (groebner, "as_vector")])
+    IJ, II = I * J, I.power(2)
+    lam = IJ.colength(), II.colength()
+    monkeypatch.undo()
+    # only the relation enters as a vector, once per product
+    assert calls == (["as_vector"] * 2 if quotient else [])
+    assert lam == (Ideal(ring, list(IJ.gens)).colength(), Ideal(ring, list(II.gens)).colength())
+
+
+def test_product_bracket_agrees_with_the_product_of_brackets(fermat):
+    # Frobenius is a ring map, so (IJ)^[q] = I^[q] J^[q]: the left side
+    # powers IJ's generators, written out when the bracket reads them,
+    # and the right side multiplies the brackets' packed bases
+    I = I_(fermat, "x", "y^2", "z")
+    J = I_(fermat, "x^2 + y*z", "y", "z^2")
+    IJ = I * J
+    assert IJ.colength() == Ideal(fermat, list(IJ.gens)).colength()
+    assert IJ.bracket_colength(4) == (I.bracket_power(4) * J.bracket_power(4)).colength()
+
+
+def test_sequence_product_leaves_no_reference_cycle(fermat):
+    # once IJ holds its basis and its generators it lets its factors go,
+    # so the ideal that memoizes IJ is freed by reference counting alone
+    I = I_(fermat, "x", "y", "z")
+    J, IJ = I.sequence_product([fermat.poly("y"), fermat.poly("z")])
+    assert IJ.colength() == 5 and IJ.bracket_colength(2) == 28
+    freed = weakref.ref(I)
+    gc.disable()
+    try:
+        del I, J, IJ
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_sum_absorbs(F2xy):
@@ -268,15 +409,9 @@ def test_min_gens_widens_when_a_shifted_term_overflows(monkeypatch):
     ring = Ring(2, "xyz", order="lex")
     I = I_(ring, "x + z^63", "y + z^63", "x*y*z")
     assert I.colength() == 127 and I.reducers.lay.field_bytes == 1
-    widened, runs = [], []
-    layout, engine = groebner.Reducers._layout, groebner._buchberger
-    monkeypatch.setattr(groebner.Reducers, "_layout",
-                        lambda self, *args: widened.append(args) or layout(self, *args))
-    # no term reaches the engine with a guard bit set
-    monkeypatch.setattr(groebner, "_buchberger", lambda works, lay: runs.append(
-        (lay.field_bytes, any(e & lay.guard for w in works for e in w))) or engine(works, lay))
+    layouts, runs = record_layouts_and_runs(monkeypatch)
     assert I.min_gens() == 3
-    assert widened == [((), 2, 1)] and runs == [(2, False)]
+    assert layouts == [((), 2, 1)] and runs == [(2, False)]
     monkeypatch.undo()
     # the basis was repacked wider in place and still divides
     assert I.reducers.lay.field_bytes == 2
@@ -290,12 +425,8 @@ def test_min_gens_builds_no_product_from_cached_reducers(quotient, monkeypatch):
             else Ring(3, "xyz"))
     I = I_(ring, "x^2 + y*z", "y^2", "z^3 + x*y")
     I.colength()
-    calls = []
-    for owner, name in [(Polynomial, "__mul__"), (Ideal, "__init__"),
-                        (groebner.Reducers, "_repack"), (groebner, "as_vector")]:
-        original = getattr(owner, name)
-        monkeypatch.setattr(owner, name, lambda *args, original=original, name=name:
-                            calls.append(name) or original(*args))
+    calls = record_calls(monkeypatch, [(Polynomial, "__mul__"), (Ideal, "__init__"),
+                                       (groebner.Reducers, "_repack"), (groebner, "as_vector")])
     mu = I.min_gens()
     monkeypatch.undo()
     # only the relation enters as a vector
