@@ -48,15 +48,12 @@ class Ideal:
         self._mu = None
         self._min_gens = None
         self._brackets: dict[int, Ideal] = {}
-        self._products: dict[tuple, tuple[Ideal, Ideal]] = {}
 
     @property
     def gens(self) -> tuple[Polynomial, ...]:
         if self._gens is None:
             A, B = self._factors
             self._gens = tuple(dict.fromkeys(f * g for f in A.gens for g in B.gens))
-            if self._reducers is not None:
-                self._factors = None  # as in reducers
         return self._gens
 
     @property
@@ -66,10 +63,6 @@ class Ideal:
         if self._reducers is None and self._factors:
             A, B = self._factors
             self._reducers = A.reducers.times(B.reducers)
-            if self._gens is not None:
-                # both built: let the factors go, so that a product kept by
-                # its factor (sequence_product) leaves no reference cycle
-                self._factors = None
         elif self._reducers is None:
             self._reducers = groebner.Reducers.from_engine(
                 [groebner.as_vector(f) for f in (*self.gens, *self.ring.relations)],
@@ -112,16 +105,6 @@ class Ideal:
         product = Ideal(self.ring, ())
         product._gens, product._factors = None, (self, other)
         return product
-
-    def sequence_product(self, a) -> tuple["Ideal", "Ideal"]:
-        """(J, I*J) for the ideal J of the sequence a, memoized per
-        generator tuple of a, so each keeps its cached basis across
-        Frobenius levels."""
-        key = tuple(a)
-        if key not in self._products:
-            J = Ideal(self.ring, key)
-            self._products[key] = (J, self * J)
-        return self._products[key]
 
     def __add__(self, other: "Ideal") -> "Ideal":
         self._check(other)

@@ -8,7 +8,8 @@ the kernel K_{a,I} sits in the exact length bookkeeping
 
 whose two sides are computed along disjoint code paths: the left and the
 product term by ideal staircases, the kernel term by syzygies plus a
-module staircase.  LenIdentitySides holds the four lengths once, and
+module staircase.  len_identity_sides computes the four lengths for
+the caller's I and J, one LenIdentitySides per Frobenius level, and
 both sides are derived from them.  The identity itself is asserted by
 the verifiers, not here.
 """
@@ -85,13 +86,14 @@ class LenIdentitySides:
         return self.lhs == self.rhs
 
 
-def len_identity_sides(I: Ideal, a: list[Polynomial], q: int = 1) -> LenIdentitySides:
-    """Compute the four lengths of the identity along independent paths.
-    J and IJ are built once per (I, a), for every level (see
-    Ideal.sequence_product)."""
-    J, IJ = I.sequence_product(a)
-    lam_I = I.bracket_colength(q)
-    lam_J = J.bracket_colength(q)
-    lam_K = kernel_length(a, I, q)
-    lam_IJ = IJ.bracket_colength(q)
-    return LenIdentitySides(q, len(a), lam_I, lam_J, lam_K, lam_IJ)
+def len_identity_sides(I: Ideal, J: Ideal, a: list[Polynomial],
+                       qs: list[int]) -> list[LenIdentitySides]:
+    """The four lengths of the identity at each level q in qs, along
+    independent paths.  a is the sequence of the kernel term; lambda_Jq
+    and the product term read the caller's J, and IJ is built once for
+    every level, so a sequence that does not generate J breaks the
+    identity instead of passing under J's name."""
+    IJ = I * J
+    return [LenIdentitySides(q, len(a), I.bracket_colength(q), J.bracket_colength(q),
+                             kernel_length(a, I, q), IJ.bracket_colength(q))
+            for q in qs]

@@ -1,8 +1,10 @@
 """Hypothesis strategies shared by the differential tests.
 
 Rings: lex or grevlex, p in {2, 3, 5, 2^31-1} (or a given subset), one
-to four variables or, unless excluded, the Fermat cubic quotient, with
-the variables listed in a drawn order (which ranks them in that order).
+to four variables or, unless excluded, a quotient: the Fermat cubic over
+F_2 with the variables listed in a drawn order (which ranks them in that
+order), or the cone R_n over the rational normal curve, n in 2..4, over
+a drawn p in {2, 3, 5}, with its several quadratic relations.
 Ideals: a pure power of every variable plus non-homogeneous generators.
 The pure powers bound the quotient, which keeps the bases small and
 makes the truncated-span oracles exact at a degree computed from the
@@ -13,15 +15,22 @@ from hypothesis import strategies as st
 
 from hkprod import Ring
 
+from .oracles import rational_normal_curve
+
 PRIMES = (2, 3, 5, 2**31 - 1)
 
 
 @st.composite
 def rings(draw, primes=PRIMES, quotients=True):
     order = draw(st.sampled_from(["grevlex", "lex"]))
-    if quotients and draw(st.integers(0, 4)) == 0:
+    small = [p for p in primes if p in (2, 3, 5)]
+    branch = draw(st.integers(0, 4)) if quotients else None
+    if branch == 0:
         return Ring(2, draw(st.permutations("xyz")), relations=["x^3+y^3+z^3"],
                     order=order)
+    if branch == 1 and small:
+        return rational_normal_curve(draw(st.integers(2, 4)), draw(st.sampled_from(small)),
+                                     order)
     n = draw(st.integers(1, 4))
     return Ring(draw(st.sampled_from(primes)), draw(st.permutations("wxyz"[:n])),
                 order=order)

@@ -4,6 +4,8 @@ the membership probe."""
 import json
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring, groebner, hk
 from hkprod.hk import levels
 
 from .oracles import (diagonal_colength, hypersurface_colon_sides, rational_normal_curve,
-                      subset_volume, toric_colength, toric_exponents)
+                      subset_volume, toric_colength, toric_exponents, toric_hk)
 from .strategies import polys
 
 
@@ -44,6 +46,25 @@ def test_table_on_rational_normal_curves_matches_lattice_count(n, p):
         assert table.d == 2
         assert [(r.q, r.colength, r.normalized) for r in table.rows] == [
             (q, lam, Fraction(lam, q * q)) for q, lam in lengths.items()], exps
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("p", [2, 3])
+def test_parameter_square_on_rational_normal_curves_matches_lattice_count(n, p):
+    # J = (a_0^i, a_n^j) is a monomial parameter ideal of the 2-dimensional
+    # R_n: each row of J^2, a product of packed bases whose generators a
+    # bracket writes out, against the lattice count of J^2's exponents,
+    # and e_HK(J^2) = (d+1)*e_HK(J) from the exact staircase areas
+    ring = rational_normal_curve(n, p)
+    for i in (1, 2):
+        for j in (1, 2):
+            e_J = [(i,) + (0,) * n, (0,) * n + (j,)]
+            e_J2 = [tuple(map(add, a, b)) for a, b in combinations_with_replacement(e_J, 2)]
+            J = I_(ring, *(ring.monomial(e) for e in e_J))
+            table = hk_table(J.power(2), 2)
+            assert [(r.q, r.colength) for r in table.rows] == [
+                (q, toric_colength(n, e_J2, q)) for q in (1, p, p * p)], e_J
+            assert toric_hk(n, e_J2) == 3 * toric_hk(n, e_J), e_J
 
 
 def test_quotient_table_reads_only_the_engine_leads(monkeypatch):

@@ -1,10 +1,8 @@
 """Ideal operations: products, bracket powers, colons, minimal
 generators, dimension, parameter detection, random families."""
 
-import gc
 import random
 import signal
-import weakref
 from fractions import Fraction
 from operator import add
 
@@ -160,21 +158,6 @@ def test_product_bracket_agrees_with_the_product_of_brackets(fermat):
     IJ = I * J
     assert IJ.colength() == Ideal(fermat, list(IJ.gens)).colength()
     assert IJ.bracket_colength(4) == (I.bracket_power(4) * J.bracket_power(4)).colength()
-
-
-def test_sequence_product_leaves_no_reference_cycle(fermat):
-    # once IJ holds its basis and its generators it lets its factors go,
-    # so the ideal that memoizes IJ is freed by reference counting alone
-    I = I_(fermat, "x", "y", "z")
-    J, IJ = I.sequence_product([fermat.poly("y"), fermat.poly("z")])
-    assert IJ.colength() == 5 and IJ.bracket_colength(2) == 28
-    freed = weakref.ref(I)
-    gc.disable()
-    try:
-        del I, J, IJ
-        assert freed() is None
-    finally:
-        gc.enable()
 
 
 def test_sum_absorbs(F2xy):

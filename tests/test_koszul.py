@@ -67,16 +67,15 @@ def test_kernel_kunz_scaling(F3xy):
 
 def test_len_identity_sides_spec_values(F2xy):
     a = [F2xy.var("x"), F2xy.var("y")]
-    I = Ideal(F2xy, ["x^2", "y^2"])
-    s1 = len_identity_sides(I, a, 1)
+    I, J = Ideal(F2xy, ["x^2", "y^2"]), Ideal(F2xy, a)
+    s1, s2 = len_identity_sides(I, J, a, [1, 2])
     assert s1 == LenIdentitySides(q=1, ell=2, lambda_Iq=4, lambda_Jq=1, lambda_K=3,
                                   lambda_IJq=6)
     assert (s1.lhs, s1.rhs) == (9, 9)
     assert s1.holds()
-    s2 = len_identity_sides(I, a, 2)
-    assert (s2.lhs, s2.lambda_K, s2.lambda_IJq) == (36, 12, 24)
+    assert (s2.q, s2.lhs, s2.lambda_K, s2.lambda_IJq) == (2, 36, 12, 24)
     assert s2.holds()
-    s3 = len_identity_sides(Ideal(F2xy, a), a, 1)
+    (s3,) = len_identity_sides(J, J, a, [1])
     assert (s3.lhs, s3.lambda_K, s3.lambda_IJq) == (3, 0, 3)
     assert s3.holds()
 
@@ -84,9 +83,10 @@ def test_len_identity_sides_spec_values(F2xy):
 def test_len_identity_on_quotient(fermat):
     m = Ideal(fermat, ["x", "y", "z"])
     a = [fermat.poly("y"), fermat.poly("z")]
-    for q in (1, 2, 4):
-        s = len_identity_sides(m, a, q)
-        assert s.holds(), f"identity failed at q={q}"
+    sides = len_identity_sides(m, Ideal(fermat, a), a, [1, 2, 4])
+    assert [s.q for s in sides] == [1, 2, 4]
+    for s in sides:
+        assert s.holds(), f"identity failed at q={s.q}"
 
 
 def test_len_identity_on_four_variable_quotient():
@@ -95,10 +95,10 @@ def test_len_identity_on_four_variable_quotient():
     ring = Ring(2, "xyzw", relations=["x^3+y^3+z^3+w^3"])
     I = Ideal(ring, ["x^2+y*z", "y^2+z*w", "z^2+x*w", "w^2"])
     a = [ring.poly(g) for g in ["x+y", "y+z", "z*w+w^2", "w^3"]]
-    for q, sides in ((1, (61, 33, 28)), (2, (544, 278, 266))):
-        s = len_identity_sides(I, a, q)
-        assert (s.lhs, s.lambda_K, s.lambda_IJq) == sides
-        assert s.holds()
+    sides = len_identity_sides(I, Ideal(ring, a), a, [1, 2])
+    assert [(s.lhs, s.lambda_K, s.lambda_IJq) for s in sides] == [(61, 33, 28),
+                                                                 (544, 278, 266)]
+    assert all(s.holds() for s in sides)
 
 
 def _quartic():
@@ -109,10 +109,10 @@ def _quartic():
 
 def test_len_identity_on_the_quartic_at_high_q():
     I, a = _quartic()
-    for q, sides in ((27, (31416, 12107, 19309)), (81, (282840, 108983, 173857))):
-        s = len_identity_sides(I, a, q)
-        assert (s.lhs, s.lambda_K, s.lambda_IJq) == sides
-        assert s.holds()
+    sides = len_identity_sides(I, Ideal(I.ring, a), a, [27, 81])
+    assert [(s.lhs, s.lambda_K, s.lambda_IJq) for s in sides] == [
+        (31416, 12107, 19309), (282840, 108983, 173857)]
+    assert all(s.holds() for s in sides)
 
 
 def test_kernel_length_on_the_quartic_divides_little(monkeypatch):
@@ -131,7 +131,7 @@ def test_len_identity_nonminimal_sequence(F2xy):
     # the identity holds for any generating sequence, minimal or not
     I = Ideal(F2xy, ["x^2", "y^2"])
     a = [F2xy.var("x"), F2xy.var("y"), F2xy.poly("x + y")]
-    s = len_identity_sides(I, a, 1)
+    (s,) = len_identity_sides(I, Ideal(F2xy, a), a, [1])
     assert s.ell == 3 and s.holds()
 
 

@@ -1,14 +1,16 @@
 """One test per checker, on hand-verified fixtures, plus the trial driver."""
 
+import gc
 import hashlib
 import inspect
 import json
 import re
+import weakref
 from pathlib import Path
 
 import pytest
 
-from hkprod import Ideal, Ring
+from hkprod import Ideal, Ring, groebner
 from hkprod import verify as V
 from hkprod.cli import main
 
@@ -19,13 +21,57 @@ def I_(ring, *gens):
 
 def test_len_identity_fixtures(F2xy):
     I, J = I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y")
-    r1 = V.verify_len_identity(I, J, 1)
+    r1, r2 = V.verify_len_identity(I, J, 1)  # q = 1, 2
+    assert (r1.q, r2.q) == (1, 2)
     assert r1.holds and (r1.lhs, r1.rhs) == (9, 9)
     assert r1.data["lambda_K"] == 3 and r1.data["lambda_IJq"] == 6
-    r2 = V.verify_len_identity(I, J, 2)
     assert r2.holds and (r2.lhs, r2.rhs) == (36, 36)
-    r3 = V.verify_len_identity(J, J, 1)
+    (r3,) = V.verify_len_identity(J, J, 0)
     assert r3.holds and r3.data["lambda_K"] == 0 and r3.rhs == 3
+
+
+def test_len_identity_reads_the_callers_J(F2xy, monkeypatch):
+    # x^2, y does not generate J = (x, y): the kernel term follows the
+    # sequence, lambda(R/J) and lambda(R/IJ) follow J, so the identity
+    # must fail rather than pass for the ideal (x^2, y)
+    I, J = I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y")
+    monkeypatch.setattr(J, "minimal_generators",
+                        lambda: [F2xy.poly("x^2"), F2xy.poly("y")])
+    (r,) = V.verify_len_identity(I, J, 0)
+    assert not r.holds and (r.lhs, r.rhs) == (9, 8)
+    assert r.data["lambda_Jq"] == J.colength() == 1
+    e = V.verify_eq7_per_q(I, J, 0)
+    assert not e.holds
+    assert e.data["per_q"]["1"] == {"lhs": 9, "rhs_kernel": r.data["lambda_K"],
+                                    "rhs_product": 6, "holds": False}
+
+
+def test_eq7_leaves_no_cycle_and_repeats_no_engine_input(F2xy, fermat, monkeypatch):
+    # IJ is built once per check and stored on no factor, so I is freed by
+    # reference counting alone; J's basis is the caller's, so no engine
+    # run within the check is handed an input that an earlier one had
+    seen = []
+    run = groebner._buchberger
+
+    def keyed(works, lay):
+        seen.append((lay.p, lay.grevlex, lay.field_bytes, lay.rank, lay.elim,
+                     tuple(sorted(tuple(sorted(w.items())) for w in works))))
+        return run(works, lay)
+
+    monkeypatch.setattr(groebner, "_buchberger", keyed)
+    for ring, gens_I, gens_J in ((F2xy, ("x^2", "y^2"), ("x", "y")),
+                                 (fermat, ("x^2", "y", "z^2"), ("y + x*z", "z^2"))):
+        seen.clear()
+        gc.disable()
+        try:
+            I, J = I_(ring, *gens_I), I_(ring, *gens_J)
+            assert V.verify_eq7_per_q(I, J, 1).holds
+            freed = weakref.ref(I)
+            del I, J
+            assert freed() is None, ring
+        finally:
+            gc.enable()
+        assert seen and len(seen) == len(set(seen)), ring
 
 
 def test_prop_ineq_fixtures(F2xy):
@@ -377,7 +423,7 @@ def test_table_options_match_the_verifier_signatures():
 
 
 # the CLI flag of each option a CheckSpec names
-FLAGS = {"e_max": "--qmax", "q": "--qmax", "n": "-n", "mode": "--mode"}
+FLAGS = {"e_max": "--qmax", "n": "-n", "mode": "--mode"}
 
 
 def test_readme_checks_table_matches_the_check_table():
