@@ -20,9 +20,9 @@ from .sessions import load_session
 
 
 def _parse_mode(text):
-    """None (the ring's default, see star_spread), a named mode or an int."""
-    if text is None or text in ("regular", "parameter"):
-        return text
+    """None (the ring's default, see star_spread) or an int."""
+    if text is None:
+        return None
     try:
         return int(text)
     except ValueError:
@@ -123,8 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ideal")
     p.add_argument("--qmax", type=nonnegative_int, default=2, metavar="E",
                    help="largest exponent e, rows up to q=p^e")
-    p.add_argument("--method", default="auto", choices=("auto", *ESTIMATE_METHODS),
-                   help="estimate method")
+    p.add_argument("--method", default="auto", choices=ESTIMATE_METHODS,
+                   help="sequence-extrapolated only off polynomial rings")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -138,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qmax", type=nonnegative_int, default=1, metavar="E")
     p.add_argument("-n", type=int, default=2, help="power for power checks")
     p.add_argument("--mode", default=None,
-                   help="star-spread mode: regular, parameter, or an integer")
+                   help="star spread, an integer; only off polynomial rings")
     p.add_argument("--ideal", action="append", default=[],
                    help="named ideal argument(s); omit to run random trials")
     p.add_argument("--csv", action="store_true", help="CSV summary instead of JSON lines")

@@ -1,5 +1,5 @@
-"""Hilbert-Kunz tables and estimates, exact monomial volumes,
-star-spread modes, and a finite-q tight-closure membership probe.
+"""Hilbert-Kunz tables and estimates, exact monomial volumes, the
+star spread, and a finite-q tight-closure membership probe.
 
 Every normalized value is an exact Fraction; nothing here touches
 floating point, so downstream equality checks carry no tolerance."""
@@ -79,16 +79,13 @@ def hk_table(I: Ideal, e_max: int) -> HKTable:
     return HKTable(ideal=I, d=d, rows=rows)
 
 
-ESTIMATE_METHODS = ("exact-regular", "exact-monomial-volume",
-                    "sequence-last", "sequence-extrapolated")
+ESTIMATE_METHODS = ("auto", "sequence-extrapolated")
 
 
 @dataclass
 class HKEstimate:
-    """A value for e_HK(I) together with how it was obtained.
-
-    is_limit is True only for the two exact methods; the sequence
-    methods report finite-q data and never claim the limit."""
+    """A value for e_HK(I) together with how it was obtained; is_limit
+    only on polynomial rings, where the value is exact."""
 
     value: Fraction
     method: str
@@ -96,33 +93,26 @@ class HKEstimate:
 
 
 def hk_estimate(I: Ideal, e_max: int, method: str = "auto") -> HKEstimate:
-    ring = I.ring
-    if method == "auto":
-        if ring.is_regular and all(len(g.terms) == 1 for g in I.gens):
-            method = "exact-monomial-volume"
-        elif ring.is_regular:
-            method = "exact-regular"
-        else:
-            method = "sequence-last"
+    """Exact on a polynomial ring, where only `auto` applies; elsewhere
+    the last row, or with sequence-extrapolated the last two rows' fit."""
     if method not in ESTIMATE_METHODS:
         raise ValueError(f"unknown estimation method {method!r}")
-    if method == "exact-regular":
-        if not ring.is_regular:
-            raise ValueError("exact-regular needs a relation-free presentation")
+    if I.ring.is_regular:
+        if method != "auto":
+            raise ValueError(f"{method} needs a ring with relations")
+        if I.gens and all(len(g.terms) == 1 for g in I.gens):
+            return HKEstimate(monomial_hk_volume(I), "exact-monomial-volume", True)
         # Kunz: Frobenius is flat over regular rings, so e_HK(I) = lambda(R/I)
-        return HKEstimate(Fraction(I.colength_strict()), method, True)
-    if method == "exact-monomial-volume":
-        return HKEstimate(monomial_hk_volume(I), method, True)
-    table = hk_table(I, e_max)
-    if method == "sequence-last":
-        return HKEstimate(table.rows[-1].normalized, method, False)
-    if len(table.rows) < 2:
+        return HKEstimate(Fraction(I.colength_strict()), "exact-regular", True)
+    rows = hk_table(I, e_max).rows
+    if method == "auto":
+        return HKEstimate(rows[-1].normalized, "sequence-last", False)
+    if len(rows) < 2:
         raise ValueError("extrapolation needs at least two rows")
     # fit v(q) = e + c/q through the last two rows; O(1/q) deviation
     # heuristic, never claimed as the limit
-    (q1, v1), (q2, v2) = ((r.q, r.normalized) for r in table.rows[-2:])
-    value = Fraction(q2 * v2 - q1 * v1, q2 - q1)
-    return HKEstimate(value, "sequence-extrapolated", False)
+    (q1, v1), (q2, v2) = ((r.q, r.normalized) for r in rows[-2:])
+    return HKEstimate(Fraction(q2 * v2 - q1 * v1, q2 - q1), method, False)
 
 
 def monomial_hk_volume(I: Ideal) -> Fraction:
@@ -175,28 +165,19 @@ def monomial_hk_volume(I: Ideal) -> Fraction:
 
 
 def star_spread(J: Ideal, mode=None) -> int:
-    """The *-spread in the three decidable modes.
-
-    mode="regular": tight closure is trivial, so J is its own unique
-    minimal *-reduction and the spread is mu(J); requires no relations.
-    mode="parameter": J is (asserted) tightly equivalent to a parameter
-    ideal, so the spread equals the dimension.  An integer mode is a
-    caller-supplied value, passed through.  mode=None picks "regular"
-    on regular rings and "parameter" otherwise.
-    """
-    if mode is None:
-        mode = "regular" if J.ring.is_regular else "parameter"
-    if isinstance(mode, int) and not isinstance(mode, bool):
-        if mode < 1:
-            raise ValueError("star spread must be positive")
-        return mode
-    if mode == "regular":
-        if not J.ring.is_regular:
-            raise ValueError("regular mode needs a relation-free presentation")
+    """The *-spread of J.  On a polynomial ring tight closure is trivial,
+    so it is mu(J) and no mode is taken.  Elsewhere J is asserted tightly
+    equivalent to a parameter ideal, so it is dim R, or `mode` when the
+    caller gives a positive integer."""
+    if J.ring.is_regular:
+        if mode is not None:
+            raise ValueError("no star-spread mode on a polynomial ring")
         return J.min_gens()
-    if mode == "parameter":
+    if mode is None:
         return krull_dim(J.ring)
-    raise ValueError(f"unknown star-spread mode {mode!r}")
+    if type(mode) is not int or mode < 1:
+        raise ValueError(f"star spread must be a positive int, got {mode!r}")
+    return mode
 
 
 @dataclass

@@ -211,13 +211,32 @@ def test_verify_unknown_check_reports_one_error_line(regular_file, capsys):
     assert err == f"error: unknown check 'bogus'; choose from {', '.join(V.CHECK_NAMES)}\n"
 
 
-def test_hk_inapplicable_method_fails_before_the_table(fermat_file, monkeypatch, capsys):
+def test_hk_inapplicable_method_fails_before_the_table(regular_file, monkeypatch, capsys):
+    # on a polynomial ring e_HK(I) = lambda(R/I) exactly: no fit applies
     def no_table(*args, **kwargs):
         raise AssertionError("hk_table called")
     monkeypatch.setattr(hkprod.cli, "hk_table", no_table)
-    assert main(["hk", fermat_file, "J", "--qmax", "3", "--method", "exact-regular"]) == 2
+    assert main(["hk", regular_file, "I", "--qmax", "3",
+                 "--method", "sequence-extrapolated"]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: exact-regular needs a relation-free presentation\n"
+    assert out == "" and err == "error: sequence-extrapolated needs a ring with relations\n"
+
+
+def test_hk_extrapolated_estimate_off_polynomial_rings(fermat_file, capsys):
+    assert main(["hk", fermat_file, "m", "--qmax", "3",
+                 "--method", "sequence-extrapolated"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "estimate: 9/4 [sequence-extrapolated; finite-q value, not asserted as the limit]")
+
+
+def test_hk_of_the_zero_ideal_is_infinite_colength(tmp_path, capsys):
+    # auto took an ideal without generators for a monomial one and failed
+    # inside the volume with "monomial ideal is not m-primary"
+    path = tmp_path / "zero.hk"
+    path.write_text("ring: p=2 vars=x,y\nideal Z = []\n")
+    assert main(["hk", str(path), "Z"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ideal (0) has infinite colength\n"
 
 
 def test_hk_unknown_method_fails_before_any_work(regular_file, monkeypatch, capsys):
@@ -265,11 +284,41 @@ def test_variable_name_that_text_cannot_spell_is_usage_error(tmp_path, capsys):
                                  "name token of polynomial text\n")
 
 
-def test_verify_integer_star_spread_mode(regular_file, capsys):
-    assert main(["verify", regular_file, "hk-product", "--ideal", "m",
-                 "--ideal", "sq", "--mode", "3"]) == 0
+def test_verify_integer_star_spread_mode(fermat_file, capsys):
+    assert main(["verify", fermat_file, "hk-product", "--ideal", "m",
+                 "--ideal", "J", "--qmax", "2", "--mode", "3"]) == 0
     (line,) = capsys.readouterr().out.splitlines()
-    assert json.loads(line)["data"]["star_spread"] == 3
+    obj = json.loads(line)
+    assert obj["data"]["star_spread"] == 3 and obj["holds"] is True
+    assert (obj["lhs"], obj["rhs"]) == ("15/2", "39/4")
+
+
+POLY_SQUARE = "ring: p=2 vars=x,y\nideal m = [x, y]\nideal J = [x^2, x*y, y^2]\n"
+
+
+@pytest.mark.parametrize("mode", ["parameter", "2"])
+def test_verify_no_star_spread_mode_on_polynomial_rings(mode, tmp_path, capsys):
+    # l*(J) = mu(J) = 3 here; spread 2 printed holds:false (lhs 6 > rhs 5)
+    # and exited 1 on a true bound
+    path = tmp_path / "square.hk"
+    path.write_text(POLY_SQUARE)
+    argv = ["verify", str(path), "hk-product", "--ideal", "m", "--ideal", "J"]
+    assert main(argv + ["--mode", mode]) == 2
+    assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["holds"] is True and obj["data"]["star_spread"] == 3
+    assert (obj["lhs"], obj["rhs"]) == (6, 6)
+
+
+def test_hk_sequence_method_on_polynomial_rings_is_usage_error(tmp_path, capsys):
+    # printed Kunz's exact 4 as "finite-q value, not asserted as the limit"
+    path = tmp_path / "square.hk"
+    path.write_text(POLY_SQUARE + "ideal I = [x^2, x*y, y^3]\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["hk", str(path), "I", "--method", "sequence-last"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_bad_star_spread_mode_exit_2(regular_file, capsys):
@@ -300,7 +349,7 @@ def test_verify_square_trials_off_the_first_variables_exit_0(ring_line, tmp_path
 
 
 # check -> (--ideal names on REGULAR, the verifier calls on those ideals
-# with the CLI defaults --qmax 1, -n 2 and the regular star-spread mode)
+# with the CLI defaults --qmax 1, -n 2 and the ring's star spread)
 NAMED = {
     "len-identity": (("m", "sq"), lambda I, J: V.verify_len_identity(I, J, 1)),
     "prop-ineq": (("m", "sq"), lambda I, J: [V.verify_prop_ineq(I, J)]),
@@ -310,9 +359,9 @@ NAMED = {
     "square": (("sq",), lambda J: [V.verify_cor_square(J)]),
     "eq7": (("m", "sq"), lambda I, J: [V.verify_eq7_per_q(I, J, 1)]),
     "hk-product": (("m", "sq"),
-                   lambda I, J: [V.verify_hk_product_bound(I, J, "regular", 1)]),
-    "cor-power-hk": (("sq",), lambda I: [V.verify_cor_power_hk(I, 2, "regular", 1)]),
-    "eqthentc": (("m", "sq"), lambda I, J: [V.verify_eqthentc(I, J, "regular", 1)]),
+                   lambda I, J: [V.verify_hk_product_bound(I, J, None, 1)]),
+    "cor-power-hk": (("sq",), lambda I: [V.verify_cor_power_hk(I, 2, None, 1)]),
+    "eqthentc": (("m", "sq"), lambda I, J: [V.verify_eqthentc(I, J, None, 1)]),
     "param-lower": (("m", "sq"), lambda I, J: [V.verify_param_lower_bound(I, J, 1)]),
     "square-hk": (("sq",), lambda J: [V.verify_cor_square_hk(J, 1)]),
     "prop42": (("m", "sq"), lambda I, J: [V.verify_prop42(I, J, 1)]),

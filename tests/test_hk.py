@@ -269,7 +269,9 @@ def test_table_serialization(F2xy):
 
 
 def test_estimate_exact_regular(F5xy):
-    est = hk_estimate(I_(F5xy, "x^2", "y^3"), 1, "exact-regular")
+    # auto on an ideal that is not monomial: Kunz's lambda(R/I), exact
+    est = hk_estimate(I_(F5xy, "x^2 + y", "y^3"), 1)
+    assert est.method == "exact-regular"
     assert est.value == 6 and est.is_limit
 
 
@@ -281,21 +283,25 @@ def test_estimate_auto_picks_monomial_volume(F2xy):
 
 def test_estimate_sequence_methods_on_fermat(fermat):
     m = I_(fermat, "x", "y", "z")
-    last = hk_estimate(m, 3, "sequence-last")
-    assert not last.is_limit
+    last = hk_estimate(m, 3)
+    assert last.method == "sequence-last" and not last.is_limit
     assert last.value == Fraction(m.bracket_power(8).colength_strict(), 64)
     extrap = hk_estimate(m, 3, "sequence-extrapolated")
-    assert not extrap.is_limit
+    assert extrap.method == "sequence-extrapolated" and not extrap.is_limit
     rows = hk_table(m, 3).rows
     (q1, v1), (q2, v2) = (rows[-2].q, rows[-2].normalized), (rows[-1].q, rows[-1].normalized)
     assert extrap.value == Fraction(q2 * v2 - q1 * v1, q2 - q1)
 
 
 def test_estimate_validation(F2xy, fermat):
-    with pytest.raises(ValueError):
-        hk_estimate(I_(fermat, "x", "y", "z"), 1, "exact-regular")
+    # the labels name how a value was found; they are not methods to ask for
+    for label in ("exact-regular", "exact-monomial-volume", "sequence-last"):
+        with pytest.raises(ValueError, match="unknown estimation method"):
+            hk_estimate(I_(fermat, "x", "y", "z"), 1, label)
     with pytest.raises(ValueError):
         hk_estimate(I_(F2xy, "x", "y"), 1, "no-such-method")
+    with pytest.raises(ValueError, match="at least two rows"):
+        hk_estimate(I_(fermat, "x", "y", "z"), 0, "sequence-extrapolated")
 
 
 def test_monomial_volume_spec_value(F2xy):
@@ -350,15 +356,15 @@ def test_monomial_volume_validation(F2xy, fermat):
 
 
 def test_star_spread_modes(F2xy, fermat):
-    assert star_spread(I_(F2xy, "x^2", "x*y", "y^2"), "regular") == 3
-    assert star_spread(I_(fermat, "y", "z"), "parameter") == 2
-    assert star_spread(I_(F2xy, "x", "y"), 4) == 4
-    with pytest.raises(ValueError):
-        star_spread(I_(fermat, "y", "z"), "regular")
-    with pytest.raises(ValueError):
-        star_spread(I_(F2xy, "x"), "nope")
-    with pytest.raises(ValueError):
-        star_spread(I_(F2xy, "x"), 0)
+    # an integer off polynomial rings; test_star_spread_default_mode has the defaults
+    assert star_spread(I_(fermat, "y", "z"), 4) == 4
+    # on a polynomial ring the spread is mu(J): no mode, not even mu(J) itself
+    for mode in (2, 3, "parameter", "regular"):
+        with pytest.raises(ValueError, match="polynomial ring"):
+            star_spread(I_(F2xy, "x^2", "x*y", "y^2"), mode)
+    for mode in (0, -1, True, "regular", "parameter", "2"):
+        with pytest.raises(ValueError, match="positive int"):
+            star_spread(I_(fermat, "y", "z"), mode)
 
 
 def test_star_spread_default_mode(F2xy, fermat):

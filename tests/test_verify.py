@@ -176,50 +176,46 @@ def test_eq7_fixtures(F2xy, F3xy, fermat):
 
 
 def test_hk_product_fixtures(F2xy, fermat):
-    r = V.verify_hk_product_bound(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y"),
-                                  "regular")
+    r = V.verify_hk_product_bound(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y"), None)
     assert r.holds and (r.lhs, r.rhs) == (6, 9) and r.data["exact"]
-    eq = V.verify_hk_product_bound(I_(F2xy, "x", "y"), I_(F2xy, "x", "y"),
-                                   "regular")
+    eq = V.verify_hk_product_bound(I_(F2xy, "x", "y"), I_(F2xy, "x", "y"), None)
     assert eq.holds and eq.lhs == eq.rhs == 3
     surrogate = V.verify_hk_product_bound(I_(fermat, "x", "y", "z"),
-                                          I_(fermat, "y", "z"), "parameter", 3)
+                                          I_(fermat, "y", "z"), None, 3)
     assert surrogate.holds and not surrogate.data["exact"]
     assert surrogate.caveat and "q=8" in surrogate.caveat
 
 
 def test_cor_power_hk_fixtures(F2xy):
-    r = V.verify_cor_power_hk(I_(F2xy, "x", "y"), 2, "regular")
+    r = V.verify_cor_power_hk(I_(F2xy, "x", "y"), 2, None)
     assert r.holds and r.lhs == r.rhs == 3
-    r2 = V.verify_cor_power_hk(I_(F2xy, "x^2", "x*y", "y^2"), 2, "regular")
+    r2 = V.verify_cor_power_hk(I_(F2xy, "x^2", "x*y", "y^2"), 2, None)
     assert r2.holds and (r2.lhs, r2.rhs) == (10, 12)
 
 
 def test_eqthentc_fixtures(F2xy, fermat):
-    eq = V.verify_eqthentc(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x^2", "y^2"),
-                           "regular")
+    eq = V.verify_eqthentc(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x^2", "y^2"), None)
     assert eq.holds and eq.data["equality"] and eq.data["containment"]
     assert eq.lhs == eq.rhs == 12
-    strict = V.verify_eqthentc(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y"),
-                               "regular")
+    strict = V.verify_eqthentc(I_(F2xy, "x^2", "y^2"), I_(F2xy, "x", "y"), None)
     assert strict.holds and not strict.data["equality"]
     probe = V.verify_eqthentc(I_(fermat, "x", "y", "z"),
-                              I_(fermat, "y", "z"), "parameter", 2)
+                              I_(fermat, "y", "z"), None, 2)
     assert probe.holds and probe.caveat  # reported, never asserted
     with pytest.raises(ValueError):
-        V.verify_eqthentc(I_(F2xy, "x", "y"), I_(F2xy, "x"), "regular")
+        V.verify_eqthentc(I_(F2xy, "x", "y"), I_(F2xy, "x"), None)
     line = Ring(2, ["x"])  # every ideal principal: star spread < 2
     with pytest.raises(V.NotApplicable):
-        V.verify_eqthentc(I_(line, "x"), I_(line, "x^2"), "regular")
+        V.verify_eqthentc(I_(line, "x"), I_(line, "x^2"), None)
 
 
 def test_eqthentc_off_regular_rings_refuses_e_max_0(fermat):
     # the gap is 1 at q = 1, so e_max = 0 never reached tc_probe's own
     # check: the refusal must not depend on the gap
     I, J = I_(fermat, "x", "y^2", "z"), I_(fermat, "y", "z^2")
-    assert V.verify_eqthentc(I, J, "parameter", 1).holds
+    assert V.verify_eqthentc(I, J, None, 1).holds
     with pytest.raises(ValueError, match="e_max"):
-        V.verify_eqthentc(I, J, "parameter", 0)
+        V.verify_eqthentc(I, J, None, 0)
 
 
 def test_param_lower_fixtures(F2xy, fermat):
@@ -276,7 +272,7 @@ def test_report_json_lines_are_canonical(F2xy):
 
 def test_fraction_serialization(fermat):
     r = V.verify_hk_product_bound(Ideal(fermat, ["x", "y", "z"]),
-                                  Ideal(fermat, ["y", "z"]), "parameter", 2)
+                                  Ideal(fermat, ["y", "z"]), None, 2)
     obj = json.loads(r.to_json_line())
     num, den = obj["lhs"].split("/")
     assert int(num) > 0 and int(den) > 0
