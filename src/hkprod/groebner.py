@@ -206,13 +206,6 @@ def _reducer(work: dict, lay: _Layout) -> tuple:
     return lead & lay.mask, lead, tail
 
 
-def _by_position(reducers, lay: _Layout) -> dict[int, list]:
-    groups: dict[int, list] = {}
-    for r in reducers:
-        groups.setdefault(lay.position(r[1]), []).append(r)
-    return groups
-
-
 def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
     """Remainder of the packed terms in work under first-match division.
 
@@ -459,17 +452,22 @@ class Reducers:
         its first read, unpacks the minimal part: monic, sorted by
         leading term, each vector listing its leading term first.
         """
+        self = cls._new(ring, elim, degrees)
+        return self._run(self._layout(elements), lambda lay: [lay.pack(v) for v in elements])
+
+    @classmethod
+    def _new(cls, ring: Ring, elim: bool, degrees) -> "Reducers":
+        """An empty Reducers: the caller sets lay and rows."""
         self = cls.__new__(cls)
         self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
-        return self._run(self._layout(elements), lambda lay: [lay.pack(v) for v in elements])
+        return self
 
     def times(self, other: "Reducers") -> "Reducers":
         """Reducers of (I + Q)(J + Q) + Q = IJ + Q, other being J's: one run
         on the relations and the products of the packed bases (each pair
         once if other is self), coded e1 + e2 - code(1) as codes are
         linear.  A factor outside the run's layout is repacked in place."""
-        out = Reducers.__new__(Reducers)
-        out._basis, out.ring, out.elim, out.degrees = None, self.ring, self.elim, self.degrees
+        out = self._new(self.ring, self.elim, self.degrees)
         relations = [as_vector(f) for f in self.ring.relations]
 
         def inputs(lay):
@@ -497,8 +495,7 @@ class Reducers:
     def variables(self) -> "Reducers":
         """Reducers of m + Q = m, the ideal of the variables, in this
         layout and with no engine run (Q lies in m: see Ring)."""
-        out = Reducers.__new__(Reducers)
-        out._basis, out.ring, out.elim, out.degrees = None, self.ring, self.elim, self.degrees
+        out = self._new(self.ring, self.elim, self.degrees)
         lay = out.lay = self.lay
         out.rows = {0: [(1 << s, lay.code(0, 1 << s, 1), []) for s in lay.shifts]}
         return out
@@ -548,7 +545,9 @@ class Reducers:
 
     def _repack(self, lay: _Layout):
         """Pack the basis, unpacked from the old layout, in lay."""
-        rows = _by_position([_reducer(w, lay) for w in map(lay.pack, self.basis) if w], lay)
+        rows: dict[int, list] = {}
+        for r in [_reducer(w, lay) for w in map(lay.pack, self.basis) if w]:
+            rows.setdefault(lay.position(r[1]), []).append(r)
         self.lay, self.rows = lay, rows
 
     def remainder(self, v: Vector) -> Vector:
@@ -681,13 +680,6 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
 # leading term first, so next(iter(v)) is its leading term.
 
 
-def vector_from_polys(polys) -> Vector:
-    v: Vector = {}
-    for i, f in enumerate(polys):
-        v.update(as_vector(f, i))
-    return v
-
-
 def vector_to_polys(v: Vector, rank: int, ring: Ring) -> list[Polynomial]:
     comps: list[dict] = [{} for _ in range(rank)]
     for (i, m), c in v.items():
@@ -717,21 +709,14 @@ def module_buchberger(vectors: list[Vector], ring: Ring, elim: bool = False,
     degrees, when given, puts e_i in degree degrees[i] >= 0 (see _Layout):
     for homogeneous input in a grevlex ring the module is then graded and
     S-pairs are taken degree by degree, as for homogeneous ideals.  The
-    engine's packed minimal basis (Reducers.from_engine) goes to
-    module_interreduce.
+    engine's minimal basis is then reduced as by interreduce.
     """
-    return module_interreduce(Reducers.from_engine(vectors, ring, elim, degrees))
-
-
-def module_interreduce(reducers: Reducers) -> list[Vector]:
-    """Fully reduce the minimal monic module basis of reducers, as
-    interreduce; every vector keeps its leading term first."""
+    reducers = Reducers.from_engine(vectors, ring, elim, degrees)
     reduced = []
     for v in reducers.basis:
         lead = next(iter(v))
         tail = {t: c for t, c in v.items() if t != lead}
-        r = (module_normal_form(tail, reducers.basis, reducers.ring, reducers.elim, reducers)
-             if tail else {})
+        r = module_normal_form(tail, reducers.basis, ring, elim, reducers) if tail else {}
         reduced.append({lead: 1, **r})
     return reduced
 

@@ -46,7 +46,6 @@ class Ideal:
         self._gb = None
         self._colength = _UNCOUNTED
         self._mu = None
-        self._min_gens = None
         self._brackets: dict[int, Ideal] = {}
 
     @property
@@ -174,15 +173,12 @@ class Ideal:
         shorter.  Each is irredundant, but neither need have mu(I)
         elements: a unit combination of generators can be redundant where
         no single one is.  The length identity holds for any generating
-        sequence; a caller that needs mu(I) compares lengths.  Computed
-        once per ideal; each call returns a fresh list.
+        sequence; a caller that needs mu(I) compares lengths.
         """
-        if self._min_gens is None:
-            trimmed = self._greedy_trim(list(self.gens))
-            if self.is_m_primary() and len(trimmed) != self.min_gens():
-                trimmed = min(trimmed, self._greedy_trim(list(self.groebner_basis)), key=len)
-            self._min_gens = trimmed
-        return list(self._min_gens)
+        trimmed = self._greedy_trim(list(self.gens))
+        if self.is_m_primary() and len(trimmed) != self.min_gens():
+            return min(trimmed, self._greedy_trim(list(self.groebner_basis)), key=len)
+        return trimmed
 
     def equals(self, other: "Ideal") -> bool:
         return self.contains_ideal(other) and other.contains_ideal(self)

@@ -6,12 +6,13 @@ the kernel K_{a,I} sits in the exact length bookkeeping
 
     l * lambda(R/I) + lambda(R/J) = lambda(K_{a,I}) + lambda(R/IJ)
 
-whose two sides are computed along disjoint code paths: the left and the
-product term by ideal staircases, the kernel term by syzygies plus a
-module staircase.  len_identity_sides computes the four lengths for
-the caller's I and J, one LenIdentitySides per Frobenius level, and
-both sides are derived from them.  The identity itself is asserted by
-the verifiers, not here.
+whose left side and product term are ideal staircases, and whose kernel
+term is l * lambda(R/I) less a module staircase over syzygies.  Both
+sides carry the one memoized l * lambda(R/I), so at level q a report
+holds exactly when lambda(R/J^[q]) + lambda(R^l/(K_{a^q} + I^[q]R^l))
+= lambda(R/(IJ)^[q]): one module staircase against two ideal ones.
+len_identity_sides computes the four lengths for the caller's I and J,
+one LenIdentitySides per level; the verifiers assert the identity.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ def kernel_length(a: list[Polynomial], I: Ideal, q: int = 1) -> int:
     syzygies outside regular rings.  The module side reads the generators
     of I.bracket_power(q), the Frobenius powers of I.gens, and powers a
     itself; it reads no basis from the ideal engine.  The syzygies go from
-    groebner.syzygy_vectors to module_colength as vectors.
+    groebner.syzygy_vectors to module_colength as vectors.  The first term
+    is I.bracket_colength(q), the left side's own value.
 
     e_i sits in degree deg(a_i^q): then K_{a^q} + I^[q] R^l is a graded
     submodule of the sum of the R(-deg a_i^q) when a and I are homogeneous

@@ -171,13 +171,12 @@ class Ring:
 class Polynomial:
     """An element of a Ring's ambient polynomial ring, in canonical form."""
 
-    __slots__ = ("ring", "terms", "_lm")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: Ring, terms: dict):
         self.ring = ring
         p = ring.p
         self.terms = {m: r for m, c in terms.items() if (r := c % p)}
-        self._lm = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -189,9 +188,7 @@ class Polynomial:
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        if self._lm is None:
-            self._lm = max(self.terms, key=self.ring.order.key)
-        return self._lm
+        return max(self.terms, key=self.ring.order.key)
 
     def leading_coefficient(self) -> int:
         return self.terms[self.leading_monomial()]

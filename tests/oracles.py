@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from hkprod import Ideal, InfiniteColengthError, Polynomial, Ring
-from hkprod.groebner import colon_by_element, s_polynomial, staircase_count
+from hkprod.groebner import as_vector, colon_by_element, s_polynomial, staircase_count
 from hkprod.rings import is_p_power
 
 
@@ -228,6 +228,14 @@ def rescan_normal_form(f, basis):
         else:
             remainder[m] = c
     return type(f)(ring, remainder)
+
+
+def vector_from_polys(polys):
+    """The module vector whose component i is polys[i]."""
+    v = {}
+    for i, f in enumerate(polys):
+        v.update(as_vector(f, i))
+    return v
 
 
 def module_order(ring, elim=False, degrees=None):

@@ -125,6 +125,13 @@ def test_hk_large_q_is_exact(tmp_path, capsys):
     assert lines[-1] == "estimate: 8 [exact-regular; exact limit]"
 
 
+def test_hk_json_row_at_q_2_to_the_30(regular_file, capsys):
+    # lambda(R/I^[q]) = q^2 * 6 by Kunz's theorem, far past any staircase
+    assert main(["hk", regular_file, "I", "--qmax", "30", "--json"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][-1]
+    assert (row["q"], row["colength"]) == (2 ** 30, 6 * 4 ** 30)
+
+
 def test_hk_unit_ideal_has_colength_zero(tmp_path, capsys):
     path = tmp_path / "u.hk"
     path.write_text("ring: p=2 vars=x,y\nideal U = [1, x]\n")
@@ -291,6 +298,22 @@ def test_verify_integer_star_spread_mode(fermat_file, capsys):
     obj = json.loads(line)
     assert obj["data"]["star_spread"] == 3 and obj["holds"] is True
     assert (obj["lhs"], obj["rhs"]) == ("15/2", "39/4")
+
+
+def test_prop_ineq_of_m_times_m_on_the_fermat_cubic(fermat_file, capsys):
+    # m*m from the packed bases: lambda(R/m^2) = 1 + 3 on the cubic
+    assert main(["verify", fermat_file, "prop-ineq", "--ideal", "m", "--ideal", "m"]) == 0
+    assert json.loads(capsys.readouterr().out)["lhs"] == 4
+
+
+def test_len_identity_rhs_is_the_product_term_of_eq7(fermat_file, capsys):
+    # one len-identity report per level, whose rhs eq7 reads as rhs_product
+    argv = ["--ideal", "m", "--ideal", "J", "--qmax", "2"]
+    assert main(["verify", fermat_file, "len-identity", *argv]) == 0
+    rhs = [json.loads(line)["rhs"] for line in capsys.readouterr().out.splitlines()]
+    assert main(["verify", fermat_file, "eq7", *argv]) == 0
+    per_q = json.loads(capsys.readouterr().out)["data"]["per_q"]
+    assert rhs == [5, 28, 120] == [per_q[q]["rhs_product"] for q in ("1", "2", "4")]
 
 
 POLY_SQUARE = "ring: p=2 vars=x,y\nideal m = [x, y]\nideal J = [x^2, x*y, y^2]\n"

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 from hkprod import Ideal, Polynomial, Ring, buchberger, groebner, normal_form, syzygies
 from hkprod.groebner import (Reducers, _buchberger, _field_bytes, _Layout, _Overflow,
                              _update_pairs, as_vector, module_buchberger, module_colength,
-                             module_normal_form, staircase_count, vector_from_polys,
-                             vector_to_polys)
+                             module_normal_form, staircase_count, vector_to_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       colength_of_basis, is_groebner, module_is_groebner, module_order,
-                      rescan_module_normal_form, rescan_normal_form)
+                      rescan_module_normal_form, rescan_normal_form, vector_from_polys)
 from .strategies import bounded_ideals, polys, rings
 
 
@@ -74,6 +73,21 @@ def test_staircase_count_needs_no_stack_frame_per_variable():
     finally:
         sys.setrecursionlimit(old)
     assert count == 3 * 2 ** (n - 2)  # the box 2^n less the multiples of x_0*x_1
+
+
+def test_staircase_count_stops_at_the_first_empty_slab(monkeypatch):
+    # the leads of the quartic's (IJ)^[27], I and J as in the benchmark:
+    # each level-0 slab makes one min call.  The early stop leaves 87 of
+    # them; without it every slab up to the last distinct exponent is
+    # pushed, 556 here, though each one past the stop counts 0.
+    ring = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
+    IJ = Ideal(ring, ["x^2+y*z", "y^2", "z^2"]) * Ideal(ring, ["x+y", "y*z", "z^2"])
+    leads = IJ.bracket_power(27).reducers.leads()[0]
+    slabs = []
+    monkeypatch.setattr(groebner, "min", lambda *args: slabs.append(1) or min(*args),
+                        raising=False)
+    assert staircase_count(leads, 3) == 19309  # lambda_IJq in test_koszul.py
+    assert len(slabs) <= 150
 
 
 @st.composite
