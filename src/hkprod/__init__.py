@@ -1,7 +1,7 @@
 """Exact colength and Hilbert-Kunz computations for products of ideals
 in polynomial rings and their graded quotients over prime fields."""
 
-from .groebner import buchberger, normal_form, syzygies
+from .groebner import buchberger, syzygies
 from .hk import (HKEstimate, HKTable, ProbeVerdict, hk_estimate, hk_table,
                  jacobian_candidates, monomial_hk_volume, star_spread, tc_probe)
 from .ideals import (Ideal, InfiniteColengthError, is_parameter_ideal,
@@ -14,7 +14,7 @@ from .sessions import Session, load_session, parse_session
 __all__ = [
     "Ring", "Polynomial", "MonomialOrder", "parse_polynomial",
     "RingMismatchError", "PolynomialParseError",
-    "buchberger", "normal_form", "syzygies",
+    "buchberger", "syzygies",
     "Ideal", "random_ideal", "krull_dim", "maximal_ideal",
     "is_parameter_ideal", "InfiniteColengthError",
     "kernel_length", "len_identity_sides",

@@ -13,9 +13,9 @@ is one int (see _Layout), whose order on module terms is the one term
 order.  The public functions take and return Polynomials and vectors:
 they convert and pack on entry and unpack on exit.  Every Groebner
 basis is computed by Reducers.from_engine (or times), which
-keeps the packed minimal basis.  A colength reads only its leading
-terms (Reducers.leads); the basis is unpacked, and reduced by
-interreduce, only for a caller that reads it.
+keeps the packed minimal basis, and every normal form divides by one.
+A colength reads only its leading terms (Reducers.leads); the basis is
+unpacked, and reduced by interreduce, only for a caller that reads it.
 """
 
 from __future__ import annotations
@@ -416,58 +416,42 @@ def _minimal(G: list[tuple], lay: _Layout) -> dict[int, list]:
 
 
 class Reducers:
-    """A division basis of vectors, packed once for many normal forms.
+    """A minimal Groebner basis packed by the engine, for many normal forms.
 
-    The basis is ordered by the module order that elim and degrees pick
-    (see _Layout); an ideal element is its vector in component 0 (see
-    as_vector), at rank 1.  Reducers(basis, ...) packs basis at once,
-    with fields sized from it and every e_i in degree 0; from_engine,
-    the one that takes degrees, comes packed from the engine and
-    unpacks its basis only when read.  The basis is repacked wider, in
-    place, when a later dividend or reduction does not fit.  Every
-    packed element is made monic by _reducer, and only there, so a
-    basis given with other leading coefficients divides the same: a
-    unit multiple of a reducer leaves every remainder unchanged.
+    Every Reducers holds an engine basis (from_engine, times, variables),
+    so every remainder is a normal form.  The basis is ordered by the
+    module order that elim and degrees pick (see _Layout); an ideal
+    element is its vector in component 0 (see as_vector), at rank 1.
+    .basis, at its first read, unpacks it: monic, sorted by leading term,
+    each vector listing its leading term first.  It is repacked wider,
+    in place, when a later dividend or reduction does not fit.
     """
 
     __slots__ = ("_basis", "ring", "elim", "degrees", "lay", "rows")
 
-    def __init__(self, basis: list[Vector], ring: Ring, elim: bool = False):
-        self._basis = basis
-        self.ring = ring
-        self.elim = elim
-        self.degrees = None
-        self._repack(self._layout(basis))
+    def __init__(self, ring: Ring, elim: bool, degrees):
+        """An empty Reducers: the caller sets lay and rows."""
+        self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
 
     @classmethod
     def from_engine(cls, elements: list[Vector], ring: Ring, elim: bool = False,
                     degrees=None) -> "Reducers":
-        """Reducers of the minimal Groebner basis of the vectors elements,
-        kept in the engine's layout.
+        """Reducers of the minimal Groebner basis of the vectors elements.
 
         The engine (_buchberger) runs in fields sized from elements,
         widened by _run, in a layout that the ring builds once per shape
         (see _layout); input made only of terms skips the engine's loop.
-        degrees puts e_i in degree degrees[i] (see _Layout).  .basis, at
-        its first read, unpacks the minimal part: monic, sorted by
-        leading term, each vector listing its leading term first.
+        degrees puts e_i in degree degrees[i] (see _Layout).
         """
-        self = cls._new(ring, elim, degrees)
+        self = cls(ring, elim, degrees)
         return self._run(self._layout(elements), lambda lay: [lay.pack(v) for v in elements])
-
-    @classmethod
-    def _new(cls, ring: Ring, elim: bool, degrees) -> "Reducers":
-        """An empty Reducers: the caller sets lay and rows."""
-        self = cls.__new__(cls)
-        self._basis, self.ring, self.elim, self.degrees = None, ring, elim, degrees
-        return self
 
     def times(self, other: "Reducers") -> "Reducers":
         """Reducers of (I + Q)(J + Q) + Q = IJ + Q, other being J's: one run
         on the relations and the products of the packed bases (each pair
         once if other is self), coded e1 + e2 - code(1) as codes are
         linear.  A factor outside the run's layout is repacked in place."""
-        out = self._new(self.ring, self.elim, self.degrees)
+        out = Reducers(self.ring, self.elim, self.degrees)
         relations = [as_vector(f) for f in self.ring.relations]
 
         def inputs(lay):
@@ -495,7 +479,7 @@ class Reducers:
     def variables(self) -> "Reducers":
         """Reducers of m + Q = m, the ideal of the variables, in this
         layout and with no engine run (Q lies in m: see Ring)."""
-        out = self._new(self.ring, self.elim, self.degrees)
+        out = Reducers(self.ring, self.elim, self.degrees)
         lay = out.lay = self.lay
         out.rows = {0: [(1 << s, lay.code(0, 1 << s, 1), []) for s in lay.shifts]}
         return out
@@ -552,8 +536,6 @@ class Reducers:
 
     def remainder(self, v: Vector) -> Vector:
         """The remainder of the vector v, from the largest term down."""
-        if max((pos for pos, _ in v), default=0) >= self.lay.rank:
-            self._repack(self._layout([*self.basis, v]))
         while True:
             lay = self.lay
             try:
@@ -566,22 +548,11 @@ class Reducers:
 
 # --- ideals: the engine at rank 1 -------------------------------------------
 
-def normal_form(f: Polynomial, basis: list[Polynomial] | None, reducers=None) -> Polynomial:
-    """Remainder of multivariate division of f by basis (first-match reducer).
-
-    Zero iff f lies in the ideal generated by a *Groebner* basis; always
-    idempotent and F_p-linear for a fixed basis.  The largest remaining
-    term comes off a heap; each term is reduced by the first basis
-    element whose leading monomial divides it.  f and the basis enter
-    the division as their vectors in component 0 (as_vector).  reducers,
-    when given, is the Reducers of those vectors, kept by a caller that
-    divides by one basis many times, or the engine's Reducers of the
-    ideal that basis generates (Reducers.from_engine); basis is then not
-    read and may be None.  When basis is a Groebner basis, any Groebner
-    basis with its leading terms gives the same remainder.
-    """
-    if reducers is None:
-        reducers = Reducers(list(map(as_vector, basis)), f.ring)
+def normal_form(f: Polynomial, reducers: Reducers) -> Polynomial:
+    """Normal form of f modulo the ideal whose engine basis reducers
+    holds, zero iff f lies in it: f divides as its vector in component 0
+    (as_vector), and as every Reducers holds a Groebner basis, any
+    Groebner basis with its leading terms gives the same remainder."""
     return vector_to_polys(reducers.remainder(as_vector(f)), 1, f.ring)[0]
 
 
@@ -619,7 +590,7 @@ def interreduce(reducers: Reducers) -> list[Polynomial]:
         g = vector_to_polys(v, 1, ring)[0]
         lead = g.leading_monomial()
         tail = {m: c for m, c in g.terms.items() if m != lead}
-        r = normal_form(Polynomial(ring, tail), None, reducers).terms if tail else {}
+        r = normal_form(Polynomial(ring, tail), reducers).terms if tail else {}
         reduced.append(g if r == tail else Polynomial(ring, {lead: 1, **r}))
     return reduced
 
@@ -687,17 +658,10 @@ def vector_to_polys(v: Vector, rank: int, ring: Ring) -> list[Polynomial]:
     return [Polynomial(ring, t) for t in comps]
 
 
-def module_normal_form(v: Vector, basis: list[Vector], ring: Ring, elim: bool = False,
-                       reducers=None) -> Vector:
-    """Remainder of v under first-match division by basis, in the TOP
-    order or, with elim, the ELIM order.
-
-    The division of normal_form, on module terms.  reducers, when given,
-    is Reducers(basis, ring, elim), kept by a caller that divides by one
-    basis many times.
-    """
-    if reducers is None:
-        reducers = Reducers(basis, ring, elim)
+def module_normal_form(v: Vector, reducers: Reducers) -> Vector:
+    """Normal form of v modulo the module whose engine basis reducers
+    holds, in its order (TOP or ELIM, graded by its degrees): the
+    division of normal_form, on module terms."""
     return reducers.remainder(v)
 
 
@@ -716,7 +680,7 @@ def module_buchberger(vectors: list[Vector], ring: Ring, elim: bool = False,
     for v in reducers.basis:
         lead = next(iter(v))
         tail = {t: c for t, c in v.items() if t != lead}
-        r = module_normal_form(tail, reducers.basis, ring, elim, reducers) if tail else {}
+        r = module_normal_form(tail, reducers) if tail else {}
         reduced.append({lead: 1, **r})
     return reduced
 

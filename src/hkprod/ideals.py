@@ -97,7 +97,7 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def normal_form(self, f: Polynomial) -> Polynomial:
-        return groebner.normal_form(f, None, self.reducers)
+        return groebner.normal_form(f, self.reducers)
 
     def __mul__(self, other: "Ideal") -> "Ideal":
         self._check(other)

@@ -198,8 +198,9 @@ def rescan_normal_form(f, basis):
 
     The plain textbook loop: pick the largest remaining term, reduce it by
     the first basis element whose leading monomial divides it, else move
-    it to the remainder.  The engine's normal_form must return exactly
-    this remainder, also for bases that are not Groebner bases.
+    it to the remainder.  The engine's division (groebner._divide) must
+    return exactly this remainder on any list, also one that is not a
+    Groebner basis, as the engine divides by partial bases.
     """
     ring = f.ring
     p = ring.p
@@ -374,10 +375,12 @@ def brute_staircase(lead_monos, nvars):
 def subset_volume(I):
     """e_HK of an m-primary monomial ideal in a polynomial ring, by
     inclusion-exclusion over all 2^k subsets of the minimal generators
-    (greedy trimming), with componentwise-max joins inside the box."""
+    (the distinct generator monomials that no other one divides), with
+    componentwise-max joins inside the box.  No Groebner basis is
+    involved."""
     ring = I.ring
-    gens = [g.leading_monomial()
-            for g in Ideal(ring, I.minimal_generators()).gens]
+    monos = {g.leading_monomial() for g in I.gens}
+    gens = [m for m in monos if not any(n != m and _divides(n, m) for n in monos)]
     n = ring.nvars
     bounds = [None] * n
     for m in gens:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import Ideal, Polynomial, Ring, buchberger, groebner, normal_form, syzygies
-from hkprod.groebner import (Reducers, _buchberger, _field_bytes, _Layout, _Overflow,
-                             _update_pairs, as_vector, module_buchberger, module_colength,
-                             module_normal_form, staircase_count, vector_to_polys)
+from hkprod import Ideal, Polynomial, Ring, buchberger, groebner, syzygies
+from hkprod.groebner import (Reducers, _buchberger, _divide, _field_bytes, _Layout, _Overflow,
+                             _reducer, _update_pairs, as_vector, module_buchberger,
+                             module_colength, module_normal_form, staircase_count,
+                             vector_to_polys)
 
 from .oracles import (brute_colength, brute_membership, brute_staircase,
                       colength_of_basis, is_groebner, module_is_groebner, module_order,
@@ -32,19 +33,18 @@ def test_basis_over_fermat_quotient(fermat):
 
 
 def test_normal_form_single_step(F5xy):
-    gb = [F5xy.poly("x^2 - y"), F5xy.poly("y^2")]
-    assert normal_form(F5xy.poly("x^2"), gb) == F5xy.poly("y")
+    I = Ideal(F5xy, ["x^2 - y", "y^2"])
+    assert I.normal_form(F5xy.poly("x^2")) == F5xy.poly("y")
 
 
 def test_normal_form_idempotent_and_linear(F3xy):
-    gb = buchberger([F3xy.poly("x^2 + y"), F3xy.poly("y^3")], F3xy)
+    nf = Ideal(F3xy, ["x^2 + y", "y^3"]).normal_form
     rng = random.Random(5)
     for _ in range(20):
         f = sum((F3xy.monomial((rng.randint(0, 3), rng.randint(0, 3)),
                                rng.randint(0, 2)) for _ in range(3)), F3xy.zero())
         g = sum((F3xy.monomial((rng.randint(0, 3), rng.randint(0, 3)),
                                rng.randint(0, 2)) for _ in range(3)), F3xy.zero())
-        nf = lambda h: normal_form(h, gb)
         assert nf(nf(f)) == nf(f)
         assert nf(f + g) == nf(f) + nf(g)
 
@@ -152,13 +152,10 @@ def test_colength_matches_brute_force_on_fermat(fermat):
 
 
 def test_membership_via_normal_form(F2xy, fermat):
-    gb = buchberger([F2xy.poly("x"), F2xy.poly("y")], F2xy)
-    assert normal_form(F2xy.poly("x*y"), gb).is_zero()
-    gb2 = buchberger([F2xy.poly("x^2"), F2xy.poly("y^2")], F2xy)
-    assert not normal_form(F2xy.poly("x"), gb2).is_zero()
+    assert Ideal(F2xy, ["x", "y"]).normal_form(F2xy.poly("x*y")).is_zero()
+    assert not Ideal(F2xy, ["x^2", "y^2"]).normal_form(F2xy.poly("x")).is_zero()
     # x^3 = y^3 + z^3 in the quotient, so it reduces to zero mod (y, z)
-    gb3 = buchberger([fermat.poly("y"), fermat.poly("z")], fermat)
-    assert normal_form(fermat.poly("x^3"), gb3).is_zero()
+    assert Ideal(fermat, ["y", "z"]).normal_form(fermat.poly("x^3")).is_zero()
 
 
 def test_syzygies_are_actual_syzygies(F2xy, fermat):
@@ -166,10 +163,10 @@ def test_syzygies_are_actual_syzygies(F2xy, fermat):
                        (F2xy, ["x^2 + y", "y^2"]),
                        (fermat, ["y", "z"])):
         polys = [ring.poly(g) for g in gens]
-        rel_gb = buchberger([], ring)
+        relations = Ideal(ring, [])
         for s in syzygies(polys, ring):
             combo = sum((si * ai for si, ai in zip(s, polys)), ring.zero())
-            assert normal_form(combo, rel_gb).is_zero() if rel_gb else combo.is_zero()
+            assert relations.contains(combo)
 
 
 def test_syzygies_of_maximal_ideal(F2xy):
@@ -182,15 +179,14 @@ def test_syzygies_contain_taylor_relations(F2xy):
     # for a monomial sequence the Taylor vectors generate all syzygies
     a = [F2xy.poly("x^2"), F2xy.poly("x*y"), F2xy.poly("y^2")]
     syz = syzygies(a, F2xy)
-    basis = module_buchberger([vector_from_polys(s) for s in syz], F2xy)
+    reducers = Reducers.from_engine([vector_from_polys(s) for s in syz], F2xy)
     taylor = [
         [F2xy.poly("y"), F2xy.poly("x"), F2xy.zero()],
         [F2xy.zero(), F2xy.poly("y"), F2xy.poly("x")],
         [F2xy.poly("y^2"), F2xy.zero(), F2xy.poly("x^2")],
     ]
     for t in taylor:
-        nf = module_normal_form(vector_from_polys(t), basis, F2xy)
-        assert not nf
+        assert not module_normal_form(vector_from_polys(t), reducers)
 
 
 def test_module_colength_spec_value(F2xy):
@@ -253,9 +249,12 @@ def test_engines_widen_fields_when_a_term_overflows():
     assert Ideal(ring, gens).colength() == 256
     assert module_colength([vector_from_polys([g]) for g in gens], 1, ring) == 256
     f, basis = ring.poly("x^8"), [ring.poly("x + y^16")]
-    assert normal_form(f, basis) == rescan_normal_form(f, basis) == ring.poly("y^128")
-    assert module_normal_form(vector_from_polys([f]), [vector_from_polys(basis)],
-                              ring) == {(0, (0, 128)): 1}
+    I = Ideal(ring, basis)
+    reducers = Reducers.from_engine([vector_from_polys(basis)], ring)
+    assert I.reducers.lay.field_bytes == reducers.lay.field_bytes == 1
+    assert I.normal_form(f) == rescan_normal_form(f, basis) == ring.poly("y^128")
+    assert module_normal_form(vector_from_polys([f]), reducers) == {(0, (0, 128)): 1}
+    assert I.reducers.lay.field_bytes == reducers.lay.field_bytes == 2
 
 
 def test_tail_reduction_widens_the_engine_layout():
@@ -444,7 +443,7 @@ def test_buchberger_agrees_with_span_oracles(case):
     for g in gb:
         assert brute_membership(g, gens, ring, exact)
     for g in gens:
-        assert normal_form(g, gb).is_zero()
+        assert rescan_normal_form(g, gb).is_zero()
 
 
 def _tail(g):
@@ -544,10 +543,10 @@ def test_module_colength_at_rank_one_matches_ideal_path(case, elim, degree):
 @given(bounded_ideals(max_extra=1))
 def test_syzygies_of_random_sequences_are_syzygies(case):
     ring, gens, _ = case
-    rel_gb = buchberger([], ring)
+    relations = Ideal(ring, [])
     for s in syzygies(gens, ring):
         combo = sum((si * ai for si, ai in zip(s, gens)), ring.zero())
-        assert normal_form(combo, rel_gb).is_zero()
+        assert relations.contains(combo)
 
 
 @st.composite
@@ -560,17 +559,38 @@ def division_cases(draw):
     return ring, basis, f
 
 
+def _first_match(v, basis, ring, elim=False):
+    """Remainder of the vector v under _divide by the vectors basis, packed
+    in their order with zero ones skipped, in the TOP order or, with elim,
+    the ELIM order: the engine's division by a list that need not be a
+    Groebner basis, as _buchberger divides by a partial basis.  The
+    fields are widened until every term fits."""
+    terms = [t for w in (v, *basis) for t in w]
+    rank = 1 + max((pos for pos, _ in terms), default=0)
+    field_bytes = _field_bytes(max((sum(m) for _, m in terms), default=0))
+    while True:
+        lay = _Layout(ring, field_bytes, rank, elim)
+        try:
+            rows = {}
+            for r in [_reducer(lay.pack(w), lay) for w in basis if w]:
+                rows.setdefault(lay.position(r[1]), []).append(r)
+            return lay.unpack(_divide(lay.pack(v), rows, lay).items())
+        except _Overflow:
+            field_bytes *= 2
+
+
 @settings(max_examples=80, deadline=None)
 @given(division_cases(), bounded_ideals(), st.data())
 def test_normal_form_matches_rescan_division(case, ideal, data):
-    _, basis, f = case
-    # the division is defined for any basis: arbitrary ones, then
-    # Groebner bases, of bounded ideals so that Buchberger stays small
-    assert normal_form(f, basis).terms == rescan_normal_form(f, basis).terms
+    ring, basis, f = case
+    # the engine's division is defined for any list: arbitrary ones, then
+    # an ideal's normal form, of bounded ideals so that Buchberger stays small
+    assert _first_match(as_vector(f), list(map(as_vector, basis)), ring) == \
+        as_vector(rescan_normal_form(f, basis))
     ring, gens, _ = ideal
     f = data.draw(polys(ring, max_terms=6, max_degree=5))
     gb = buchberger(gens, ring)
-    assert normal_form(f, gb).terms == rescan_normal_form(f, gb).terms
+    assert Ideal(ring, gens).normal_form(f).terms == rescan_normal_form(f, gb).terms
 
 
 def _spread(g, shift, rank):
@@ -589,7 +609,7 @@ def test_module_normal_form_matches_rescan_division(case, rank, elim):
     ring, polys_, f = case
     basis = [_spread(g, i, rank) for i, g in enumerate(polys_)]
     v = _spread(f, 0, rank)
-    assert module_normal_form(v, basis, ring, elim) == \
+    assert _first_match(v, basis, ring, elim) == \
         rescan_module_normal_form(v, basis, ring, module_order(ring, elim))
 
 
