@@ -209,15 +209,18 @@ def _reducer(work: dict, lay: _Layout) -> tuple:
 def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
     """Remainder of the packed terms in work under first-match division.
 
-    work ({code: coeff}) is consumed.  rows maps a component to the
-    reducers whose leading term lies in it, in basis order.  The largest
-    remaining term comes off a heap of codes; entries whose term has
-    cancelled are skipped when popped.  Each term is reduced by the first
-    reducer whose leading monomial divides it, else it moves to the
-    remainder, which thus lists its terms from the largest down.  Every
-    reducer is monic (see _reducer), so the popped coefficient is the
-    factor of the reducer's tail that is subtracted.  Every new term is
-    checked for overflow.
+    work ({code: coeff}) is consumed; a coefficient in it may be 0.
+    rows maps a component to the reducers whose leading term lies in
+    it, in basis order.  The largest remaining term comes off a heap of
+    the codes in work.  A term that cancels stays in work as 0 until it
+    is popped, and a popped 0 is skipped; every new term lies below the
+    popped one, so a term created again after it cancelled is still on
+    the heap, and no code is pushed twice.  Each term is
+    reduced by the first reducer whose leading monomial divides it,
+    else it moves to the remainder, which thus lists its terms from the
+    largest down.  Every reducer is monic (see _reducer), so the popped
+    coefficient is the factor of the reducer's tail that is subtracted.
+    Every new term is checked for overflow.
     """
     p, mask, guard, S, pmask = lay.p, lay.mask, lay.guard, lay.S, lay.pmask
     heap = list(work)
@@ -225,8 +228,8 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
     remainder: dict = {}
     while heap:
         e = heappop(heap)
-        c = work.pop(e, None)
-        if c is None:
+        c = work.pop(e)
+        if not c:
             continue  # cancelled after it was pushed
         mg = (e & mask) | guard
         for lm, lead, tail in rows.get((e >> S) & pmask, ()):
@@ -241,11 +244,7 @@ def _divide(work: dict, rows: dict, lay: _Layout) -> dict:
                         work[t] = (-c * tc) % p
                         heappush(heap, t)
                     else:
-                        v = (old - c * tc) % p
-                        if v:
-                            work[t] = v
-                        else:
-                            del work[t]
+                        work[t] = (old - c * tc) % p
                 break
         else:
             remainder[e] = c
@@ -333,7 +332,7 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
     polynomial, a pair with coprime leads are kept for those criteria
     but not queued.  A queued pair that a later update drops is skipped
     when popped.  An S-polynomial is built in the division's work dict
-    from the two reducers.
+    from the two reducers, a term that cancels kept as 0 (see _divide).
     """
     if all(len(w) <= 1 for w in works):
         return [_reducer(w, lay) for w in works if w]
@@ -382,11 +381,7 @@ def _buchberger(works: list[dict], lay: _Layout) -> list[tuple]:
                     e += shift
                     if e & guard:
                         raise _Overflow
-                    v = (work.get(e, 0) + sign * c) % p
-                    if v:
-                        work[e] = v
-                    else:
-                        del work[e]
+                    work[e] = (work.get(e, 0) + sign * c) % p
         rem = _divide(work, rows, lay)
         if rem:
             G.append(_reducer(rem, lay))

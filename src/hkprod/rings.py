@@ -322,54 +322,71 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
 
     sum = ('+'|'-')? term (('+'|'-') term)*, term = factor ('*'? factor)*,
     factor = base ('^' int)?, base = int | var | '(' sum ')'.  One loop
-    reads the tokens left to right.  A '(' saves the interrupted (sum,
-    sign, product) on a stack and its ')' restores it, with the group's
-    sum as the next base, so any nesting depth parses.  None is an empty
-    sum or product; sign 0 means no sign yet at the start of a sum.
+    reads the tokens left to right.  A product is kept as one
+    coefficient mod p, one exponent list and the product of its groups,
+    so Polynomial arithmetic runs only for sums, groups and powers of
+    groups.  A '(' saves the interrupted (sum, sign, product) on a stack
+    and its ')' restores it, with the group's sum as the next base, so
+    any nesting depth parses.  None is an empty sum, product or group
+    product; sign 0 means no sign yet at the start of a sum.
     """
     if not text.strip():
         raise PolynomialParseError("empty polynomial text")
     tokens = _tokenize(text.replace("−", "-"))  # unicode minus
+    p, nvars, index = ring.p, ring.nvars, ring._var_index
     stack = []
-    total, sign, product = None, 0, None
+    # a product is coeff * x^exps * group
+    total, sign, coeff, exps, group = None, 0, None, None, None
     i = 0
     while True:
         kind, val = tokens[i]
         i += 1
-        if kind in ("+", "-") and sign == 0 and product is None:
+        if kind in ("+", "-") and sign == 0 and coeff is None:
             sign = 1 if kind == "+" else -1
             kind, val = tokens[i]
             i += 1
         if kind == "(":
-            stack.append((total, sign, product))
-            total, sign, product = None, 0, None
+            stack.append((total, sign, coeff, exps, group))
+            total, sign, coeff = None, 0, None
             continue
         if kind == "int":
-            base = ring.monomial((0,) * ring.nvars, int(val))
+            var, base = None, int(val)
         elif kind == "name":
-            if val not in ring._var_index:
+            var = index.get(val)
+            if var is None:
                 raise PolynomialParseError(f"unknown variable {val!r}")
-            base = ring.var(val)
         else:
             raise PolynomialParseError(f"unexpected token {val!r}")
         while True:  # after a base: its power, then the next factor, term or ')'
             kind, val = tokens[i]
+            power = 1
             if kind == "^":
                 kind, val = tokens[i + 1]
                 if kind != "int":
                     raise PolynomialParseError("exponent must be a natural number")
-                base = base ** int(val)
+                power = int(val)
                 i += 2
                 kind, val = tokens[i]
-            product = base if product is None else product * base
+            if coeff is None:
+                coeff, exps, group = 1, [0] * nvars, None
+            if var is not None:
+                exps[var] += power
+            elif isinstance(base, int):
+                coeff = coeff * pow(base, power, p) % p
+            else:
+                base = base if power == 1 else base ** power
+                group = base if group is None else group * base
             if kind in ("*", "int", "name", "("):  # another factor: '*' is optional
                 i += kind == "*"
                 break
             if sign < 0:
-                product = -product
+                coeff = -coeff
+            product = Polynomial(ring, {tuple(exps): coeff})
+            if group is not None:
+                product = group * product
             total = product if total is None else total + product
             if kind in ("+", "-"):
-                sign, product = (1 if kind == "+" else -1), None
+                sign, coeff = (1 if kind == "+" else -1), None
                 i += 1
                 break
             if not stack:
@@ -379,5 +396,5 @@ def parse_polynomial(text: str, ring: Ring) -> Polynomial:
             if kind != ")":
                 raise PolynomialParseError("unbalanced parentheses")
             i += 1
-            base = total
-            total, sign, product = stack.pop()
+            var, base = None, total
+            total, sign, coeff, exps, group = stack.pop()

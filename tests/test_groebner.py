@@ -90,6 +90,22 @@ def test_staircase_count_stops_at_the_first_empty_slab(monkeypatch):
     assert len(slabs) <= 150
 
 
+def test_division_pushes_each_term_once(monkeypatch):
+    # the quartic's (IJ)^[27], I and J as in the benchmark.  A term that
+    # cancels stays in the division's work dict as 0 until it is popped,
+    # so a term that is created again is not pushed again: about 7300
+    # pushes here, divisions and pair queue together.  Pushing a
+    # re-created term again makes 19838, most of them popped as stale.
+    ring = Ring(3, "xyz", relations=["x^4+y^4+z^4"])
+    IJ = Ideal(ring, ["x^2+y*z", "y^2", "z^2"]) * Ideal(ring, ["x+y", "y*z", "z^2"])
+    pushes = []
+    push = groebner.heappush
+    monkeypatch.setattr(groebner, "heappush",
+                        lambda heap, item: pushes.append(1) or push(heap, item))
+    assert IJ.bracket_colength(27) == 19309  # lambda_IJq in test_koszul.py
+    assert len(pushes) <= 10000
+
+
 @st.composite
 def staircase_cases(draw):
     """(lead monomials, nvars): pure powers that may be missing or
@@ -270,6 +286,20 @@ def test_tail_reduction_widens_the_engine_layout():
     basis = module_buchberger([vector_from_polys([g]) for g in gens], ring)
     assert basis == [vector_from_polys([g]) for g in gb]
     assert module_is_groebner(basis, ring, module_order(ring))
+
+
+def test_engine_widens_when_a_shifted_s_pair_tail_overflows():
+    # x^4*y^2 and x^2*y^2 + x*y^38 fit one-byte fields.  Their S-pair
+    # reduces to x*y^110; the S-pair of x*y^110 and x^2*y^2 + x*y^38 then
+    # shifts the tail x*y^38 to x*y^146, past the field, before any
+    # division sees it, so the S-pair build must widen the run
+    assert _field_bytes(40) == 1  # exponents up to 127
+    ring = Ring(2, ["x", "y"], order="lex")
+    gens = [ring.poly("x^4*y^2"), ring.poly("x^2*y^2 + x*y^38")]
+    gb = buchberger(gens, ring)
+    assert [str(g) for g in gb] == ["x*y^110", "x^2*y^2 + x*y^38"]
+    assert is_groebner(gb)
+    assert Reducers.from_engine([as_vector(g) for g in gens], ring).lay.field_bytes == 2
 
 
 @st.composite

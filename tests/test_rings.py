@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hkprod import MonomialOrder, PolynomialParseError, Ring
+from hkprod import MonomialOrder, Polynomial, PolynomialParseError, Ring
 from hkprod.rings import is_p_power
 
 from .strategies import rings
@@ -78,6 +78,21 @@ def test_coefficients_reduced_mod_p(F3xy):
 def test_parse_implicit_products_and_unicode_minus(F5xy):
     assert F5xy.poly("2x y") == F5xy.poly("2*x*y")
     assert F5xy.poly("x − y") == F5xy.poly("x - y")
+
+
+def test_products_of_numbers_and_variables_parse_without_polynomial_products(monkeypatch):
+    # a product of integers and variable powers is one coefficient and one
+    # exponent tuple; only groups are multiplied as Polynomials
+    ring = Ring(3, "xyz")
+    calls = []
+    mul = Polynomial.__mul__
+    monkeypatch.setattr(Polynomial, "__mul__", lambda *args: calls.append(1) or mul(*args))
+    assert ring.poly("x^3+y^3+z^3").terms == {(3, 0, 0): 1, (0, 3, 0): 1, (0, 0, 3): 1}
+    assert ring.poly("x^2*y*z^3").terms == {(2, 1, 3): 1}
+    assert ring.poly("x*x^2 - 3^2*y + 2^3 y z y").terms == {(3, 0, 0): 1, (0, 2, 1): 2}
+    assert calls == []
+    assert ring.poly("2*(x+y)*(y+z)") == ring.poly("2*x*y + 2*x*z + 2*y^2 + 2*y*z")
+    assert len(calls) == 2  # the two groups, then their product by 2
 
 
 def test_parse_errors(F2xy):
@@ -187,15 +202,19 @@ def _factor_text(rnd, ring, depth):
         inner, value = _sum_text(rnd, ring, depth - 1)
         text = "(" + _blank(rnd) + inner + _blank(rnd) + ")"
     if rnd.random() < 0.3:
-        k = rnd.randint(0, 3)
+        # 0-9 on numbers and variables, 0-3 on groups, whose powers the
+        # tree multiplies out
+        k = rnd.randint(0, 3 if r == 2 else 9)
         text += _blank(rnd) + "^" + _blank(rnd) + str(k)
         value = reduce(mul, [value] * k, ring.one())
     return text, value
 
 
 def _term_text(rnd, ring, depth):
+    """(text, value) of a random product, which often repeats a variable
+    or a number, as in x*x^2 or 3^2*y*3."""
     text, value = _factor_text(rnd, ring, depth)
-    for _ in range(rnd.randint(0, 2)):
+    for _ in range(rnd.randint(0, 3)):
         factor, f = _factor_text(rnd, ring, depth)
         if rnd.random() < 0.5:
             text += _blank(rnd) + "*" + _blank(rnd) + factor
