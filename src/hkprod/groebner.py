@@ -190,6 +190,12 @@ class _Layout:
         return {((e >> S) & pmask, exponents(e & mask)): c for e, c in terms}
 
 
+# The layouts built so far, keyed by everything a _Layout reads: the
+# ring's p, number of variables and order, and the shape.  Rings of one
+# shape share them, as a layout holds no reference to its ring.
+_LAYOUTS: dict[tuple, _Layout] = {}
+
+
 def _reducer(work: dict, lay: _Layout) -> tuple:
     """A nonzero packed element made monic for division: (leading
     monomial, leading code, tail), where tail lists (code, coeff) for
@@ -434,8 +440,8 @@ class Reducers:
         """Reducers of the minimal Groebner basis of the vectors elements.
 
         The engine (_buchberger) runs in fields sized from elements,
-        widened by _run, in a layout that the ring builds once per shape
-        (see _layout); input made only of terms skips the engine's loop.
+        widened by _run, in a layout built once per shape (see _layout);
+        input made only of terms skips the engine's loop.
         degrees puts e_i in degree degrees[i] (see _Layout).
         """
         self = cls(ring, elim, degrees)
@@ -509,17 +515,23 @@ class Reducers:
     def _layout(self, vectors, field_bytes: int = 1, rank: int = 1) -> _Layout:
         """A layout that the vectors fit, with at least rank components
         and fields of at least field_bytes: room for twice their largest
-        total degree.  The ring keeps one layout per shape, built at its
-        first use."""
-        terms = [t for v in vectors for t in v]
-        degree = max(map(sum, map(itemgetter(1), terms)), default=0)
-        rank = max(rank, 1 + max(map(itemgetter(0), terms), default=0),
-                   len(self.degrees or ()))
-        shape = (max(field_bytes, _field_bytes(degree)), rank, self.elim,
-                 tuple(self.degrees or ()))
-        lay = self.ring._layouts.get(shape)
+        total degree.  One layout per shape is built per process, at its
+        first use (see _LAYOUTS)."""
+        degree = top = 0
+        for v in vectors:
+            for pos, m in v:
+                d = sum(m)
+                if d > degree:
+                    degree = d
+                if pos > top:
+                    top = pos
+        ring, degrees = self.ring, tuple(self.degrees or ())
+        shape = (max(field_bytes, _field_bytes(degree)), max(rank, top + 1, len(degrees)),
+                 self.elim, degrees)
+        key = (ring.p, ring.nvars, ring.order.kind, *shape)
+        lay = _LAYOUTS.get(key)
         if lay is None:
-            lay = self.ring._layouts[shape] = _Layout(self.ring, *shape)
+            lay = _LAYOUTS[key] = _Layout(ring, *shape)
         return lay
 
     def _repack(self, lay: _Layout):
@@ -608,14 +620,15 @@ def staircase_count(lead_monos: list[Monomial], nvars: int):
         return 0 if lead_monos else 1
     bounds = [None] * nvars
     for m in lead_monos:
-        support = [i for i, e in enumerate(m) if e]
-        if not support:
+        zeros = m.count(0)
+        if zeros == nvars:
             return 0  # 1 is a leading monomial: unit ideal
-        if len(support) == 1:
-            i = support[0]
-            if bounds[i] is None or m[i] < bounds[i]:
-                bounds[i] = m[i]
-    if any(b is None for b in bounds):
+        if zeros == nvars - 1:  # a pure power
+            e = sum(m)
+            i = m.index(e)
+            if bounds[i] is None or e < bounds[i]:
+                bounds[i] = e
+    if None in bounds:
         return None
     # Each slab holds the pure powers of x_0 .. x_k, so its first
     # generators have x_k exponent 0 and some generator free of

@@ -46,6 +46,7 @@ class Ideal:
         self._gb = None
         self._colength = _UNCOUNTED
         self._mu = None
+        self._mI = None  # groebner.Reducers of mI + Q, kept by min_gens
         self._brackets: dict[int, Ideal] = {}
 
     @property
@@ -147,37 +148,71 @@ class Ideal:
 
     def min_gens(self) -> int:
         """mu(I) = lambda(R/mI) - lambda(R/I), m the ideal of all variables;
-        mI comes from I's packed basis (Reducers.times)."""
+        mI comes from I's packed basis (Reducers.times), and its Reducers
+        are kept for minimal_generators."""
         if self._mu is None:
             lam = self.colength_strict()
-            self._mu = _staircase(self.reducers.times(self.reducers.variables())) - lam
+            self._mI = self.reducers.times(self.reducers.variables())
+            self._mu = _staircase(self._mI) - lam
         return self._mu
 
-    def _greedy_trim(self, gens) -> list[Polynomial]:
-        gens = sorted(gens, key=lambda g: (g.degree(),
-                                           self.ring.order.key(g.leading_monomial())))
+    def _by_degree(self, gens) -> list[Polynomial]:
+        key = self.ring.order.key
+        return sorted(gens, key=lambda g: (g.degree(), key(g.leading_monomial())))
+
+    def _nakayama(self, mu: int) -> list[Polynomial]:
+        """The first mu generators, in degree order, whose classes in I/mI
+        are linearly independent over F_p: each normal form modulo mI + Q
+        is reduced by the kept ones, in rows keyed by their largest
+        monomial, and a generator with a nonzero remainder is kept."""
+        p, rows, kept = self.ring.p, {}, []
+        for g in self._by_degree(self.gens):
+            if len(kept) == mu:
+                break
+            r = groebner.normal_form(g, self._mI)
+            while r.terms and (top := max(r.terms)) in rows:
+                r = r - rows[top] * r.terms[top]
+            if r.terms:
+                rows[top] = r * pow(r.terms[top], -1, p)
+                kept.append(g)
+        return kept
+
+    def _greedy_trim(self, gens, mu=None) -> list[Polynomial]:
+        gens = self._by_degree(gens)
         # one backward pass: a kept generator stays outside the ideal of
-        # the others, because deleting generators only shrinks that ideal
+        # the others, because deleting generators only shrinks that ideal;
+        # mu generators have no redundant one among them
         for i in range(len(gens) - 1, -1, -1):
+            if len(gens) == mu:
+                break
             rest = gens[:i] + gens[i + 1:]
             if rest and Ideal(self.ring, rest).contains(gens[i]):
                 del gens[i]
         return gens
 
     def minimal_generators(self) -> list[Polynomial]:
-        """A generating sequence of I, by greedy trimming.
+        """A generating sequence of I, of mu(I) elements where it can find one.
 
-        Trims the given generators and, when that leaves more than mu(I)
-        of an m-primary I, also the reduced basis (echelonized, so single
-        generators are redundant there more often), and returns the
-        shorter.  Each is irredundant, but neither need have mu(I)
-        elements: a unit combination of generators can be redundant where
-        no single one is.  The length identity holds for any generating
-        sequence; a caller that needs mu(I) compares lengths.
+        An m-primary I with homogeneous generators gets mu(I) of them
+        whose classes span I/mI, which generate I by graded Nakayama
+        (Eisenbud, Commutative Algebra, 4.1), with no engine run beyond
+        the two of min_gens.  Any other I is trimmed greedily, and an
+        m-primary one, when that leaves more than mu(I), also from its
+        reduced basis (echelonized, so single generators are redundant
+        there more often), which gives the shorter; each trim stops at
+        mu(I).  A trim is irredundant but need not reach mu(I): a unit
+        combination of generators can be redundant where no single one
+        is.  The length identity holds for any generating sequence; a
+        caller that needs mu(I) compares lengths.
         """
-        trimmed = self._greedy_trim(list(self.gens))
-        if self.is_m_primary() and len(trimmed) != self.min_gens():
-            return min(trimmed, self._greedy_trim(list(self.groebner_basis)), key=len)
+        if not self.is_m_primary():
+            return self._greedy_trim(self.gens)
+        mu = self.min_gens()
+        if all(g.is_homogeneous() for g in self.gens):
+            return self._nakayama(mu)
+        trimmed = self._greedy_trim(self.gens, mu)
+        if len(trimmed) != mu:
+            return min(trimmed, self._greedy_trim(self.groebner_basis, mu), key=len)
         return trimmed
 
     def equals(self, other: "Ideal") -> bool:
@@ -313,7 +348,7 @@ def _parameter_variables(ring: Ring) -> list[int]:
     d = krull_dim(ring)
     if d == 0:
         raise ValueError(f"parameter-powers needs dim R >= 1, but dim R = 0 in {ring}")
-    if Ideal(ring, map(ring.var, range(d))).is_m_primary():
+    if ring.is_regular or Ideal(ring, map(ring.var, range(d))).is_m_primary():
         return list(range(d))
     powered = {i for s in _lead_supports(ring) if len(s) == 1 for i in s}
     free = [i for i in range(ring.nvars) if i not in powered]

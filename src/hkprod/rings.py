@@ -114,13 +114,12 @@ class Ring:
             poly = self.poly(r) if isinstance(r, str) else r
             if poly.ring is not self:
                 raise RingMismatchError("relation from a different ring")
-            if len({sum(m) for m in poly.terms}) > 1 or poly.degree() == 0:
+            if not poly.is_homogeneous() or poly.degree() == 0:
                 raise ValueError(f"relation {poly} is not homogeneous of positive degree")
             if not poly.is_zero():
                 rels.append(poly)
         self.relations = tuple(rels)
         self._dim = None  # filled lazily by ideals.krull_dim
-        self._layouts = {}  # groebner's packings of this ring, one per shape
 
     @property
     def nvars(self) -> int:
@@ -184,6 +183,10 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.terms), default=-1)
+
+    def is_homogeneous(self) -> bool:
+        """Every term of one total degree; the zero polynomial is."""
+        return len({sum(m) for m in self.terms}) <= 1
 
     def leading_monomial(self) -> Monomial:
         if not self.terms:

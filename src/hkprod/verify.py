@@ -182,8 +182,9 @@ def verify_freeness(J: Ideal, I: Ideal) -> VerifyReport:
     """lambda(J/IJ) = mu(J)*lambda(R/I) exactly when the presentation
     kernel vanishes (J/IJ free over R/I); the two detections must agree.
     Needs mu(J) generators: at a longer presentation the kernel is nonzero
-    even for free quotients, so a J that greedy trimming cannot bring down
-    to mu(J) is NotApplicable."""
+    even for free quotients, so a J that minimal_generators cannot bring
+    down to mu(J), possible only when J's generators are not all
+    homogeneous, is NotApplicable."""
     a = J.minimal_generators()
     mu = J.min_gens()
     if len(a) != mu:

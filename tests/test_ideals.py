@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hkprod import (Ideal, InfiniteColengthError, Polynomial, Ring,
                     is_parameter_ideal, krull_dim, maximal_ideal, random_ideal)
 from hkprod import buchberger, groebner, hk_table
-from hkprod.ideals import FAMILIES
+from hkprod.ideals import FAMILIES, _parameter_variables
 
 from .oracles import (brute_colength, rational_normal_curve, rescan_normal_form,
                       subset_dim, toric_colength, toric_exponents, toric_hk)
@@ -461,6 +461,88 @@ def test_minimal_generators_trim_is_irredundant(I):
     assert Ideal(I.ring, gens).equals(I)
     for i, g in enumerate(gens):
         assert not Ideal(I.ring, gens[:i] + gens[i + 1:]).contains(g)
+
+
+@st.composite
+def homogeneous_trim_inputs(draw):
+    """Homogeneous m-primary ideals over F_2[x,y], F_3[x,y,z], the
+    Fermat cubic and R_n: a pure power of every variable, monomials and
+    homogeneous binomials, then redundant generators (multiples by a
+    variable, sums of two of one degree, repeats), in shuffled order."""
+    ring = draw(st.sampled_from([Ring(2, "xy"), Ring(3, "xyz"),
+                                 Ring(2, "xyz", relations=["x^3+y^3+z^3"]),
+                                 rational_normal_curve(2, 3), rational_normal_curve(3, 2)]))
+    n = ring.nvars
+
+    def mono(d):
+        exps = [0] * n
+        for i in draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d)):
+            exps[i] += 1
+        return ring.monomial(exps)
+
+    gens = [ring.monomial([draw(st.integers(1, 3)) if j == i else 0 for j in range(n)])
+            for i in range(n)]
+    gens += [mono(draw(st.integers(1, 3))) for _ in range(draw(st.integers(0, 2)))]
+    for _ in range(draw(st.integers(0, 2))):
+        d = draw(st.integers(1, 3))
+        gens.append(mono(d) + mono(d) * draw(st.integers(1, ring.p - 1)))
+    gens = [g for g in gens if not g.is_zero()]
+    for _ in range(draw(st.integers(0, 2))):
+        g = draw(st.sampled_from(gens))
+        gens.append(ring.var(draw(st.integers(0, n - 1))) * g)
+        same = [h for h in gens if h.degree() == g.degree()]
+        gens.append(g + draw(st.sampled_from(same)))
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2))
+    return Ideal(ring, draw(st.permutations([g for g in gens if not g.is_zero()])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(homogeneous_trim_inputs())
+def test_minimal_generators_of_homogeneous_ideals_have_mu_elements(I):
+    gens = I.minimal_generators()
+    assert len(gens) == I.min_gens()
+    assert Ideal(I.ring, gens).equals(I)
+    # graded Nakayama: the greedy trim of a homogeneous ideal ends at mu too
+    assert len(Ideal(I.ring, I.gens)._greedy_trim(I.gens)) == len(gens)
+
+
+def test_minimal_generators_of_a_known_homogeneous_ideal_run_no_engine(F3xyz, monkeypatch):
+    I = I_(F3xyz, "x^2", "x*y", "y^2 + z^2", "x^2 + x*y", "z^3", "x*z^2", "y*z^2")
+    assert I.colength() == 7 and I.min_gens() == 5
+    built = count_engine_runs(monkeypatch)
+    layouts, runs = record_layouts_and_runs(monkeypatch)
+    gens = I.minimal_generators()
+    assert built == runs == []
+    # x^2 + x*y is dependent modulo mI, and x*z^2 is not reached
+    assert gens == [F3xyz.poly(g) for g in ["y^2 + z^2", "x*y", "x^2", "z^3", "y*z^2"]]
+    monkeypatch.undo()
+    assert Ideal(F3xyz, gens).equals(I)
+
+
+def test_minimal_generators_trim_stops_at_mu(F2xy, monkeypatch):
+    # x^3 + y^5 lies in (y, x + y^2) = (x, y); once it is deleted the two
+    # left are mu generators, and no other is tested
+    I = I_(F2xy, "x^3 + y^5", "x + y^2", "y")
+    assert I.min_gens() == 2
+    calls = record_calls(monkeypatch, [(Ideal, "contains")])
+    gens = I.minimal_generators()
+    assert calls == ["contains"]
+    monkeypatch.undo()
+    assert gens == [F2xy.poly("y"), F2xy.poly("x + y^2")]
+
+
+def test_rings_of_one_shape_share_their_layouts():
+    a = I_(Ring(2, "xy"), "x^2 + y^2", "x*y")
+    b = I_(Ring(2, "uv", relations=["u^3 + v^3"]), "u^2", "u*v + v^2")
+    assert a.colength() == 4 and b.colength() == 4
+    assert a.reducers.lay is b.reducers.lay
+    assert a.min_gens() == b.min_gens() == 2
+
+
+def test_parameter_variables_of_a_polynomial_ring_run_no_engine(monkeypatch):
+    built = count_engine_runs(monkeypatch)
+    assert _parameter_variables(Ring(3, "xyz")) == [0, 1, 2]
+    assert built == []
 
 
 def test_colength_finiteness(F2xy):
